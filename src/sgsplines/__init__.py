@@ -9,7 +9,6 @@ rates, and inverse inequalities at desk scale.
 
 from .bspline import (
     ConstrainedSubspace1D,
-    KnotVector,
     SplineSpace1D,
     collocation_matrix,
     eval_basis,

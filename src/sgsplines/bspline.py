@@ -6,36 +6,23 @@ basis/derivative evaluation via the Cox-de Boor triangular recursion, dyadic
 refinement (knot insertion) operators, Greville abscissae, and subspaces with
 vanishing endpoint derivatives.
 
-Knot values are kept as exact dyadic rationals (`fractions.Fraction`) and
-converted to floating point for evaluation, so refinement matrices can be
-computed without spacing round-off.
+Knots are floats.  Dyadic knots j / 2**level are exact in binary floating
+point, so knot differences carry no spacing round-off.  Refinement uses the
+Oslo algorithm (Cohen, Lyche and Riesenfeld, CGIP 14, 1980): each row of the
+refinement matrix is a product of p convex-combination steps over knot
+ratios, computed for all fine rows at once.
+
+Arrays returned by the lru caches of this module are read-only, because they
+are shared between callers and threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-
-
-@dataclass(frozen=True)
-class KnotVector:
-    """Open knot vector of a dyadic level: endpoints repeated degree+1 times,
-    interior knots at multiples of 2**-level with multiplicity one."""
-
-    degree: int
-    level: int
-    knots_exact: tuple = field(repr=False)
-
-    @property
-    def knots(self):
-        return np.array([float(t) for t in self.knots_exact])
-
-    def __len__(self):
-        return len(self.knots_exact)
 
 
 @dataclass(frozen=True)
@@ -48,7 +35,6 @@ class SplineSpace1D:
 
     degree: int
     level: int
-    kv: KnotVector = field(repr=False)
     knots: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -71,16 +57,13 @@ class SplineSpace1D:
                 and self.degree == other.degree and self.level == other.level)
 
 
-def _dyadic_knots(p, level):
-    ncells = 2 ** level
-    interior = [Fraction(j, ncells) for j in range(1, ncells)]
-    return tuple([Fraction(0)] * (p + 1) + interior + [Fraction(1)] * (p + 1))
-
-
 @lru_cache(maxsize=None)
 def _space(p, level):
-    kv = KnotVector(p, level, _dyadic_knots(p, level))
-    return SplineSpace1D(p, level, kv, kv.knots)
+    ncells = 2 ** level
+    knots = np.concatenate([np.zeros(p + 1), np.arange(1, ncells) / ncells,
+                            np.ones(p + 1)])
+    knots.setflags(write=False)
+    return SplineSpace1D(p, level, knots)
 
 
 def make_space(p, level):
@@ -149,6 +132,7 @@ def _derivative_transfer(p, level, m):
             Dj[i, i] = -q / denom
             Dj[i, i + 1] = q / denom
         D = Dj @ D
+    D.setflags(write=False)
     return D
 
 
@@ -197,41 +181,36 @@ def greville(space):
     return np.array([knots[i + 1:i + p + 1].mean() for i in range(space.dim)])
 
 
-def _insert_knot_exact(knots_exact, p, u, R):
-    """One Boehm knot-insertion step in exact rational arithmetic.
-
-    `R` is a list of coefficient rows (each a list of Fractions) expressing the
-    current fine coefficients in terms of the original coarse ones; returns the
-    updated knot tuple and rows.
-    """
-    n = len(knots_exact) - p - 1
-    k = 0
-    while k + 1 < len(knots_exact) and knots_exact[k + 1] <= u:
-        k += 1
-    new_rows = []
-    for i in range(n + 1):
-        if i <= k - p:
-            new_rows.append(R[i])
-        elif i >= k + 1:
-            new_rows.append(R[i - 1])
-        else:
-            alpha = (u - knots_exact[i]) / (knots_exact[i + p] - knots_exact[i])
-            row = [alpha * a + (1 - alpha) * b for a, b in zip(R[i], R[i - 1])]
-            new_rows.append(row)
-    new_knots = tuple(sorted(knots_exact + (u,)))
-    return new_knots, new_rows
-
-
 @lru_cache(maxsize=None)
 def _refinement_matrix(p, coarse_level):
-    coarse = _space(p, coarse_level)
-    knots = coarse.kv.knots_exact
-    R = [[Fraction(int(i == j)) for j in range(coarse.dim)] for i in range(coarse.dim)]
-    ncells = 2 ** coarse_level
-    for j in range(1, ncells + 1):
-        u = Fraction(2 * j - 1, 2 * ncells)
-        knots, R = _insert_knot_exact(knots, p, u, R)
-    return np.array([[float(a) for a in row] for row in R])
+    """Dense (fine.dim, coarse.dim) knot-insertion matrix from `coarse_level`
+    to the next level, by the Oslo algorithm.
+
+    Fine row i has its nonzeros at coarse indices mu-p..mu, where
+    t[mu] <= tau[i] < t[mu+1] for coarse knots t and fine knots tau.  Those
+    weights are the product R_1(tau[i+1]) ... R_p(tau[i+p]) of the
+    k x (k+1) matrices whose row j holds the convex weights
+    (t[j+k] - x, x - t[j]) / (t[j+k] - t[j]), j = mu-k+1..mu.
+    """
+    t = _space(p, coarse_level).knots
+    tau = _space(p, coarse_level + 1).knots
+    n, m = 2 ** coarse_level + p, 2 ** (coarse_level + 1) + p
+    mu = np.searchsorted(t, tau[:m], side="right") - 1
+    b = np.ones((m, 1))
+    for k in range(1, p + 1):
+        x = tau[k:k + m, None]
+        j = mu[:, None] - k + 1 + np.arange(k)[None, :]
+        tj, tjk = t[j], t[j + k]
+        den = tjk - tj
+        step = np.zeros((m, k + 1))
+        step[:, :k] += b * ((tjk - x) / den)
+        step[:, 1:] += b * ((x - tj) / den)
+        b = step
+    R = np.zeros((m, n))
+    cols = mu[:, None] - p + np.arange(p + 1)[None, :]
+    np.put_along_axis(R, cols, b, axis=1)
+    R.setflags(write=False)
+    return R
 
 
 def refinement_operator(coarse, fine):

@@ -81,9 +81,20 @@ def gram(space, r, rule=None):
     return GramMatrix(space, r, 0.5 * (G + G.T))
 
 
+def _read_only(*arrays):
+    """Mark cached arrays read-only (they are shared across callers and
+    threads) and return them as a tuple; None entries pass through."""
+    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _gram_cached(space, r):
-    return gram(space, r).matrix
+    G = gram(space, r).matrix
+    G.setflags(write=False)
+    return G
 
 
 def gram_matrix(space, r):
@@ -97,7 +108,8 @@ def projection_matrices(space, r, qpts=None):
 
     Returns (nodes, weights, M0, Mr) with coefficients = M0 @ values for r = 0,
     and coefficients = M0 @ values + Mr @ r_th_derivative_values for r >= 1
-    (the M0 part carries the kernel-pinning moment constraints).
+    (the M0 part carries the kernel-pinning moment constraints).  The cached
+    arrays are read-only.
 
     r = 0 solves the L2 normal equations with a Cholesky factor of the Gram
     matrix.  r >= 1 minimizes ||W^1/2 (B_r c - g)|| subject to Q^T c = P^T W f,
@@ -118,7 +130,7 @@ def projection_matrices(space, r, qpts=None):
         G = gram_matrix(space, 0)
         cho = scipy.linalg.cho_factor(G)
         M0 = scipy.linalg.cho_solve(cho, B.T * weights[None, :])
-        return nodes, weights, M0, None
+        return _read_only(nodes, weights, M0, None)
     if qpts < p - r + 1:
         raise ValueError(
             f"rule with {qpts} points cannot integrate degree-{2 * (p - r)} "
@@ -137,7 +149,7 @@ def projection_matrices(space, r, qpts=None):
     Vz = scipy.linalg.solve_triangular(Rz, Qz.T)
     Mr = Z @ (Vz * sw[None, :])
     M0 = (Y - Z @ (Vz @ (A @ Y))) @ U
-    return nodes, weights, M0, Mr
+    return _read_only(nodes, weights, M0, Mr)
 
 
 def _call_deriv(f, x, m):

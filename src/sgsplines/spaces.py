@@ -26,7 +26,7 @@ from .bspline import (
     refinement_operator,
     vanishing_subspace,
 )
-from .indices import build_combination_set, build_hier_set, cbinom
+from .indices import _levels_with_sum, build_combination_set, build_hier_set, cbinom
 from .quadrature import gram_matrix
 from .tensorops import (
     CoefficientTensor,
@@ -139,17 +139,15 @@ def increment_indices(p, level, lam):
 
     At the base level every function is selected; above it, the functions
     anchored at the new odd knots (anchor = middle knot of the support).
+    Function i has its anchor at knot index k = i + (p+2)//2; the interior
+    knot k = p+j sits at j / 2**level, which is new at this level iff j is odd.
     """
     space = make_space(p, level)
     if level == lam:
         return tuple(range(space.dim))
     mid = (p + 2) // 2
-    ncells = space.num_cells
-    sel = []
-    for i in range(space.dim):
-        t = space.kv.knots_exact[i + mid]
-        if t.denominator == ncells and t.numerator % 2 == 1:
-            sel.append(i)
+    # anchors k = p+1, p+3, ..., p + 2**level - 1
+    sel = range(p + 1 - mid, p + space.num_cells - mid, 2)
     if len(sel) != 2 ** (level - 1):
         raise RuntimeError(f"increment selection at p={p}, level={level} "
                            f"found {len(sel)} functions, expected {2 ** (level - 1)}")
@@ -277,17 +275,6 @@ def telescopic_residual(f, level, degree, r=0, qpts=None):
     return float(np.abs(lhs - rhs).max())
 
 
-def _sub_levels_with_sum(k, total, lam):
-    if total < k * lam:
-        return []
-    if k == 1:
-        return [(total,)]
-    out = []
-    for a in range(lam, total - lam * (k - 1) + 1):
-        out.extend((a,) + rest for rest in _sub_levels_with_sum(k - 1, total - a, lam))
-    return out
-
-
 def cancellation_constant(d, k, l):
     """Coefficient of the layer-l partial terms after the combination's
     coarse-term cancellations (derived by regrouping the layer sums; the
@@ -316,7 +303,7 @@ def _lemma8_sides(rule, values):
             if coef == 0:
                 continue
             for J in itertools.combinations(range(d), k):
-                for sub in _sub_levels_with_sum(k, n + (k - 1) * lam - l, lam):
+                for sub in _levels_with_sum(k, n + (k - 1) * lam - l, lam):
                     rhs += coef * values(J, sub)
     full = tuple(range(d))
     for layer_idx, layer in enumerate(cs.layers):

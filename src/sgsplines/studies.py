@@ -276,7 +276,14 @@ def fit_rate(pairs, log_power=0):
 def _run_tasks(tasks, timing):
     """Run row-producing callables, possibly in parallel; order-independent."""
     workers = os.environ.get("STUDY_THREADS")
-    workers = int(workers) if workers else (os.cpu_count() or 1)
+    if workers is None:
+        workers = os.cpu_count() or 1
+    else:
+        try:
+            workers = int(workers)
+        except ValueError:
+            raise ConfigError(f"STUDY_THREADS must be an integer, "
+                              f"got {workers!r}") from None
     workers = max(1, min(workers, len(tasks) or 1))
 
     def timed(task):

@@ -1,10 +1,14 @@
 """Univariate spline spaces: knots, evaluation, refinement, subspaces."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
 from sgsplines.bspline import (
+    _derivative_transfer,
+    _refinement_matrix,
     collocation_matrix,
     constraint_orders,
     eval_basis,
@@ -126,6 +130,58 @@ def test_nestedness_across_degrees_and_levels():
             x = rng.random(40)
             err = np.abs(eval_spline(fine, R @ c, x) - eval_spline(coarse, c, x)).max()
             assert err < 1e-12
+
+
+def _exact_refinement(p, coarse_level):
+    """Oracle: Boehm insertion of every new midpoint knot in exact rationals."""
+    ncells = 2 ** coarse_level
+    knots = ([Fraction(0)] * (p + 1) + [Fraction(j, ncells) for j in range(1, ncells)]
+             + [Fraction(1)] * (p + 1))
+    dim = ncells + p
+    R = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for j in range(1, ncells + 1):
+        u = Fraction(2 * j - 1, 2 * ncells)
+        k = max(i for i in range(len(knots) - 1) if knots[i] <= u)
+        rows = []
+        for i in range(len(R) + 1):
+            if i <= k - p:
+                rows.append(R[i])
+            elif i >= k + 1:
+                rows.append(R[i - 1])
+            else:
+                a = (u - knots[i]) / (knots[i + p] - knots[i])
+                rows.append([a * x + (1 - a) * y for x, y in zip(R[i], R[i - 1])])
+        knots, R = sorted(knots + [u]), rows
+    return np.array([[float(a) for a in row] for row in R])
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_refinement_matches_exact_oracle(p):
+    for level in range(7):
+        R = _refinement_matrix(p, level)
+        exact = _exact_refinement(p, level)
+        assert R.shape == exact.shape == (2 ** (level + 1) + p, 2 ** level + p)
+        np.testing.assert_array_equal(R != 0, exact != 0)
+        assert np.abs(R - exact).max() <= 2.3e-16
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_refinement_reproduces_at_level_10(p):
+    rng = np.random.default_rng(p)
+    coarse, fine = make_space(p, 10), make_space(p, 11)
+    R = refinement_operator(coarse, fine)
+    c = rng.standard_normal(coarse.dim)
+    x = rng.random(2000)
+    err = np.abs(eval_spline(fine, R @ c, x) - eval_spline(coarse, c, x)).max()
+    assert err <= 1e-12
+
+
+def test_cached_arrays_are_read_only():
+    # shared by every caller and every study thread
+    for arr in (_refinement_matrix(3, 4), _derivative_transfer(3, 4, 2),
+                make_space(3, 4).knots):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
 
 
 def test_refinement_rejects_mismatch():

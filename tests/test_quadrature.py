@@ -10,8 +10,10 @@ from sgsplines.quadrature import (
     element_grid,
     gauss_rule,
     gram,
+    gram_matrix,
     l2_error_1d,
     project_1d,
+    projection_matrices,
 )
 
 
@@ -150,3 +152,14 @@ def test_seminorm_projection_minimizes_seminorm():
         return np.sqrt(np.sum(weights * diff ** 2))
 
     assert h1_err(project_1d(space, f, 1)) <= h1_err(project_1d(space, f, 0)) + 1e-14
+
+
+@pytest.mark.parametrize("r", [0, 2])
+def test_cached_matrices_are_read_only(r):
+    # shared by every caller and every study thread
+    s = make_space(3, 3)
+    arrays = [gram_matrix(s, r)]
+    arrays += [a for a in projection_matrices(s, r) if a is not None]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0

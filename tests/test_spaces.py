@@ -1,11 +1,13 @@
 """Sparse-grid constructions: combination form, increments, identities."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from sgsplines import functions as fn
 from sgsplines.bspline import collocation_matrix, eval_spline, greville, make_space
-from sgsplines.indices import LevelRule, build_hier_set, sparse_dimension
+from sgsplines.indices import LevelRule, build_hier_set, lambda_eff, sparse_dimension
 from sgsplines.spaces import (
     HierFunction,
     _lemma8_sides,
@@ -89,6 +91,23 @@ def test_eval_rejects_points_outside_domain():
     sg = combination_project(fn.constant(2), rule)
     with pytest.raises(ValueError):
         sparse_eval(sg, np.array([[0.5, 1.5]]))
+
+
+def test_increment_indices_select_new_odd_knots():
+    # reference definition: anchor knot (middle knot of the support) is a
+    # dyadic of the current level with odd numerator
+    for p in range(5):
+        lam = lambda_eff(p)
+        for level in range(lam + 1, 9):
+            ncells = 2 ** level
+            knots = ([Fraction(0)] * (p + 1)
+                     + [Fraction(j, ncells) for j in range(1, ncells)]
+                     + [Fraction(1)] * (p + 1))
+            mid = (p + 2) // 2
+            expected = tuple(i for i in range(ncells + p)
+                             if knots[i + mid].denominator == ncells
+                             and knots[i + mid].numerator % 2 == 1)
+            assert increment_indices(p, level, lam) == expected
 
 
 def test_increment_counts_and_chain():

@@ -163,6 +163,16 @@ def test_cli_thread_cap_respected(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, value):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("kind=dimensions\nn=3\nrank_max=2\n")
+    monkeypatch.setenv("STUDY_THREADS", value)
+    assert cli_main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "STUDY_THREADS" in err
+
+
 def test_mapped_study_reads_geometry_file(tmp_path, capsys):
     from sgsplines.geometry import distorted_square_geometry, save_geometry
     geo = tmp_path / "dist.geo"
