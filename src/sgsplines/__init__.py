@@ -20,7 +20,6 @@ from .bspline import (
     vanishing_subspace,
 )
 from .quadrature import (
-    GramMatrix,
     QuadratureRule,
     gauss_rule,
     gram,
@@ -57,7 +56,6 @@ from .spaces import (
     equivalence_report,
     hier_basis,
     lemma8_residual,
-    sparse_eval,
     sparse_rayleigh,
     telescopic_residual,
 )

@@ -79,13 +79,6 @@ def make_space(p, level):
     return _space(p, level)
 
 
-def bernstein_space(p):
-    """Single-element space (level 0, h = 1); used for coarse geometry maps."""
-    if p < 0:
-        raise ValueError(f"degree must be nonnegative, got {p}")
-    return _space(p, 0)
-
-
 def _find_spans(knots, deg, x):
     """Index k per point with knots[k] <= x < knots[k+1], clamped to the
     valid span range of a degree-`deg` clamped vector."""

@@ -16,9 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .bspline import _refinement_matrix, _space, collocation_matrix, greville, make_space
-from .quadrature import element_grid, gauss_rule
-from .spaces import stacked_sparse_basis
-from .tensorops import tensor_weights
+from .spaces import khatri_rao, stacked_sparse_basis
+from .tensorops import CoefficientTensor, _apply_along, _norm_axes, tensor_weights
 
 _DIFFEO_GRID = 33
 _NEWTON_LATTICE = 17
@@ -28,11 +27,17 @@ def _is_pow2(m):
     return m >= 1 and (m & (m - 1)) == 0
 
 
+def _unit(d, j):
+    """Multi-index of the first derivative in direction j."""
+    return tuple(int(j == k) for k in range(d))
+
+
 class GeometryMap:
     """Tensor-product B-spline map with a control-point grid.
 
     `ctrl` has shape (n_1, ..., n_d, d) with n_i = 2**level + degree; control
-    points are immutable after the build-time diffeomorphism check.
+    points are immutable after the build-time diffeomorphism check.  `tensor`
+    holds them as a vector-valued `CoefficientTensor`, which evaluates the map.
     """
 
     def __init__(self, degree, ctrl, _skip_checks=False):
@@ -49,9 +54,9 @@ class GeometryMap:
             raise ValueError(f"control extent {sizes[0]} incompatible with "
                              f"degree {self.degree} on a dyadic mesh")
         self.level = ncells.bit_length() - 1
-        self.space = _space(self.degree, self.level)
         self.ctrl = ctrl
         self.ctrl.setflags(write=False)
+        self.tensor = CoefficientTensor((self.level,) * self.d, self.degree, ctrl)
         if not _skip_checks:
             self._check_corners()
             self._check_jacobian()
@@ -76,44 +81,23 @@ class GeometryMap:
 
     # -- evaluation
 
-    def _grid_contract(self, axes, alpha):
-        out = self.ctrl
-        for ax, a in zip(axes, alpha):
-            E = collocation_matrix(self.space, np.atleast_1d(ax), a)
-            out = np.tensordot(out, E.T, axes=([0], [0]))
-        # axes are now (coords, grid...); put the coordinate axis last
-        return np.moveaxis(out, 0, -1)
-
     def eval_grid(self, axes):
         """Map values on a tensor grid; shape grid + (d,)."""
-        return self._grid_contract(axes, (0,) * self.d)
+        return self.tensor.deriv_grid(axes)
 
     def jacobian_grid(self, axes):
         """Jacobians on a tensor grid; shape grid + (d, d), J[..., i, j] =
         dF_i/dxi_j."""
-        cols = [self._grid_contract(axes, tuple(int(j == k) for k in range(self.d)))
-                for j in range(self.d)]
-        return np.stack(cols, axis=-1)
-
-    def _points_contract(self, pts, alpha):
-        flat = pts.reshape(-1, self.d)
-        rows = [collocation_matrix(self.space, flat[:, i], alpha[i])
-                for i in range(self.d)]
-        acc = np.tensordot(rows[0], self.ctrl, axes=([1], [0]))
-        for i in range(1, self.d):
-            acc = np.einsum("nj...,nj->n...", acc, rows[i])
-        return acc.reshape(pts.shape)
+        return np.stack([self.tensor.deriv_grid(axes, _unit(self.d, j))
+                         for j in range(self.d)], axis=-1)
 
     def eval(self, pts):
         """Map scattered parameter points of shape (..., d)."""
-        pts = np.asarray(pts, dtype=float)
-        return self._points_contract(pts, (0,) * self.d)
+        return self.tensor.eval_points(pts)
 
     def jacobian(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        cols = [self._points_contract(pts, tuple(int(j == k) for k in range(self.d)))
-                for j in range(self.d)]
-        return np.stack(cols, axis=-1)
+        return np.stack([self.tensor.eval_points(pts, _unit(self.d, j))
+                         for j in range(self.d)], axis=-1)
 
     # -- inversion
 
@@ -161,7 +145,7 @@ class GeometryMap:
         R = _refinement_matrix(self.degree, self.level)
         ctrl = self.ctrl
         for axis in range(self.d):
-            ctrl = np.moveaxis(np.tensordot(R, ctrl, axes=([1], [axis])), 0, axis)
+            ctrl = _apply_along(R, ctrl, axis)
         return GeometryMap(self.degree, ctrl, _skip_checks=True)
 
 
@@ -234,6 +218,8 @@ def load_geometry(path):
                                      f"{line!r}") from exc
                 continue
             key, *rest = line.split()
+            if key in ("degree", "dims") and not rest:
+                raise ValueError(f"{path}:{lineno}: key {key!r} needs a value")
             if key == "degree":
                 degree = int(rest[0])
             elif key == "dims":
@@ -298,10 +284,8 @@ def pullback_error_norm(f_phys, u, geom, mode="semi", r=0, qpts=None):
         raise ValueError(f"unknown mode {mode!r}")
     degree = u.degree
     level = u.finest_level
-    qpts = qpts or degree + 3
-    grids = [element_grid(make_space(degree, l), gauss_rule(qpts)) for l in level]
-    axes = tuple(g[0] for g in grids)
-    W = tensor_weights(tuple(g[1] for g in grids))
+    axes, weights = _norm_axes(level, degree, qpts or degree + 3)
+    W = tensor_weights(weights)
     J = geom.jacobian_grid(axes)
     det = np.linalg.det(J)
     Wphys = W * det
@@ -315,13 +299,11 @@ def pullback_error_norm(f_phys, u, geom, mode="semi", r=0, qpts=None):
             return float(np.sqrt(total))
     Jinv = np.linalg.inv(J)
     d = geom.d
-    grad_param = np.stack(
-        [u.deriv_grid(axes, tuple(int(i == k) for k in range(d))) for i in range(d)],
-        axis=-1)
+    grad_param = np.stack([u.deriv_grid(axes, _unit(d, i)) for i in range(d)],
+                          axis=-1)
     grad_u = np.einsum("...ji,...j->...i", Jinv, grad_param)
     for i in range(d):
-        alpha = tuple(int(i == k) for k in range(d))
-        diff = f_phys.eval_points(phys_pts, alpha) - grad_u[..., i]
+        diff = f_phys.eval_points(phys_pts, _unit(d, i)) - grad_u[..., i]
         total += float(np.sum(Wphys * diff ** 2))
     return float(np.sqrt(total))
 
@@ -333,29 +315,20 @@ def mapped_rayleigh(rule, q, geom, qpts=None):
         raise ValueError("geometry dimension does not match the level rule")
     basis = stacked_sparse_basis(rule, q)
     p, n, d = rule.p, rule.n, rule.d
-    qpts = qpts or p + 3
-    space_n = make_space(p, n)
-    nodes, w1 = element_grid(space_n, gauss_rule(qpts))
-    axes = (nodes,) * d
-    W = tensor_weights((w1,) * d)
+    axes, weights = _norm_axes((n,) * d, p, qpts or p + 3)
     J = geom.jacobian_grid(axes)
     det = np.linalg.det(J)
-    Wphys = (W * det).ravel()
+    Wphys = (tensor_weights(weights) * det).ravel()
     Jinv = np.linalg.inv(J).reshape(-1, d, d)
 
-    E0 = collocation_matrix(space_n, nodes, 0) @ basis.V
-    E1 = collocation_matrix(space_n, nodes, 1) @ basis.V
+    space_n = make_space(p, n)
+    E0 = collocation_matrix(space_n, axes[0], 0) @ basis.V
+    E1 = collocation_matrix(space_n, axes[0], 1) @ basis.V
     idx = [basis.entries[:, i] for i in range(d)]
 
-    def value_matrix(deriv_dir):
-        mats = [(E1 if i == deriv_dir else E0)[:, idx[i]] for i in range(d)]
-        out = mats[0]
-        for M in mats[1:]:
-            out = (out[:, None, :] * M[None, :, :]).reshape(-1, out.shape[1])
-        return out
-
-    U = value_matrix(None)
-    grads_param = [value_matrix(i) for i in range(d)]
+    U = khatri_rao([E0] * d, idx)
+    grads_param = [khatri_rao([E1 if i == j else E0 for i in range(d)], idx)
+                   for j in range(d)]
     B = U.T @ (Wphys[:, None] * U)
     A = np.zeros_like(B)
     for i in range(d):

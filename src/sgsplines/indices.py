@@ -132,15 +132,17 @@ def hier_cardinality(d, n, p):
     return math.comb(n - lambda_eff(p) + d, d)
 
 
-def lemma1_oracle(d):
-    """True iff sum_l (-1)^l C(d-1,l) l^i vanishes for all 0 <= i <= d-2."""
+def lemma1_deviation(d):
+    """Largest |sum_l (-1)^l C(d-1,l) l^i| over 0 <= i <= d-2 (exact)."""
     if d < 2:
         raise ValueError("requires d >= 2")
-    for i in range(d - 1):
-        s = sum((-1) ** l * math.comb(d - 1, l) * l ** i for l in range(d))
-        if s != 0:
-            return False
-    return True
+    return max(abs(sum((-1) ** l * math.comb(d - 1, l) * l ** i for l in range(d)))
+               for i in range(d - 1))
+
+
+def lemma1_oracle(d):
+    """True iff sum_l (-1)^l C(d-1,l) l^i vanishes for all 0 <= i <= d-2."""
+    return lemma1_deviation(d) == 0
 
 
 def lemma3_oracle(d, n, p, ell, k):

@@ -54,15 +54,6 @@ def element_grid(space, rule):
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Matrix of L2 inner products of r-th basis derivatives."""
-
-    space: object
-    r: int
-    matrix: np.ndarray = field(repr=False)
-
-
 def gram(space, r, rule=None):
     """Gram matrix of the r-th derivatives, assembled cell by cell with a rule
     exact for the degree-2(p-r) piecewise-polynomial integrand."""
@@ -78,7 +69,7 @@ def gram(space, r, rule=None):
     nodes, weights = element_grid(space, rule)
     B = collocation_matrix(space, nodes, r)
     G = B.T @ (weights[:, None] * B)
-    return GramMatrix(space, r, 0.5 * (G + G.T))
+    return 0.5 * (G + G.T)
 
 
 def _read_only(*arrays):
@@ -92,7 +83,7 @@ def _read_only(*arrays):
 
 @lru_cache(maxsize=None)
 def _gram_cached(space, r):
-    G = gram(space, r).matrix
+    G = gram(space, r)
     G.setflags(write=False)
     return G
 

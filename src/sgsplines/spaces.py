@@ -78,11 +78,6 @@ def combination_project(f, rule, r=0, qpts=None):
     return SparseGridFunction(rule, rule.p, tuple(terms))
 
 
-def sparse_eval(fn, x):
-    """Evaluate a sparse (or plain tensor) function at points (..., d)."""
-    return fn.eval_points(np.asarray(x, dtype=float))
-
-
 @dataclass(frozen=True)
 class HierFunction:
     """Function in hierarchical form: one coefficient array per increment,
@@ -116,17 +111,13 @@ class HierFunction:
             coeffs[np.ix_(*sels)] = w
             yield CoefficientTensor(lvl, self.degree, coeffs)
 
-    def eval_points(self, pts, alpha=None):
-        out = 0.0
-        for ct in self._tensors():
-            out = out + ct.eval_points(pts, alpha)
-        return out
+    @property
+    def terms(self):
+        """The increments as unit-weight terms of a sparse-grid sum."""
+        return tuple((ct.level, 1, ct) for ct in self._tensors())
 
-    def deriv_grid(self, axes, alpha=None):
-        out = 0.0
-        for ct in self._tensors():
-            out = out + ct.deriv_grid(axes, alpha)
-        return out
+    deriv_grid = SparseGridFunction.deriv_grid
+    eval_points = SparseGridFunction.eval_points
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +186,38 @@ def hier_basis(rule):
 # span equality of the two constructions
 
 
-def _tensor_columns(mats):
-    """Column-wise tensor (Khatri-Rao style) product of per-direction value
-    matrices: rows = flattened grid, columns = flattened function pairs."""
-    out = mats[0]
-    for M in mats[1:]:
-        out = (out[:, None, :, None] * M[None, :, None, :]).reshape(
-            out.shape[0] * M.shape[0], out.shape[1] * M.shape[1])
+def khatri_rao(mats, cols):
+    """Column-matched Khatri-Rao product of per-direction value matrices.
+
+    Column k is the Kronecker product over directions i of column
+    ``cols[i][k]`` of ``mats[i]``; rows index the flattened tensor grid, first
+    direction slowest.  Only the selected columns are ever formed.
+    """
+    out = mats[0][:, cols[0]]
+    for M, c in zip(mats[1:], cols[1:]):
+        out = (out[:, None, :] * M[None, :, c]).reshape(-1, len(c))
     return out
 
 
-def _collocation_grid(p, n):
-    """Greville-like collocation points of the level n+1 space, unisolvent
-    for every space of level <= n."""
-    return greville(make_space(p, n + 1))
+def _all_columns(mats, sels=None):
+    """Khatri-Rao product of every combination of the selected columns (all
+    columns by default), last direction fastest."""
+    sels = sels or [range(M.shape[1]) for M in mats]
+    grid = np.indices([len(s) for s in sels]).reshape(len(sels), -1)
+    return khatri_rao(mats, [np.asarray(s)[g] for s, g in zip(sels, grid)])
+
+
+def _combination_collocation(rule, svd_tol):
+    """Univariate collocation matrices of every level on the Greville points
+    of level n+1 (unisolvent for every level <= n), the stacked combination
+    bases on their tensor grid, and the numerical rank of that stack."""
+    pts = greville(make_space(rule.p, rule.n + 1))
+    V = {lev: collocation_matrix(make_space(rule.p, lev), pts, 0)
+         for lev in range(rule.lam, rule.n + 1)}
+    cs = build_combination_set(rule.d, rule.n, rule.p)
+    lstack = np.hstack([_all_columns([V[li] for li in lvl]) for lvl, _ in cs.levels])
+    svals = scipy.linalg.svd(lstack, compute_uv=False)
+    return V, lstack, int(np.sum(svals > svd_tol * svals[0]))
 
 
 def equivalence_report(rule, svd_tol=1e-8):
@@ -218,22 +227,9 @@ def equivalence_report(rule, svd_tol=1e-8):
     the stacked combination bases, and the maximum relative least-squares
     residual of either basis fitted in the other.
     """
-    d, n, p = rule.d, rule.n, rule.p
-    pts = _collocation_grid(p, n)
-    V = {lev: collocation_matrix(make_space(p, lev), pts, 0)
-         for lev in range(rule.lam, n + 1)}
-
-    cs = build_combination_set(d, n, p)
-    lstack = np.hstack([_tensor_columns([V[li] for li in lvl])
-                        for lvl, _ in cs.levels])
-    svals = scipy.linalg.svd(lstack, compute_uv=False)
-    rank = int(np.sum(svals > svd_tol * svals[0]))
-
-    hstack_cols = []
-    for inc in hier_basis(rule):
-        mats = [V[li][:, list(sel)] for li, sel in zip(inc.level, inc.selections)]
-        hstack_cols.append(_tensor_columns(mats))
-    hstack = np.hstack(hstack_cols)
+    V, lstack, rank = _combination_collocation(rule, svd_tol)
+    hstack = np.hstack([_all_columns([V[li] for li in inc.level], inc.selections)
+                        for inc in hier_basis(rule)])
     dim_h = hstack.shape[1]
 
     def rel_residuals(A, B):
@@ -421,12 +417,4 @@ def sparse_rayleigh(rule, q, mode="mix"):
 def dimension_rank(rule, svd_tol=1e-8):
     """Brute-force dimension of the combination span: collocation rank of all
     stacked level bases on the unisolvent fine grid."""
-    d, n, p = rule.d, rule.n, rule.p
-    pts = _collocation_grid(p, n)
-    V = {lev: collocation_matrix(make_space(p, lev), pts, 0)
-         for lev in range(rule.lam, n + 1)}
-    cs = build_combination_set(d, n, p)
-    lstack = np.hstack([_tensor_columns([V[li] for li in lvl])
-                        for lvl, _ in cs.levels])
-    svals = scipy.linalg.svd(lstack, compute_uv=False)
-    return int(np.sum(svals > svd_tol * svals[0]))
+    return _combination_collocation(rule, svd_tol)[2]

@@ -11,17 +11,15 @@ byte-identical across runs.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import functions as fn
-from .bspline import make_space, vanishing_subspace
+from .bspline import make_space
 from .geometry import (
     PullbackFunction,
     builtin_geometry,
@@ -34,11 +32,12 @@ from .indices import (
     build_combination_set,
     lambda_eff,
     layer_cardinality,
+    lemma1_deviation,
     lemma3_oracle,
     sparse_dimension,
     theory,
 )
-from .quadrature import gram_matrix, l2_error_1d, project_1d
+from .quadrature import l2_error_1d, project_1d
 from .spaces import (
     combination_project,
     dimension_rank,
@@ -169,6 +168,14 @@ def validate_config(cfg):
         raise ConfigError(f"unknown study kind '{cfg.kind}'")
     if cfg.timing not in ("on", "off"):
         raise ConfigError("timing must be 'on' or 'off'")
+    if cfg.d < 1:
+        raise ConfigError(f"dimension d must be at least 1, got {cfg.d}")
+    if cfg.r < 0 or any(q < 0 for q in cfg.q):
+        raise ConfigError("derivative orders r and q must be nonnegative")
+    mapped = cfg.kind == "mapped-convergence" or (
+        cfg.kind == "inverse-inequality" and cfg.variant == "mapped")
+    fits_rate = mapped or cfg.kind in ("univariate-convergence",
+                                       "sparse-convergence")
     for p in cfg.p:
         if p < 0:
             raise ConfigError("degrees must be nonnegative")
@@ -179,6 +186,10 @@ def validate_config(cfg):
             if low:
                 raise ConfigError(f"levels {low} below the admissible minimum "
                                   f"{lam} for degree {p}")
+        kept = [n for n in cfg.n if n >= lam]
+        if fits_rate and (len(kept) < 2 or len(set(kept)) != len(kept)):
+            raise ConfigError(f"a rate fit needs at least two distinct levels "
+                              f">= {lam} for degree {p}, got {kept}")
         if cfg.kind == "univariate-convergence" and cfg.r > p:
             raise ConfigError(f"projection order r={cfg.r} exceeds degree {p}")
         if cfg.kind == "inverse-inequality":
@@ -192,6 +203,16 @@ def validate_config(cfg):
         if cfg.variant == "mapped" and set(cfg.q) != {1}:
             raise ConfigError("the mapped variant measures the first-order "
                               "physical seminorm; set q=1")
+    try:
+        if cfg.kind in ("univariate-convergence", "sparse-convergence",
+                        "mapped-convergence"):
+            fn.target_function(cfg.target, 1 if cfg.kind == "univariate-convergence"
+                               else cfg.d)
+        geom = _load_geometry(cfg) if mapped else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if geom is not None and geom.d != cfg.d:
+        raise ConfigError(f"the geometry is {geom.d}-dimensional, but d={cfg.d}")
 
 
 @dataclass(frozen=True)
@@ -324,9 +345,7 @@ def _study_identities(cfg):
     tasks = []
     for d in range(2, max(cfg.d_max, 8) + 1):
         def t(d=d):
-            dev = max(abs(sum((-1) ** l * math.comb(d - 1, l) * l ** i
-                              for l in range(d)))
-                      for i in range(d - 1))
+            dev = lemma1_deviation(d)
             return [Row(cfg.kind, d, "", "", value=dev, bound=0,
                         passed=dev == 0, source="L1")]
         tasks.append(t)
@@ -494,64 +513,56 @@ def _study_equivalence(cfg):
 
 
 def _study_inverse(cfg):
+    if cfg.variant == "mapped":
+        return _study_inverse_mapped(cfg)
+    # the univariate pencil is the d = 1 sparse pencil of the q-th seminorm
+    if cfg.variant == "univariate":
+        d, mode, source = 1, "mix-semi", "L12"
+    else:
+        d, mode, source = cfg.d, "mix", "L10"
+
+    def bound(q, h):
+        if source == "L12":
+            return theory.c2(q) * h ** -q
+        return theory.c11(d, q) * h ** -q * abs(np.log(h)) ** (d / 2)
+
+    tasks = []
+    for p in cfg.p:
+        for q in cfg.q:
+            for n in cfg.n:
+                def t(p=p, q=q, n=n):
+                    val = sparse_rayleigh(LevelRule(d, n, p), q, mode)
+                    b = bound(q, 2.0 ** -n)
+                    return [Row(cfg.kind, d, p, n, q=q, value=val, bound=b,
+                                ratio=val / b, passed=val <= b, source=source)]
+                tasks.append(t)
+    return _run_tasks(tasks, cfg.timing)
+
+
+def _study_inverse_mapped(cfg):
     d = cfg.d
     rows = []
-    if cfg.variant == "univariate":
-        tasks = []
-        for p in cfg.p:
-            for q in cfg.q:
-                for lev in cfg.n:
-                    def t(p=p, q=q, lev=lev):
-                        space = make_space(p, lev)
-                        sub = vanishing_subspace(space, q)
-                        A = sub.basis.T @ gram_matrix(space, q) @ sub.basis
-                        B = sub.basis.T @ gram_matrix(space, 0) @ sub.basis
-                        lam = scipy.linalg.eigh(A, B, eigvals_only=True)[-1]
-                        val = float(np.sqrt(lam))
-                        bound = theory.c2(q) * 2.0 ** (q * lev)
-                        return [Row(cfg.kind, 1, p, lev, r="", q=q, value=val,
-                                    bound=bound, ratio=val / bound,
-                                    passed=val <= bound, source="L12")]
-                    tasks.append(t)
-        rows = _run_tasks(tasks, cfg.timing)
-    elif cfg.variant == "sparse":
-        tasks = []
-        for p in cfg.p:
-            for q in cfg.q:
-                for n in cfg.n:
-                    def t(p=p, q=q, n=n):
-                        rule = LevelRule(d, n, p)
-                        val = sparse_rayleigh(rule, q, "mix")
-                        h = 2.0 ** -n
-                        bound = (theory.c11(d, q) * h ** -q
-                                 * abs(np.log(h)) ** (d / 2))
-                        return [Row(cfg.kind, d, p, n, q=q, value=val,
-                                    bound=bound, ratio=val / bound,
-                                    passed=val <= bound, source="L10")]
-                    tasks.append(t)
-        rows = _run_tasks(tasks, cfg.timing)
-    else:  # mapped
-        geom = _load_geometry(cfg)
-        for p in cfg.p:
-            for q in cfg.q:
-                tasks = []
-                for n in cfg.n:
-                    def t(p=p, q=q, n=n):
-                        val = mapped_rayleigh(LevelRule(d, n, p), q, geom)
-                        return [Row(cfg.kind, d, p, n, q=q, value=val,
-                                    source="T3")]
-                    tasks.append(t)
-                prows = _run_tasks(tasks, cfg.timing)
-                rows.extend(prows)
-                # growth no faster than h^-q |log h|^{d/2}: the fitted exponent
-                # of the quotients against that envelope stays at most one
-                hs = np.array([2.0 ** -row.n for row in prows])
-                envelope = hs ** -float(q) * np.abs(np.log(hs)) ** (d / 2)
-                vals = np.array([row.value for row in prows])
-                slope = float(np.polyfit(np.log(envelope), np.log(vals), 1)[0])
-                rows.append(Row(cfg.kind, d, p, "", level="fit", q=q,
-                                value=slope, bound=1.05, passed=slope <= 1.05,
-                                source="T3"))
+    geom = _load_geometry(cfg)
+    for p in cfg.p:
+        for q in cfg.q:
+            tasks = []
+            for n in cfg.n:
+                def t(p=p, q=q, n=n):
+                    val = mapped_rayleigh(LevelRule(d, n, p), q, geom)
+                    return [Row(cfg.kind, d, p, n, q=q, value=val,
+                                source="T3")]
+                tasks.append(t)
+            prows = _run_tasks(tasks, cfg.timing)
+            rows.extend(prows)
+            # growth no faster than h^-q |log h|^{d/2}: the fitted exponent
+            # of the quotients against that envelope stays at most one
+            hs = np.array([2.0 ** -row.n for row in prows])
+            envelope = hs ** -float(q) * np.abs(np.log(hs)) ** (d / 2)
+            vals = np.array([row.value for row in prows])
+            slope = float(np.polyfit(np.log(envelope), np.log(vals), 1)[0])
+            rows.append(Row(cfg.kind, d, p, "", level="fit", q=q,
+                            value=slope, bound=1.05, passed=slope <= 1.05,
+                            source="T3"))
     return rows
 
 

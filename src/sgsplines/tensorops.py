@@ -22,6 +22,7 @@ from .bspline import (
     _derivative_transfer,
     _find_spans,
     _nonzero_basis,
+    _space,
     collocation_matrix,
     make_space,
 )
@@ -31,7 +32,11 @@ from .quadrature import element_grid, gauss_rule, projection_matrices
 @dataclass(frozen=True)
 class CoefficientTensor:
     """Coefficients of a member of the anisotropic tensor-product space at a
-    level multi-index; axis i has extent 2**level[i] + degree."""
+    level multi-index; axis i has extent 2**level[i] + degree.
+
+    One trailing axis beyond the d level axes makes the member vector-valued
+    (a geometry map's control points); evaluations then carry it last.
+    """
 
     level: tuple
     degree: int
@@ -39,7 +44,7 @@ class CoefficientTensor:
 
     def __post_init__(self):
         expect = tuple(2 ** l + self.degree for l in self.level)
-        if self.coeffs.shape != expect:
+        if self.coeffs.shape[:self.d] != expect or self.coeffs.ndim > self.d + 1:
             raise ValueError(f"coefficient shape {self.coeffs.shape} does not "
                              f"match spaces {expect}")
 
@@ -48,7 +53,7 @@ class CoefficientTensor:
         return len(self.level)
 
     def spaces(self):
-        return [make_space(self.degree, l) for l in self.level]
+        return [_space(self.degree, l) for l in self.level]
 
     @property
     def finest_level(self):
@@ -61,7 +66,9 @@ class CoefficientTensor:
         for sp, ax, a in zip(self.spaces(), axes, alpha):
             E = collocation_matrix(sp, ax, a)
             out = np.tensordot(out, E.T, axes=([0], [0]))
-        return out
+        # the value axis of a vector-valued member is never contracted and
+        # now comes first
+        return np.moveaxis(out, 0, -1) if out.ndim > self.d else out
 
     def eval_points(self, pts, alpha=None):
         """Pointwise evaluation at scattered points of shape (..., d).
@@ -94,7 +101,7 @@ class CoefficientTensor:
                 idx = cols.reshape(cols.shape + (1,) * (acc.ndim - 2))
                 window = np.take_along_axis(acc, idx, axis=1)
             acc = np.einsum("nr...,nr->n...", window, N)
-        return acc.reshape(pts.shape[:-1])
+        return acc.reshape(pts.shape[:-1] + self.coeffs.shape[self.d:])
 
 
 def tensor_weights(weights):
@@ -145,10 +152,7 @@ def sample(f, level, degree, r=0, qpts=None):
     projection needs) on the tensor Gauss grid of the given level."""
     d = len(level)
     qpts = qpts or degree + 3
-    spaces = [make_space(degree, l) for l in level]
-    grids = [element_grid(sp, gauss_rule(qpts)) for sp in spaces]
-    axes = tuple(g[0] for g in grids)
-    weights = tuple(g[1] for g in grids)
+    axes, weights = _norm_axes(level, degree, qpts)
     subsets = [frozenset()] if r == 0 else \
         [frozenset(c) for k in range(d + 1) for c in itertools.combinations(range(d), k)]
     fields = {}
@@ -229,6 +233,7 @@ def multi_indices(d, order, mode):
 
 
 def _norm_axes(level, degree, qpts):
+    """Per-direction Gauss nodes and weights tiled over the cells of each level."""
     spaces = [make_space(degree, l) for l in level]
     grids = [element_grid(sp, gauss_rule(qpts)) for sp in spaces]
     return tuple(g[0] for g in grids), tuple(g[1] for g in grids)

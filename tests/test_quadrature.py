@@ -47,20 +47,20 @@ def test_gauss_rule_rejects_out_of_range():
 
 
 def test_gram_indicator_masses():
-    np.testing.assert_allclose(gram(make_space(0, 1), 0).matrix,
+    np.testing.assert_allclose(gram(make_space(0, 1), 0),
                                [[0.5, 0.0], [0.0, 0.5]])
 
 
 def test_gram_hat_stiffness():
     # two cells of width 1/2; hat derivatives are +-2
-    np.testing.assert_allclose(gram(make_space(1, 1), 1).matrix,
+    np.testing.assert_allclose(gram(make_space(1, 1), 1),
                                [[2, -2, 0], [-2, 4, -2], [0, -2, 2]], atol=1e-13)
 
 
 def test_gram_symmetry_and_definiteness():
     for p in range(5):
         for level in range(1, 6):
-            G = gram(make_space(p, level), 0).matrix
+            G = gram(make_space(p, level), 0)
             assert np.abs(G - G.T).max() < 1e-13 * np.abs(G).max()
             assert scipy.linalg.eigh(G, eigvals_only=True)[0] > 0
 
@@ -68,7 +68,7 @@ def test_gram_symmetry_and_definiteness():
 def test_gram_derivative_nullspace_dimension():
     # kernel of the order-r seminorm Gram: polynomials of degree < r
     for p, r in [(2, 1), (3, 2), (4, 3)]:
-        G = gram(make_space(p, 3), r).matrix
+        G = gram(make_space(p, 3), r)
         w = scipy.linalg.eigh(G, eigvals_only=True)
         assert np.sum(np.abs(w) < 1e-8 * np.abs(w).max()) == r
 

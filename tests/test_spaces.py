@@ -17,7 +17,6 @@ from sgsplines.spaces import (
     hier_basis,
     increment_indices,
     lemma8_residual,
-    sparse_eval,
     sparse_rayleigh,
     stacked_sparse_basis,
     telescopic_residual,
@@ -35,7 +34,7 @@ def test_combination_project_constant():
     for _, _, ct in sg.terms:
         np.testing.assert_allclose(ct.coeffs, 1.0, atol=1e-12)
     pts = np.random.default_rng(0).random((30, 2))
-    np.testing.assert_allclose(sparse_eval(sg, pts), 1.0, atol=1e-12)
+    np.testing.assert_allclose(sg.eval_points(pts), 1.0, atol=1e-12)
 
 
 def test_combination_reproduces_coarse_member():
@@ -49,7 +48,7 @@ def test_combination_reproduces_coarse_member():
                                      _spline_factor(base, cy)])])
     sg = combination_project(f, rule)
     pts = rng.random((100, 2))
-    assert np.abs(sparse_eval(sg, pts) - f.eval_points(pts)).max() < 1e-12
+    assert np.abs(sg.eval_points(pts) - f.eval_points(pts)).max() < 1e-12
 
 
 def test_sparse_error_between_full_error_and_ten_times():
@@ -66,7 +65,7 @@ def test_eval_zero_and_single_level():
     rule = LevelRule(1, 3, 1)
     sg = combination_project(fn.constant(1, 0.0), rule)
     pts = np.linspace(0, 1, 7)[:, None]
-    np.testing.assert_allclose(sparse_eval(sg, pts), 0.0, atol=1e-15)
+    np.testing.assert_allclose(sg.eval_points(pts), 0.0, atol=1e-15)
 
     f = fn.sin_2pi()
     sg = combination_project(f, rule)
@@ -74,7 +73,7 @@ def test_eval_zero_and_single_level():
     assert len(sg.terms) == 1 and sg.terms[0][1] == 1
     space = make_space(1, 3)
     direct = eval_spline(space, sg.terms[0][2].coeffs, pts[:, 0])
-    np.testing.assert_allclose(sparse_eval(sg, pts), direct, atol=1e-14)
+    np.testing.assert_allclose(sg.eval_points(pts), direct, atol=1e-14)
 
 
 def test_eval_matches_per_level_sum():
@@ -83,14 +82,14 @@ def test_eval_matches_per_level_sum():
     sg = combination_project(fn.random_trig(2, 8), rule)
     pts = rng.random((50, 2))
     by_level = sum(c * ct.eval_points(pts) for _, c, ct in sg.terms)
-    assert np.abs(sparse_eval(sg, pts) - by_level).max() < 1e-14
+    assert np.abs(sg.eval_points(pts) - by_level).max() < 1e-14
 
 
 def test_eval_rejects_points_outside_domain():
     rule = LevelRule(2, 3, 1)
     sg = combination_project(fn.constant(2), rule)
     with pytest.raises(ValueError):
-        sparse_eval(sg, np.array([[0.5, 1.5]]))
+        sg.eval_points(np.array([[0.5, 1.5]]))
 
 
 def test_increment_indices_select_new_odd_knots():
@@ -225,7 +224,7 @@ def test_hier_function_evaluation():
     direct = np.zeros(9)
     for ct in hf._tensors():
         direct += eval_spline(make_space(1, ct.level[0]), ct.coeffs, x[:, 0])
-    np.testing.assert_allclose(sparse_eval(hf, x), direct, atol=1e-14)
+    np.testing.assert_allclose(hf.eval_points(x), direct, atol=1e-14)
 
     rule2 = LevelRule(2, 3, 1)
     incs2 = []
@@ -235,11 +234,11 @@ def test_hier_function_evaluation():
     hf2 = HierFunction(rule2, 1, tuple(incs2))
     pts = rng.random((20, 2))
     per_level = sum(ct.eval_points(pts) for ct in hf2._tensors())
-    np.testing.assert_allclose(sparse_eval(hf2, pts), per_level, atol=1e-14)
+    np.testing.assert_allclose(hf2.eval_points(pts), per_level, atol=1e-14)
 
     zero = HierFunction(rule2, 1, tuple((lvl, np.zeros_like(w))
                                         for lvl, w in incs2))
-    np.testing.assert_allclose(sparse_eval(zero, pts), 0.0, atol=1e-15)
+    np.testing.assert_allclose(zero.eval_points(pts), 0.0, atol=1e-15)
 
     with pytest.raises(ValueError, match="cover the hierarchy"):
         HierFunction(rule2, 1, (incs2[0],))
@@ -301,3 +300,22 @@ def test_sparse_rayleigh_within_bound_smoke():
     val = sparse_rayleigh(rule, 1)
     h = 2.0 ** -3
     assert val <= theory.c11(2, 1) * h ** -1 * abs(np.log(h))
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2),
+                                 (4, 1), (4, 3)])
+def test_univariate_pencil_is_one_dimensional_sparse_pencil(p, q):
+    # the q-th seminorm pencil on the q-vanishing subspace of one level, solved
+    # directly, equals the d = 1 sparse pencil over the hierarchical basis
+    import scipy.linalg
+    from sgsplines.bspline import vanishing_subspace
+    from sgsplines.quadrature import gram_matrix
+
+    for n in (lambda_eff(p) + 1, 6):
+        space = make_space(p, n)
+        sub = vanishing_subspace(space, q).basis
+        A = sub.T @ gram_matrix(space, q) @ sub
+        B = sub.T @ gram_matrix(space, 0) @ sub
+        direct = np.sqrt(scipy.linalg.eigh(A, B, eigvals_only=True)[-1])
+        val = sparse_rayleigh(LevelRule(1, n, p), q, "mix-semi")
+        assert abs(val - direct) <= 1e-12 * direct

@@ -190,3 +190,45 @@ def test_default_configs_are_valid():
                  "mapped-convergence"):
         cfg = default_config(kind)
         assert cfg.kind == kind
+
+
+def _bad_geometry(tmp_path, name, lines):
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind,overrides", [
+    ("sparse-convergence", ["target=nope"]),
+    ("sparse-convergence", ["target=sin-2pi"]),
+    ("mapped-convergence", ["geometry=nope"]),
+    ("mapped-convergence", ["geometry={few}"]),
+    ("mapped-convergence", ["geometry={nodegree}"]),
+    ("sparse-convergence", ["d=0"]),
+    ("univariate-convergence", ["n=5"]),
+    ("sparse-convergence", ["n=5"]),
+    ("mapped-convergence", ["n=4,4"]),
+    ("inverse-inequality", ["variant=mapped", "q=1", "n=3"]),
+    ("inverse-inequality", ["variant=mapped", "q=1", "d=3"]),
+    ("mapped-convergence", ["d=3"]),
+    ("univariate-convergence", ["r=-1"]),
+    ("inverse-inequality", ["q=-1"]),
+], ids=["unknown-target", "target-dimension", "unknown-geometry",
+        "few-control-points", "degree-without-value", "d0", "univariate-one-level",
+        "sparse-one-level", "repeated-level", "mapped-pencil-one-level",
+        "pencil-geometry-dimension", "geometry-dimension", "negative-r",
+        "negative-q"])
+def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
+    geometries = {
+        "few": _bad_geometry(tmp_path, "few.geo",
+                             ["degree 2", "dims 3 3", "control_points", "0 0"]),
+        "nodegree": _bad_geometry(tmp_path, "nodeg.geo",
+                                  ["degree", "dims 3 3", "control_points"]),
+    }
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"kind={kind}\n")
+    args = ["run", str(cfg)]
+    for item in overrides:
+        args += ["--set", item.format(**geometries)]
+    assert cli_main(args) == 2
+    assert capsys.readouterr().err.startswith("config error:")
