@@ -22,7 +22,6 @@ from .bspline import (
 from .quadrature import (
     QuadratureRule,
     gauss_rule,
-    gram,
     l2_error_1d,
     project_1d,
 )
@@ -30,14 +29,12 @@ from .indices import (
     CombinationSet,
     HierSet,
     LevelRule,
-    TheoryConstants,
     build_combination_set,
     build_hier_set,
     lambda_eff,
     lemma1_oracle,
     lemma3_oracle,
     sparse_dimension,
-    theory,
 )
 from .tensorops import (
     CoefficientTensor,
@@ -50,7 +47,6 @@ from .tensorops import (
 )
 from .spaces import (
     HierFunction,
-    HierIncrementBasis,
     SparseGridFunction,
     combination_project,
     equivalence_report,

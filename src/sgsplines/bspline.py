@@ -49,13 +49,6 @@ class SplineSpace1D:
     def h(self):
         return 2.0 ** (-self.level)
 
-    def __hash__(self):
-        return hash((self.degree, self.level))
-
-    def __eq__(self, other):
-        return (isinstance(other, SplineSpace1D)
-                and self.degree == other.degree and self.level == other.level)
-
 
 @lru_cache(maxsize=None)
 def _space(p, level):

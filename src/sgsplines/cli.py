@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .studies import (
+    _KINDS,
     KINDS,
     ConfigError,
     default_config,
@@ -21,45 +22,31 @@ from .studies import (
     run_study,
 )
 
-_TEMPLATE_NOTES = {
-    "univariate-convergence": "L2 projection error vs the univariate bound",
-    "sparse-convergence": "sparse-grid L2 error vs the log-corrected bound",
-    "mapped-convergence": "pullback L2 error rate on a geometry map",
-    "equivalence": "combination vs hierarchical span equality",
-    "identities": "exact combinatorial identities of the level sets",
-    "inverse-inequality": "Rayleigh-quotient pencils vs inverse-inequality bounds",
-    "dimensions": "sparse and full dimension counts",
+_KEY_NOTES = {
+    "geometry": "builtin name or file path",
+    "variant": "univariate | sparse | mapped",
+    "timing": "'on' records wall time per row",
 }
 
 
+def _fmt(value):
+    if not isinstance(value, tuple):
+        return str(value)
+    if len(value) > 2 and value == tuple(range(value[0], value[-1] + 1)):
+        return f"{value[0]}..{value[-1]}"
+    return ",".join(str(v) for v in value)
+
+
 def _gen_config(kind):
+    """Template config: the kind's defaults in StudyConfig field order, then
+    the keys every kind takes."""
     cfg = default_config(kind)
-    lines = [f"# {kind}: {_TEMPLATE_NOTES[kind]}", f"kind={kind}"]
-
-    def fmt(vals):
-        vals = tuple(vals)
-        if len(vals) > 2 and vals == tuple(range(vals[0], vals[-1] + 1)):
-            return f"{vals[0]}..{vals[-1]}"
-        return ",".join(str(v) for v in vals)
-
-    if kind == "identities":
-        lines += [f"p={fmt(cfg.p)}", f"d_max={cfg.d_max}", f"n_max={cfg.n_max}"]
-    else:
-        lines += [f"d={cfg.d}", f"p={fmt(cfg.p)}", f"n={fmt(cfg.n)}"]
-    if cfg.target:
-        lines.append(f"target={cfg.target}")
-    if cfg.geometry:
-        lines.append(f"geometry={cfg.geometry}  # builtin name or file path")
-    if kind == "inverse-inequality":
-        lines += [f"q={fmt(cfg.q)}", f"variant={cfg.variant}"
-                  + "  # univariate | sparse | mapped"]
-    if kind == "mapped-convergence":
-        lines.append(f"min_order={cfg.min_order}")
-    if kind == "dimensions":
-        lines.append(f"rank_max={cfg.rank_max}")
-    lines += [f"seed={cfg.seed}", "timing=off  # 'on' records wall time per row",
-              "# out=report.csv"]
-    return "\n".join(lines) + "\n"
+    keys = [f.name for f in fields(cfg) if f.name in _KINDS[kind].defaults]
+    lines = [f"# {kind}: {_KINDS[kind].note}", f"kind={kind}"]
+    for key in keys + ["seed", "timing"]:
+        note = f"  # {_KEY_NOTES[key]}" if key in _KEY_NOTES else ""
+        lines.append(f"{key}={_fmt(getattr(cfg, key))}{note}")
+    return "\n".join(lines + ["# out=report.csv"]) + "\n"
 
 
 def main(argv=None):
@@ -81,8 +68,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "list-kinds":
-        for kind in KINDS:
-            print(f"{kind:24s} {_TEMPLATE_NOTES[kind]}")
+        for kind, entry in _KINDS.items():
+            print(f"{kind:24s} {entry.note}")
         return 0
 
     if args.command == "gen-config":

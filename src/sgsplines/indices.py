@@ -173,33 +173,27 @@ def sparse_dimension(d, n, p):
     return sparse, full
 
 
-class TheoryConstants:
-    """Closed-form constants from the approximation and inverse estimates.
-
-    Only the four explicitly printed closed forms are implemented; the
-    analysis-internal constants with reused names are not exposed.
-    """
-
-    @staticmethod
-    def c1(q, r):
-        return math.sqrt(2.0) ** (q - r)
-
-    @staticmethod
-    def c2(q):
-        return (2.0 * math.sqrt(3.0)) ** q
-
-    @staticmethod
-    def c10(d, q, r):
-        front = (d - 1) ** (d - 1) / (math.factorial(d - 1) * math.log(2) ** (d - 1))
-        s = sum(2.0 ** (-(q - r) * (d - 1 - l)) * (-1) ** l * math.comb(d - 1, l)
-                for l in range(d - 1))
-        return front * s * (r + 1) ** (d / 2) * math.sqrt(2.0) ** (d * (q - r))
-
-    @staticmethod
-    def c11(d, q):
-        return ((q + 1) ** (d / 2) * (2.0 * math.sqrt(3.0)) ** (d * q)
-                * 2.0 ** (d - 1) * 2.0 ** (d / 2)
-                / (math.factorial(d) * math.log(2) ** (d / 2)))
+# Closed-form constants from the approximation and inverse estimates.  Only
+# the four explicitly printed closed forms are implemented; the
+# analysis-internal constants with reused names are not exposed.
 
 
-theory = TheoryConstants()
+def c1(q, r):
+    return math.sqrt(2.0) ** (q - r)
+
+
+def c2(q):
+    return (2.0 * math.sqrt(3.0)) ** q
+
+
+def c10(d, q, r):
+    front = (d - 1) ** (d - 1) / (math.factorial(d - 1) * math.log(2) ** (d - 1))
+    s = sum(2.0 ** (-(q - r) * (d - 1 - l)) * (-1) ** l * math.comb(d - 1, l)
+            for l in range(d - 1))
+    return front * s * (r + 1) ** (d / 2) * math.sqrt(2.0) ** (d * (q - r))
+
+
+def c11(d, q):
+    return ((q + 1) ** (d / 2) * (2.0 * math.sqrt(3.0)) ** (d * q)
+            * 2.0 ** (d - 1) * 2.0 ** (d / 2)
+            / (math.factorial(d) * math.log(2) ** (d / 2)))

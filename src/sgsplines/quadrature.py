@@ -54,24 +54,6 @@ def element_grid(space, rule):
     return nodes, weights
 
 
-def gram(space, r, rule=None):
-    """Gram matrix of the r-th derivatives, assembled cell by cell with a rule
-    exact for the degree-2(p-r) piecewise-polynomial integrand."""
-    p = space.degree
-    if r > p:
-        raise ValueError(f"derivative order {r} exceeds degree {p}")
-    if rule is None:
-        rule = gauss_rule(p + 1)
-    if rule.points < p + 1:
-        raise ValueError(
-            f"rule with {rule.points} points cannot integrate degree-{2 * p} "
-            f"spline products exactly; need at least {p + 1}")
-    nodes, weights = element_grid(space, rule)
-    B = collocation_matrix(space, nodes, r)
-    G = B.T @ (weights[:, None] * B)
-    return 0.5 * (G + G.T)
-
-
 def _read_only(*arrays):
     """Mark cached arrays read-only (they are shared across callers and
     threads) and return them as a tuple; None entries pass through."""
@@ -83,13 +65,21 @@ def _read_only(*arrays):
 
 @lru_cache(maxsize=None)
 def _gram_cached(space, r):
-    G = gram(space, r)
+    """Gram matrix of the r-th derivatives, assembled cell by cell with the
+    (p+1)-point Gauss rule, exact for the degree-2(p-r) integrand."""
+    p = space.degree
+    if r > p:
+        raise ValueError(f"derivative order {r} exceeds degree {p}")
+    nodes, weights = element_grid(space, gauss_rule(p + 1))
+    B = collocation_matrix(space, nodes, r)
+    G = B.T @ (weights[:, None] * B)
+    G = 0.5 * (G + G.T)
     G.setflags(write=False)
     return G
 
 
 def gram_matrix(space, r):
-    """Cached raw Gram matrix of order r (default rule)."""
+    """Cached, read-only Gram matrix of the r-th derivatives."""
     return _gram_cached(space, r)
 
 

@@ -101,9 +101,9 @@ class HierFunction:
         return (self.rule.n,) * self.d
 
     def _tensors(self):
-        lam = self.rule.lam
+        selections = dict(hier_basis(self.rule))
         for lvl, w in self.increments:
-            sels = [increment_indices(self.degree, li, lam) for li in lvl]
+            sels = selections[lvl]
             if w.shape != tuple(len(s) for s in sels):
                 raise ValueError(f"increment at level {lvl} has shape {w.shape}, "
                                  f"expected {tuple(len(s) for s in sels)}")
@@ -159,27 +159,13 @@ def _certify_chain(p, lam, n):
     return True
 
 
-@dataclass(frozen=True)
-class HierIncrementBasis:
-    """Tensor increment at one level: per-direction selected basis indices."""
-
-    level: tuple
-    selections: tuple
-
-    @property
-    def count(self):
-        return math.prod(len(s) for s in self.selections)
-
-
 def hier_basis(rule):
-    """Hierarchical increment bases over all levels of the hierarchy set."""
+    """Hierarchical increments over all levels of the hierarchy set, as
+    (level, per-direction selected basis indices) pairs."""
     hs = build_hier_set(rule.d, rule.n, rule.p)
     _certify_chain(rule.p, rule.lam, rule.n)
-    out = []
-    for lvl in hs.levels:
-        sels = tuple(increment_indices(rule.p, li, rule.lam) for li in lvl)
-        out.append(HierIncrementBasis(lvl, sels))
-    return out
+    return [(lvl, tuple(increment_indices(rule.p, li, rule.lam) for li in lvl))
+            for lvl in hs.levels]
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +214,8 @@ def equivalence_report(rule, svd_tol=1e-8):
     residual of either basis fitted in the other.
     """
     V, lstack, rank = _combination_collocation(rule, svd_tol)
-    hstack = np.hstack([_all_columns([V[li] for li in inc.level], inc.selections)
-                        for inc in hier_basis(rule)])
+    hstack = np.hstack([_all_columns([V[li] for li in lvl], sels)
+                        for lvl, sels in hier_basis(rule)])
     dim_h = hstack.shape[1]
 
     def rel_residuals(A, B):

@@ -4,17 +4,24 @@ Each study emits rows (one per parameter combination, plus rate-fit summary
 rows) with a fixed column set: kind, d, p, n, level, r, q, value, bound,
 ratio, pass, source, seconds.  The source column tags the estimate a bound
 check instantiates (L2, L6, L10, L12, T1, T2, T3, P1; identity rows use L1,
-L3, L4).  Reports are deterministic for a given config and seed; per-row
-timing is written only when `timing=on` so default CSV output is
-byte-identical across runs.
+L3, L4).  Reports are deterministic for a given config; the ``seed`` key is
+accepted and unused, because no study kind makes random draws (the benchmark
+sets it).  Per-row timing is written only when `timing=on` so default CSV
+output is byte-identical across runs.
+
+`_KINDS`, at the end of this module, is the one place where a study kind is
+declared: its note, its runner and its default config.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -30,12 +37,15 @@ from .geometry import (
 from .indices import (
     LevelRule,
     build_combination_set,
+    c1,
+    c2,
+    c10,
+    c11,
     lambda_eff,
     layer_cardinality,
     lemma1_deviation,
     lemma3_oracle,
     sparse_dimension,
-    theory,
 )
 from .quadrature import l2_error_1d, project_1d
 from .spaces import (
@@ -45,16 +55,6 @@ from .spaces import (
     sparse_rayleigh,
 )
 from .tensorops import error_norm, function_norm
-
-KINDS = (
-    "univariate-convergence",
-    "sparse-convergence",
-    "mapped-convergence",
-    "equivalence",
-    "identities",
-    "inverse-inequality",
-    "dimensions",
-)
 
 CSV_COLUMNS = ("kind", "d", "p", "n", "level", "r", "q", "value", "bound",
                "ratio", "pass", "source", "seconds")
@@ -66,38 +66,24 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class StudyConfig:
+    """One study; the field order is the key order of `study gen-config`."""
+
     kind: str
     d: int = 2
     p: tuple = (1,)
     n: tuple = ()
-    r: int = 0
-    q: tuple = ()
-    target: str = ""
-    geometry: str = ""
-    variant: str = ""
-    out: str = ""
-    seed: int = 0
     d_max: int = 6
     n_max: int = 12
-    rank_max: int = 5
+    target: str = ""
+    geometry: str = ""
+    q: tuple = ()
+    variant: str = ""
     min_order: float = 0.0
+    rank_max: int = 5
+    r: int = 0
+    out: str = ""
+    seed: int = 0
     timing: str = "off"
-
-
-_DEFAULTS = {
-    "univariate-convergence": dict(d=1, p=(1, 2, 3), n=tuple(range(3, 8)),
-                                   target="sin-2pi"),
-    "sparse-convergence": dict(d=2, p=(1, 2), n=tuple(range(3, 9)),
-                               target="sinpi-prod"),
-    "mapped-convergence": dict(d=2, p=(2,), n=tuple(range(3, 8)),
-                               target="sinpi-prod", geometry="distorted-square",
-                               min_order=2.8),
-    "equivalence": dict(d=2, p=(1, 2), n=tuple(range(2, 6))),
-    "identities": dict(p=(1, 2, 3, 4), d_max=6, n_max=12),
-    "inverse-inequality": dict(d=2, p=(2, 3), q=(1, 2), n=(3, 4, 5, 6),
-                               variant="univariate"),
-    "dimensions": dict(d=2, p=(1,), n=tuple(range(3, 11)), rank_max=5),
-}
 
 
 def _parse_ints(text):
@@ -111,11 +97,19 @@ def _parse_ints(text):
 def default_config(kind):
     if kind not in KINDS:
         raise ConfigError(f"unknown study kind '{kind}'; known: {', '.join(KINDS)}")
-    return StudyConfig(kind=kind, **_DEFAULTS.get(kind, {}))
+    return StudyConfig(kind=kind, **_KINDS[kind].defaults)
+
+
+# each key is parsed by the type of its StudyConfig default
+_PARSERS = {tuple: _parse_ints, int: int, float: float, str: str}
 
 
 def parse_config(path, overrides=()):
-    """Read a flat key=value config file and apply --set overrides."""
+    """Read a flat key=value config file and apply --set overrides.
+
+    Only the syntax and the value types are checked here; `run_study`
+    validates the config as a whole.
+    """
     pairs = []
     try:
         with open(path) as fh:
@@ -141,29 +135,22 @@ def parse_config(path, overrides=()):
         kv[key] = (value, where)
     if "kind" not in kv:
         raise ConfigError(f"{path}: missing required key 'kind'")
-    kind = kv.pop("kind")[0]
-    cfg = default_config(kind)
+    cfg = default_config(kv.pop("kind")[0])
+    parsers = {f.name: _PARSERS[type(f.default)] for f in fields(StudyConfig)
+               if f.name != "kind"}
     for key, (value, where) in kv.items():
+        if key not in parsers:
+            raise ConfigError(f"{where}: unknown config key '{key}'")
         try:
-            if key in ("p", "n", "q"):
-                cfg = replace(cfg, **{key: _parse_ints(value)})
-            elif key in ("d", "r", "seed", "d_max", "n_max", "rank_max"):
-                cfg = replace(cfg, **{key: int(value)})
-            elif key in ("target", "geometry", "variant", "out", "timing"):
-                cfg = replace(cfg, **{key: value})
-            elif key == "min_order":
-                cfg = replace(cfg, min_order=float(value))
-            else:
-                raise ConfigError(f"{where}: unknown config key '{key}'")
-        except ConfigError:
-            raise
+            cfg = replace(cfg, **{key: parsers[key](value)})
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for '{key}': {value!r}") from exc
-    validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg):
+    """Raise `ConfigError` for an inconsistent config; return the geometry of
+    a mapped study (None for the other kinds)."""
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown study kind '{cfg.kind}'")
     if cfg.timing not in ("on", "off"):
@@ -206,13 +193,24 @@ def validate_config(cfg):
     try:
         if cfg.kind in ("univariate-convergence", "sparse-convergence",
                         "mapped-convergence"):
-            fn.target_function(cfg.target, 1 if cfg.kind == "univariate-convergence"
-                               else cfg.d)
-        geom = _load_geometry(cfg) if mapped else None
+            f = fn.target_function(cfg.target, 1 if cfg.kind == "univariate-convergence"
+                                   else cfg.d)
+        geom = None
+        if mapped:
+            name = cfg.geometry or "distorted-square"
+            geom = (load_geometry(name) if os.path.exists(name)
+                    else builtin_geometry(name))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if geom is not None and geom.d != cfg.d:
         raise ConfigError(f"the geometry is {geom.d}-dimensional, but d={cfg.d}")
+    if cfg.kind == "univariate-convergence":
+        for p in cfg.p:
+            if function_norm(f, 1, "semi", p + 1) == 0:
+                raise ConfigError(f"target '{cfg.target}' has a zero H^{p + 1} "
+                                  f"seminorm, so the bound for degree {p} is 0 "
+                                  f"and no rate can be fitted")
+    return geom
 
 
 @dataclass(frozen=True)
@@ -341,247 +339,241 @@ def _sorted_rows(rows):
 # study kinds
 
 
-def _study_identities(cfg):
-    tasks = []
-    for d in range(2, max(cfg.d_max, 8) + 1):
-        def t(d=d):
-            dev = lemma1_deviation(d)
-            return [Row(cfg.kind, d, "", "", value=dev, bound=0,
-                        passed=dev == 0, source="L1")]
-        tasks.append(t)
-    for d in range(2, cfg.d_max + 1):
-        for p in cfg.p:
-            def t(d=d, p=p):
-                lam = lambda_eff(p)
-                dev3 = 0
-                dev4 = 0
-                devcard = 0
-                for n in range(lam, cfg.n_max + 1):
-                    for ell in range(0, n + 1):
-                        for k in range(0, d):
-                            want = 1 if k == 0 else 0
-                            dev3 = max(dev3, abs(lemma3_oracle(d, n, p, ell, k) - want))
-                    cs = build_combination_set(d, n, p)
-                    dev4 = max(dev4, abs(cs.coefficient_sum() - 1))
-                    for l, layer in enumerate(cs.layers):
-                        devcard = max(devcard, abs(len(layer)
-                                                   - layer_cardinality(d, n, p, l)))
-                return [
-                    Row(cfg.kind, d, p, cfg.n_max, value=dev3, bound=0,
-                        passed=dev3 == 0, source="L3"),
-                    Row(cfg.kind, d, p, cfg.n_max, value=dev4, bound=0,
-                        passed=dev4 == 0, source="L4"),
-                    Row(cfg.kind, d, p, cfg.n_max, level="layer-count",
-                        value=devcard, bound=0, passed=devcard == 0, source="L4"),
-                ]
-            tasks.append(t)
-    return _run_tasks(tasks, cfg.timing)
+def _grid(cfg, row, *axes):
+    """The rows of ``row(*args)`` for every combination of the axes, one pool
+    task per combination, all in one batch."""
+    return _run_tasks([partial(row, *args) for args in product(*axes)],
+                      cfg.timing)
 
 
-def _study_dimensions(cfg):
+def _fitted(cfg, groups, row, fit):
+    """For each group (a degree, or a degree and an order q), the rows of
+    ``row(*group, n)`` over the levels n, run as one batch, then the fit row
+    ``fit(*group, pairs)`` of their (h, value) pairs with h decreasing."""
+    out = []
+    for group in groups:
+        # levels with h*p >= 1 fall outside the estimates' hypothesis
+        levels = [n for n in cfg.n if n >= lambda_eff(group[0])]
+        rows = _grid(cfg, row, *([g] for g in group), levels)
+        pairs = sorted(((2.0 ** -x.n, x.value) for x in rows), reverse=True)
+        out += rows + [fit(*group, pairs)]
+    return out
+
+
+def _study_identities(cfg, geom):
+    def lemma1(d):
+        dev = lemma1_deviation(d)
+        return [Row(cfg.kind, d, "", "", value=dev, bound=0, passed=dev == 0,
+                    source="L1")]
+
+    def lemmas3_4(d, p):
+        lam = lambda_eff(p)
+        dev3 = 0
+        dev4 = 0
+        devcard = 0
+        for n in range(lam, cfg.n_max + 1):
+            for ell in range(0, n + 1):
+                for k in range(0, d):
+                    want = 1 if k == 0 else 0
+                    dev3 = max(dev3, abs(lemma3_oracle(d, n, p, ell, k) - want))
+            cs = build_combination_set(d, n, p)
+            dev4 = max(dev4, abs(cs.coefficient_sum() - 1))
+            for l, layer in enumerate(cs.layers):
+                devcard = max(devcard, abs(len(layer)
+                                           - layer_cardinality(d, n, p, l)))
+        return [
+            Row(cfg.kind, d, p, cfg.n_max, value=dev3, bound=0,
+                passed=dev3 == 0, source="L3"),
+            Row(cfg.kind, d, p, cfg.n_max, value=dev4, bound=0,
+                passed=dev4 == 0, source="L4"),
+            Row(cfg.kind, d, p, cfg.n_max, level="layer-count",
+                value=devcard, bound=0, passed=devcard == 0, source="L4"),
+        ]
+
+    return (_grid(cfg, lemma1, range(2, max(cfg.d_max, 8) + 1))
+            + _grid(cfg, lemmas3_4, range(2, cfg.d_max + 1), cfg.p))
+
+
+def _study_dimensions(cfg, geom):
     d = cfg.d
-    tasks = []
-    for p in cfg.p:
-        for n in cfg.n:
-            def t(p=p, n=n):
-                sparse, full = sparse_dimension(d, n, p)
-                ok = True
-                lvl = ""
-                if n <= cfg.rank_max:
-                    rank = dimension_rank(LevelRule(d, n, p))
-                    ok = rank == sparse
-                    lvl = f"rank {rank}"
-                return [Row(cfg.kind, d, p, n, level=lvl, value=sparse,
-                            bound=full, ratio=sparse / full, passed=ok,
-                            source="P1")]
-            tasks.append(t)
-    return _run_tasks(tasks, cfg.timing)
+
+    def row(p, n):
+        sparse, full = sparse_dimension(d, n, p)
+        ok = True
+        lvl = ""
+        if n <= cfg.rank_max:
+            rank = dimension_rank(LevelRule(d, n, p))
+            ok = rank == sparse
+            lvl = f"rank {rank}"
+        return [Row(cfg.kind, d, p, n, level=lvl, value=sparse, bound=full,
+                    ratio=sparse / full, passed=ok, source="P1")]
+
+    return _grid(cfg, row, cfg.p, cfg.n)
 
 
-def _study_univariate(cfg):
+def _study_univariate(cfg, geom):
     f = fn.target_function(cfg.target, 1)
     r = cfg.r
-    rows = []
-    for p in cfg.p:
+    seminorms = {p: function_norm(f, 1, "semi", p + 1) for p in cfg.p}
+
+    def row(p, n):
         q = p + 1
-        seminorm = function_norm(f, 1, "semi", q)
-        tasks = []
-        # levels with h*p >= 1 fall outside the estimate's hypothesis
-        for lev in (n for n in cfg.n if n >= lambda_eff(p)):
-            def t(p=p, lev=lev, q=q, seminorm=seminorm):
-                space = make_space(p, lev)
-                coeffs = project_1d(space, f, r)
-                err = l2_error_1d(space, coeffs, f)
-                bound = theory.c1(q, r) * space.h ** (q - r) * seminorm
-                return [Row(cfg.kind, 1, p, lev, value=err, bound=bound,
-                            ratio=err / bound, passed=err <= bound, source="L2")]
-            tasks.append(t)
-        prows = _run_tasks(tasks, cfg.timing)
-        rows.extend(prows)
-        pairs = sorted(((2.0 ** -row.n, row.value) for row in prows), reverse=True)
+        space = make_space(p, n)
+        err = l2_error_1d(space, project_1d(space, f, r), f)
+        bound = c1(q, r) * space.h ** (q - r) * seminorms[p]
+        return [Row(cfg.kind, 1, p, n, value=err, bound=bound,
+                    ratio=err / bound, passed=err <= bound, source="L2")]
+
+    def fit(p, pairs):
         order = fit_rate(pairs, log_power=0)
-        target = q - r
-        rows.append(Row(cfg.kind, 1, p, "", level="fit", r=r, value=order,
-                        bound=target, passed=abs(order - target) <= 0.1,
-                        source="L2"))
-    return rows
+        target = p + 1 - r
+        return Row(cfg.kind, 1, p, "", level="fit", r=r, value=order,
+                   bound=target, passed=abs(order - target) <= 0.1, source="L2")
+
+    return _fitted(cfg, [(p,) for p in cfg.p], row, fit)
 
 
-def _study_sparse(cfg):
+def _study_sparse(cfg, geom):
     d = cfg.d
     f = fn.target_function(cfg.target, d)
-    rows = []
-    for p in cfg.p:
+    mixnorms = {p: function_norm(f, d, "mix", p + 1) for p in cfg.p}
+
+    def row(p, n):
         q = p + 1
-        mixnorm = function_norm(f, d, "mix", q)
-        c10 = theory.c10(d, q, 0)
-        tasks = []
-        for n in cfg.n:
-            def t(p=p, n=n, q=q, mixnorm=mixnorm, c10=c10):
-                rule = LevelRule(d, n, p)
-                sg = combination_project(f, rule, r=0)
-                err = error_norm(f, sg, "semi", 0)
-                h = 2.0 ** -n
-                bound = c10 * h ** q * abs(np.log(h)) ** (d - 1) * mixnorm
-                return [Row(cfg.kind, d, p, n, value=err, bound=bound,
-                            ratio=err / bound, passed=err <= bound, source="L6")]
-            tasks.append(t)
-        prows = _run_tasks(tasks, cfg.timing)
-        rows.extend(prows)
-        pairs = sorted(((2.0 ** -row.n, row.value) for row in prows), reverse=True)
+        sg = combination_project(f, LevelRule(d, n, p), r=0)
+        err = error_norm(f, sg, "semi", 0)
+        h = 2.0 ** -n
+        bound = c10(d, q, 0) * h ** q * abs(np.log(h)) ** (d - 1) * mixnorms[p]
+        return [Row(cfg.kind, d, p, n, value=err, bound=bound,
+                    ratio=err / bound, passed=err <= bound, source="L6")]
+
+    def fit(p, pairs):
         order = fit_rate(pairs, log_power=d - 1)
-        rows.append(Row(cfg.kind, d, p, "", level="fit", value=order,
-                        bound=q - 0.15, passed=order >= q - 0.15, source="L6"))
-    return rows
+        return Row(cfg.kind, d, p, "", level="fit", value=order,
+                   bound=p + 1 - 0.15, passed=order >= p + 1 - 0.15, source="L6")
+
+    return _fitted(cfg, [(p,) for p in cfg.p], row, fit)
 
 
-def _load_geometry(cfg):
-    name = cfg.geometry or "distorted-square"
-    if os.path.exists(name):
-        return load_geometry(name)
-    return builtin_geometry(name)
-
-
-def _study_mapped(cfg):
+def _study_mapped(cfg, geom):
     d = cfg.d
-    geom = _load_geometry(cfg)
     f_phys = fn.target_function(cfg.target, d)
     pull = PullbackFunction(f_phys, geom)
-    rows = []
-    for p in cfg.p:
-        tasks = []
-        for n in cfg.n:
-            def t(p=p, n=n):
-                rule = LevelRule(d, n, p)
-                sg = combination_project(pull, rule, r=0)
-                err = pullback_error_norm(f_phys, sg, geom, "semi", 0)
-                return [Row(cfg.kind, d, p, n, value=err, source="T1")]
-            tasks.append(t)
-        prows = _run_tasks(tasks, cfg.timing)
-        rows.extend(prows)
-        pairs = sorted(((2.0 ** -row.n, row.value) for row in prows), reverse=True)
+
+    def row(p, n):
+        sg = combination_project(pull, LevelRule(d, n, p), r=0)
+        err = pullback_error_norm(f_phys, sg, geom, "semi", 0)
+        return [Row(cfg.kind, d, p, n, value=err, source="T1")]
+
+    def fit(p, pairs):
         order = fit_rate(pairs, log_power=d - 1)
         min_order = cfg.min_order or (p + 1 - 0.2)
-        rows.append(Row(cfg.kind, d, p, "", level="fit", value=order,
-                        bound=min_order, passed=order >= min_order, source="T1"))
-    return rows
+        return Row(cfg.kind, d, p, "", level="fit", value=order,
+                   bound=min_order, passed=order >= min_order, source="T1")
+
+    return _fitted(cfg, [(p,) for p in cfg.p], row, fit)
 
 
-def _study_equivalence(cfg):
+def _study_equivalence(cfg, geom):
     d = cfg.d
-    tasks = []
-    for p in cfg.p:
-        for n in cfg.n:
-            if n < lambda_eff(p):
-                continue
-            def t(p=p, n=n):
-                rule = LevelRule(d, n, p)
-                rep = equivalence_report(rule)
-                formula = sparse_dimension(d, n, p)[0]
-                dims_ok = rep["dim_L"] == rep["dim_H"] == formula
-                res = rep["cross_residual_max"]
-                return [
-                    Row(cfg.kind, d, p, n, level="dims",
-                        value=rep["dim_L"], bound=rep["dim_H"],
-                        passed=dims_ok, source="T2"),
-                    Row(cfg.kind, d, p, n, level="residual", value=res,
-                        bound=1e-9, ratio=res / 1e-9, passed=res < 1e-9,
-                        source="T2"),
-                ]
-            tasks.append(t)
-    return _run_tasks(tasks, cfg.timing)
+
+    def row(p, n):
+        rep = equivalence_report(LevelRule(d, n, p))
+        formula = sparse_dimension(d, n, p)[0]
+        dims_ok = rep["dim_L"] == rep["dim_H"] == formula
+        res = rep["cross_residual_max"]
+        return [
+            Row(cfg.kind, d, p, n, level="dims", value=rep["dim_L"],
+                bound=rep["dim_H"], passed=dims_ok, source="T2"),
+            Row(cfg.kind, d, p, n, level="residual", value=res, bound=1e-9,
+                ratio=res / 1e-9, passed=res < 1e-9, source="T2"),
+        ]
+
+    return _grid(cfg, row, cfg.p, cfg.n)
 
 
-def _study_inverse(cfg):
+def _study_inverse(cfg, geom):
     if cfg.variant == "mapped":
-        return _study_inverse_mapped(cfg)
+        return _study_inverse_mapped(cfg, geom)
     # the univariate pencil is the d = 1 sparse pencil of the q-th seminorm
     if cfg.variant == "univariate":
         d, mode, source = 1, "mix-semi", "L12"
     else:
         d, mode, source = cfg.d, "mix", "L10"
 
-    def bound(q, h):
+    def row(p, q, n):
+        val = sparse_rayleigh(LevelRule(d, n, p), q, mode)
+        h = 2.0 ** -n
         if source == "L12":
-            return theory.c2(q) * h ** -q
-        return theory.c11(d, q) * h ** -q * abs(np.log(h)) ** (d / 2)
+            b = c2(q) * h ** -q
+        else:
+            b = c11(d, q) * h ** -q * abs(np.log(h)) ** (d / 2)
+        return [Row(cfg.kind, d, p, n, q=q, value=val, bound=b, ratio=val / b,
+                    passed=val <= b, source=source)]
 
-    tasks = []
-    for p in cfg.p:
-        for q in cfg.q:
-            for n in cfg.n:
-                def t(p=p, q=q, n=n):
-                    val = sparse_rayleigh(LevelRule(d, n, p), q, mode)
-                    b = bound(q, 2.0 ** -n)
-                    return [Row(cfg.kind, d, p, n, q=q, value=val, bound=b,
-                                ratio=val / b, passed=val <= b, source=source)]
-                tasks.append(t)
-    return _run_tasks(tasks, cfg.timing)
+    return _grid(cfg, row, cfg.p, cfg.q, cfg.n)
 
 
-def _study_inverse_mapped(cfg):
+def _study_inverse_mapped(cfg, geom):
     d = cfg.d
-    rows = []
-    geom = _load_geometry(cfg)
-    for p in cfg.p:
-        for q in cfg.q:
-            tasks = []
-            for n in cfg.n:
-                def t(p=p, q=q, n=n):
-                    val = mapped_rayleigh(LevelRule(d, n, p), q, geom)
-                    return [Row(cfg.kind, d, p, n, q=q, value=val,
-                                source="T3")]
-                tasks.append(t)
-            prows = _run_tasks(tasks, cfg.timing)
-            rows.extend(prows)
-            # growth no faster than h^-q |log h|^{d/2}: the fitted exponent
-            # of the quotients against that envelope stays at most one
-            hs = np.array([2.0 ** -row.n for row in prows])
-            envelope = hs ** -float(q) * np.abs(np.log(hs)) ** (d / 2)
-            vals = np.array([row.value for row in prows])
-            slope = float(np.polyfit(np.log(envelope), np.log(vals), 1)[0])
-            rows.append(Row(cfg.kind, d, p, "", level="fit", q=q,
-                            value=slope, bound=1.05, passed=slope <= 1.05,
-                            source="T3"))
-    return rows
+
+    def row(p, q, n):
+        val = mapped_rayleigh(LevelRule(d, n, p), q, geom)
+        return [Row(cfg.kind, d, p, n, q=q, value=val, source="T3")]
+
+    def fit(p, q, pairs):
+        # growth no faster than h^-q |log h|^{d/2}: the fitted exponent of the
+        # quotients against that envelope stays at most one
+        hs, vals = np.array(pairs).T
+        envelope = hs ** -float(q) * np.abs(np.log(hs)) ** (d / 2)
+        slope = float(np.polyfit(np.log(envelope), np.log(vals), 1)[0])
+        return Row(cfg.kind, d, p, "", level="fit", q=q, value=slope,
+                   bound=1.05, passed=slope <= 1.05, source="T3")
+
+    return _fitted(cfg, product(cfg.p, cfg.q), row, fit)
 
 
-_RUNNERS = {
-    "identities": _study_identities,
-    "dimensions": _study_dimensions,
-    "univariate-convergence": _study_univariate,
-    "sparse-convergence": _study_sparse,
-    "mapped-convergence": _study_mapped,
-    "equivalence": _study_equivalence,
-    "inverse-inequality": _study_inverse,
+_Kind = namedtuple("_Kind", "note run defaults")
+
+# The one place where a study kind is declared: the note printed by `study
+# list-kinds` and atop its `study gen-config` template, the runner, and the
+# StudyConfig values that differ from the dataclass defaults.
+_KINDS = {
+    "univariate-convergence": _Kind(
+        "L2 projection error vs the univariate bound", _study_univariate,
+        dict(d=1, p=(1, 2, 3), n=tuple(range(3, 8)), target="sin-2pi")),
+    "sparse-convergence": _Kind(
+        "sparse-grid L2 error vs the log-corrected bound", _study_sparse,
+        dict(d=2, p=(1, 2), n=tuple(range(3, 9)), target="sinpi-prod")),
+    "mapped-convergence": _Kind(
+        "pullback L2 error rate on a geometry map", _study_mapped,
+        dict(d=2, p=(2,), n=tuple(range(3, 8)), target="sinpi-prod",
+             geometry="distorted-square", min_order=2.8)),
+    "equivalence": _Kind(
+        "combination vs hierarchical span equality", _study_equivalence,
+        dict(d=2, p=(1, 2), n=tuple(range(2, 6)))),
+    "identities": _Kind(
+        "exact combinatorial identities of the level sets", _study_identities,
+        dict(p=(1, 2, 3, 4), d_max=6, n_max=12)),
+    "inverse-inequality": _Kind(
+        "Rayleigh-quotient pencils vs inverse-inequality bounds", _study_inverse,
+        dict(d=2, p=(2, 3), q=(1, 2), n=(3, 4, 5, 6), variant="univariate")),
+    "dimensions": _Kind(
+        "sparse and full dimension counts", _study_dimensions,
+        dict(d=2, p=(1,), n=tuple(range(3, 11)), rank_max=5)),
 }
+
+KINDS = tuple(_KINDS)
 
 
 def run_study(cfg):
-    """Execute a study and return its report; deterministic given the config
-    (the seed enters only studies with random draws)."""
-    validate_config(cfg)
-    rows = _RUNNERS[cfg.kind](cfg)
+    """Validate a config, execute its study and return the report.
+
+    The report is deterministic given the config.  ``seed`` is accepted and
+    unused: no study kind makes random draws; the benchmark sets it.
+    """
+    geom = validate_config(cfg)
+    rows = _KINDS[cfg.kind].run(cfg, geom)
     report = StudyReport(cfg, _sorted_rows(rows))
     if cfg.out:
         report.to_csv(cfg.out)

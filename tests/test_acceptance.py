@@ -32,11 +32,13 @@ from sgsplines.geometry import (
 from sgsplines.indices import (
     LevelRule,
     build_combination_set,
+    c2,
+    c10,
+    c11,
     lambda_eff,
     lemma1_oracle,
     lemma3_oracle,
     sparse_dimension,
-    theory,
 )
 from sgsplines.quadrature import gram_matrix, l2_error_1d, project_1d
 from sgsplines.spaces import (
@@ -108,7 +110,7 @@ def test_criterion_3_univariate_inverse_inequality(p, q):
         A = sub.basis.T @ gram_matrix(space, q) @ sub.basis
         B = sub.basis.T @ gram_matrix(space, 0) @ sub.basis
         val = float(np.sqrt(scipy.linalg.eigh(A, B, eigvals_only=True)[-1]))
-        bound = theory.c2(q) * 2.0 ** (q * lev)
+        bound = c2(q) * 2.0 ** (q * lev)
         worst = max(worst, val / bound)
         rows.append(f"l={lev}: {val:.4g} vs {bound:.4g}")
     dt = time.perf_counter() - t0
@@ -183,13 +185,13 @@ def test_criterion_6_sparse_grid_rate():
     for p in (1, 2):
         q = p + 1
         mixnorm = function_norm(f, 2, "mix", q)
-        c10 = theory.c10(2, q, 0)
+        const = c10(2, q, 0)
         pairs = []
         for n in range(3, 9):
             sg = combination_project(f, LevelRule(2, n, p))
             err = error_norm(f, sg, "semi", 0)
             h = 2.0 ** -n
-            ok &= err <= c10 * h ** q * abs(np.log(h)) * mixnorm
+            ok &= err <= const * h ** q * abs(np.log(h)) * mixnorm
             pairs.append((h, err))
         order = fit_rate(pairs, log_power=1)
         ok &= order >= q - 0.15
@@ -246,7 +248,7 @@ def test_criterion_9_sparse_inverse_parameter(p, q):
     for n in (3, 4, 5):
         val = sparse_rayleigh(LevelRule(2, n, p), q)
         h = 2.0 ** -n
-        bound = theory.c11(2, q) * h ** -q * abs(np.log(h))
+        bound = c11(2, q) * h ** -q * abs(np.log(h))
         ok &= val <= bound
         rows.append(f"n={n}: {val:.4g} vs {bound:.4g}")
     dt = time.perf_counter() - t0

@@ -9,13 +9,16 @@ from sgsplines.indices import (
     LevelRule,
     build_combination_set,
     build_hier_set,
+    c1,
+    c2,
+    c10,
+    c11,
     hier_cardinality,
     lambda_eff,
     layer_cardinality,
     lemma1_oracle,
     lemma3_oracle,
     sparse_dimension,
-    theory,
 )
 
 
@@ -142,12 +145,12 @@ def test_sparse_dimension_log_growth():
 
 
 def test_theory_constants():
-    assert theory.c1(3, 0) == pytest.approx(2 ** 1.5)
-    assert theory.c1(2, 2) == 1.0
-    assert theory.c2(2) == pytest.approx(12.0)
+    assert c1(3, 0) == pytest.approx(2 ** 1.5)
+    assert c1(2, 2) == 1.0
+    assert c2(2) == pytest.approx(12.0)
     # d = 2 closed form reduces to (r+1)/log 2
     for q, r in [(2, 0), (3, 0), (2, 1), (3, 2)]:
-        assert theory.c10(2, q, r) == pytest.approx((r + 1) / np.log(2))
-        assert theory.c10(2, q, r) > 0
-    assert theory.c11(2, 1) == pytest.approx(96 / (2 * np.log(2)), rel=1e-12)
-    assert theory.c11(2, 2) > theory.c11(2, 1) > 0
+        assert c10(2, q, r) == pytest.approx((r + 1) / np.log(2))
+        assert c10(2, q, r) > 0
+    assert c11(2, 1) == pytest.approx(96 / (2 * np.log(2)), rel=1e-12)
+    assert c11(2, 2) > c11(2, 1) > 0

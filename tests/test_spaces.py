@@ -1,5 +1,6 @@
 """Sparse-grid constructions: combination form, increments, identities."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -115,10 +116,10 @@ def test_increment_counts_and_chain():
     assert len(increment_indices(1, 2, 1)) == 2
     assert len(increment_indices(1, 3, 1)) == 4
     basis = hier_basis(LevelRule(1, 2, 1))
-    total = sum(b.count for b in basis)
+    total = sum(math.prod(len(s) for s in sels) for _, sels in basis)
     assert total == 2 ** 2 + 1 == 5
-    at_22 = [b for b in hier_basis(LevelRule(2, 3, 1)) if b.level == (2, 2)]
-    assert at_22[0].count == 4
+    at_22 = [sels for lvl, sels in hier_basis(LevelRule(2, 3, 1)) if lvl == (2, 2)]
+    assert math.prod(len(s) for s in at_22[0]) == 4
 
 
 def test_increment_union_has_full_collocation_rank():
@@ -126,9 +127,8 @@ def test_increment_union_has_full_collocation_rank():
         rule = LevelRule(1, 4, p)
         pts = greville(make_space(p, 5))
         cols = []
-        for inc in hier_basis(rule):
-            lev = inc.level[0]
-            cols.append(collocation_matrix(make_space(p, lev), pts, 0)[:, list(inc.selections[0])])
+        for lvl, sels in hier_basis(rule):
+            cols.append(collocation_matrix(make_space(p, lvl[0]), pts, 0)[:, list(sels[0])])
         M = np.hstack(cols)
         assert M.shape[1] == 2 ** 4 + p
         assert np.linalg.matrix_rank(M) == M.shape[1]
@@ -295,11 +295,11 @@ def test_constrained_spans_agree_between_constructions():
 
 
 def test_sparse_rayleigh_within_bound_smoke():
-    from sgsplines.indices import theory
+    from sgsplines.indices import c11
     rule = LevelRule(2, 3, 2)
     val = sparse_rayleigh(rule, 1)
     h = 2.0 ** -3
-    assert val <= theory.c11(2, 1) * h ** -1 * abs(np.log(h))
+    assert val <= c11(2, 1) * h ** -1 * abs(np.log(h))
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2),

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from sgsplines import studies
 from sgsplines.cli import main as cli_main
+from sgsplines.geometry import builtin_geometry
 from sgsplines.studies import (
     CSV_COLUMNS,
     ConfigError,
@@ -213,11 +215,12 @@ def _bad_geometry(tmp_path, name, lines):
     ("mapped-convergence", ["d=3"]),
     ("univariate-convergence", ["r=-1"]),
     ("inverse-inequality", ["q=-1"]),
+    ("univariate-convergence", ["p=0", "target=one"]),
 ], ids=["unknown-target", "target-dimension", "unknown-geometry",
         "few-control-points", "degree-without-value", "d0", "univariate-one-level",
         "sparse-one-level", "repeated-level", "mapped-pencil-one-level",
         "pencil-geometry-dimension", "geometry-dimension", "negative-r",
-        "negative-q"])
+        "negative-q", "zero-seminorm-bound"])
 def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
     geometries = {
         "few": _bad_geometry(tmp_path, "few.geo",
@@ -232,3 +235,17 @@ def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
         args += ["--set", item.format(**geometries)]
     assert cli_main(args) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_mapped_study_builds_one_geometry(tmp_path, monkeypatch):
+    built = []
+
+    def counting(name):
+        built.append(name)
+        return builtin_geometry(name)
+
+    monkeypatch.setattr(studies, "builtin_geometry", counting)
+    cfg = tmp_path / "mapped.cfg"
+    cfg.write_text("kind=mapped-convergence\np=2\nn=3,4\n")
+    cli_main(["run", str(cfg)])
+    assert built == ["distorted-square"]
