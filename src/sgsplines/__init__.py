@@ -5,66 +5,28 @@ their seminorm-orthogonal projections, sparse-grid spaces built by the
 combination technique or by hierarchical increments, B-spline geometry maps,
 and a study runner that verifies dimension counts, identities, convergence
 rates, and inverse inequalities at desk scale.
+
+The package exports the names the README's library tour uses; everything
+else is imported from its submodule.
 """
 
-from .bspline import (
-    ConstrainedSubspace1D,
-    SplineSpace1D,
-    collocation_matrix,
-    eval_basis,
-    eval_spline,
-    greville,
-    make_space,
-    prolongation,
-    refinement_operator,
-    vanishing_subspace,
-)
-from .quadrature import (
-    QuadratureRule,
-    gauss_rule,
-    l2_error_1d,
-    project_1d,
-)
-from .indices import (
-    CombinationSet,
-    HierSet,
-    LevelRule,
-    build_combination_set,
-    build_hier_set,
-    lambda_eff,
-    lemma1_oracle,
-    lemma3_oracle,
-    sparse_dimension,
-)
-from .tensorops import (
-    CoefficientTensor,
-    GridSample,
-    error_norm,
-    function_norm,
-    project_tensor,
-    sample,
-    to_coefficients,
-)
-from .spaces import (
-    HierFunction,
-    SparseGridFunction,
-    combination_project,
-    equivalence_report,
-    hier_basis,
-    lemma8_residual,
-    sparse_rayleigh,
-    telescopic_residual,
-)
-from .geometry import (
-    GeometryMap,
-    PullbackFunction,
-    builtin_geometry,
-    load_geometry,
-    mapped_rayleigh,
-    pullback_error_norm,
-    save_geometry,
-)
-from .studies import StudyConfig, StudyReport, fit_rate, run_study
 from . import functions
+from .bspline import make_space
+from .geometry import PullbackFunction, builtin_geometry, pullback_error_norm
+from .indices import LevelRule, sparse_dimension
+from .quadrature import project_1d
+from .spaces import combination_project
+from .tensorops import error_norm
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "LevelRule",
+    "PullbackFunction",
+    "builtin_geometry",
+    "combination_project",
+    "error_norm",
+    "functions",
+    "make_space",
+    "project_1d",
+    "pullback_error_norm",
+    "sparse_dimension",
+]

@@ -153,12 +153,6 @@ def eval_basis(space, x, m=0):
     return collocation_matrix(space, [x], m)[0]
 
 
-def eval_spline(space, coeffs, x, m=0):
-    """Evaluate the spline with the given coefficient vector (or stacked
-    columns of vectors) at points `x`."""
-    return collocation_matrix(space, x, m) @ coeffs
-
-
 def greville(space):
     """Greville abscissae (knot averages); cell midpoints for degree 0."""
     p, knots = space.degree, space.knots
@@ -222,27 +216,14 @@ def prolongation(space, target_level):
     return R
 
 
-@dataclass(frozen=True)
-class ConstrainedSubspace1D:
-    """Subspace of splines whose derivatives of orders q, q+2, ... (< p)
-    vanish at both endpoints; columns of `basis` are parent coefficients."""
-
-    space: SplineSpace1D
-    q: int
-    basis: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self):
-        return self.basis.shape[1]
-
-
 def constraint_orders(p, q):
     """Derivative orders 2l+q < p constrained at each endpoint."""
     return [q + 2 * l for l in range((p - q + 1) // 2) if q + 2 * l < p]
 
 
 def vanishing_subspace(space, q):
-    """Basis of the q-vanishing-derivative subspace as a coefficient matrix.
+    """Basis of the subspace of splines whose derivatives of orders q, q+2,
+    ... (< p) vanish at both endpoints; its columns are parent coefficients.
 
     The constraints couple only the first/last boundary coefficients, so the
     nullspace is assembled from two small endpoint blocks around an interior
@@ -254,7 +235,7 @@ def vanishing_subspace(space, q):
     orders = constraint_orders(p, q)
     n, nc = space.dim, len(orders)
     if nc == 0:
-        return ConstrainedSubspace1D(space, q, np.eye(n))
+        return np.eye(n)
     # rows scaled by h^order so the blocks are O(1)
     scale = space.h ** np.array(orders, dtype=float)
     rows0 = np.array([eval_basis(space, 0.0, m) for m in orders]) * scale[:, None]
@@ -272,4 +253,4 @@ def vanishing_subspace(space, q):
         B = scipy.linalg.null_space(np.vstack([rows0, rows1]))
     if B.shape[1] != n - 2 * nc:
         raise RuntimeError("unexpected constraint rank in vanishing subspace")
-    return ConstrainedSubspace1D(space, q, B)
+    return B

@@ -156,19 +156,6 @@ def xyz_sin_sum():
     ], name="xyz-sin-sum")
 
 
-def random_trig(d, seed, terms=3, max_freq=2):
-    """Random smooth function: a few separable products of low-frequency
-    sines with random phases and coefficients."""
-    rng = np.random.default_rng(seed)
-    entries = []
-    for _ in range(terms):
-        c = rng.uniform(-1.0, 1.0)
-        fs = [TrigFactor(rng.integers(1, max_freq + 1) * math.pi, rng.uniform(0, 2 * math.pi))
-              for _ in range(d)]
-        entries.append((c, fs))
-    return SumOfSeparable(d, entries, name=f"random-trig-{seed}")
-
-
 _REGISTRY = {
     "one": constant,
     "sin-2pi": lambda d: sin_2pi() if d == 1 else _bad_dim("sin-2pi", d),
@@ -190,7 +177,3 @@ def target_function(name, d):
         raise ValueError(f"unknown target function '{name}'; "
                          f"available: {sorted(_REGISTRY)}")
     return _REGISTRY[name](d)
-
-
-def target_names():
-    return sorted(_REGISTRY)

@@ -1,11 +1,9 @@
 """B-spline geometry maps from the unit parameter box to a physical domain.
 
-The geometry lives on a coarse mesh (single element by default) and is kept
-fixed under refinement: refining the representation inserts knots and adjusts
-control points so the map is unchanged.  Inversion is by Newton iteration
-seeded from a cached sample lattice, with iterates clamped to the box;
-physical-domain norms are computed by parameter-space quadrature with
-Jacobian weights.
+The geometry lives on a coarse mesh (single element by default) and is checked
+at build time to interpolate its corner control points and to have a positive
+Jacobian determinant.  Physical-domain norms and the mapped inverse-inequality
+pencil are computed by parameter-space quadrature with Jacobian weights.
 """
 
 from __future__ import annotations
@@ -15,12 +13,11 @@ import itertools
 import numpy as np
 import scipy.linalg
 
-from .bspline import _refinement_matrix, _space, collocation_matrix, greville, make_space
+from .bspline import _space, collocation_matrix, greville, make_space
 from .spaces import khatri_rao, stacked_sparse_basis
-from .tensorops import CoefficientTensor, _apply_along, _norm_axes, tensor_weights
+from .tensorops import CoefficientTensor, _norm_axes, tensor_weights
 
 _DIFFEO_GRID = 33
-_NEWTON_LATTICE = 17
 
 
 def _is_pow2(m):
@@ -40,7 +37,7 @@ class GeometryMap:
     holds them as a vector-valued `CoefficientTensor`, which evaluates the map.
     """
 
-    def __init__(self, degree, ctrl, _skip_checks=False):
+    def __init__(self, degree, ctrl):
         ctrl = np.asarray(ctrl, dtype=float)
         self.degree = int(degree)
         self.d = ctrl.ndim - 1
@@ -57,11 +54,8 @@ class GeometryMap:
         self.ctrl = ctrl
         self.ctrl.setflags(write=False)
         self.tensor = CoefficientTensor((self.level,) * self.d, self.degree, ctrl)
-        if not _skip_checks:
-            self._check_corners()
-            self._check_jacobian()
-        self._lattice = None
-        self._sample_lattice()
+        self._check_corners()
+        self._check_jacobian()
 
     # -- build-time checks
 
@@ -98,55 +92,6 @@ class GeometryMap:
     def jacobian(self, pts):
         return np.stack([self.tensor.eval_points(pts, _unit(self.d, j))
                          for j in range(self.d)], axis=-1)
-
-    # -- inversion
-
-    def _sample_lattice(self):
-        if self._lattice is None:
-            pts1 = np.linspace(0.0, 1.0, _NEWTON_LATTICE)
-            grid = np.stack(np.meshgrid(*([pts1] * self.d), indexing="ij"), axis=-1)
-            params = grid.reshape(-1, self.d)
-            self._lattice = (params, self.eval(params))
-        return self._lattice
-
-    def inverse(self, x, tol=1e-12, maxiter=50):
-        """Parameter preimage of physical points by Newton iteration.
-
-        Starts from the lattice preimage nearest each target; iterates are
-        clamped to the unit box.  Raises if the residual does not reach `tol`
-        or a singular Jacobian is met.
-        """
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x.reshape(-1, self.d)
-        params, values = self._sample_lattice()
-        d2 = ((values[None, :, :] - pts[:, None, :]) ** 2).sum(-1)
-        xi = params[np.argmin(d2, axis=1)].copy()
-        best = np.inf
-        for _ in range(maxiter):
-            r = self.eval(xi) - pts
-            res = np.linalg.norm(r, axis=-1)
-            best = min(best, res.max())
-            if res.max() < tol:
-                break
-            J = self.jacobian(xi)
-            det = np.linalg.det(J)
-            if np.any(np.abs(det) < 1e-14):
-                raise RuntimeError("singular Jacobian during Newton inversion")
-            step = np.linalg.solve(J, r[..., None])[..., 0]
-            xi = np.clip(xi - step, 0.0, 1.0)
-        else:
-            raise RuntimeError(f"Newton inversion did not converge "
-                               f"(best residual {best:.3e})")
-        return xi[0] if single else xi.reshape(x.shape)
-
-    def refine(self):
-        """One dyadic refinement of the representation; the map is unchanged."""
-        R = _refinement_matrix(self.degree, self.level)
-        ctrl = self.ctrl
-        for axis in range(self.d):
-            ctrl = _apply_along(R, ctrl, axis)
-        return GeometryMap(self.degree, ctrl, _skip_checks=True)
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +186,6 @@ def load_geometry(path):
     return GeometryMap(degree, ctrl.reshape(tuple(dims) + (d,)))
 
 
-def save_geometry(geom, path):
-    """Write a map in the plain-text geometry format."""
-    with open(path, "w") as fh:
-        fh.write(f"degree {geom.degree}\n")
-        fh.write("dims " + " ".join(str(s) for s in geom.ctrl.shape[:-1]) + "\n")
-        fh.write("control_points\n")
-        for idx in itertools.product(*(range(s) for s in geom.ctrl.shape[:-1])):
-            fh.write(" ".join(repr(float(c)) for c in geom.ctrl[idx]) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # physical-domain norms
 
@@ -271,10 +206,11 @@ class PullbackFunction:
         return self.f_phys.eval_points(self.geom.eval_grid(axes))
 
 
-def pullback_error_norm(f_phys, u, geom, mode="semi", r=0, qpts=None):
+def pullback_error_norm(f_phys, u, geom, mode="semi", r=0):
     """Physical-domain H^r error norm of f_phys minus the push-forward of u.
 
-    Integrates over the parameter domain with |det J| weights; physical
+    Integrates over the parameter domain with |det J| weights (degree + 3
+    Gauss points per cell of the finest level of ``u``); physical
     gradients of the spline part are obtained from parameter gradients via
     the inverse Jacobian transpose.  Only r in {0, 1} is supported.
     """
@@ -284,7 +220,7 @@ def pullback_error_norm(f_phys, u, geom, mode="semi", r=0, qpts=None):
         raise ValueError(f"unknown mode {mode!r}")
     degree = u.degree
     level = u.finest_level
-    axes, weights = _norm_axes(level, degree, qpts or degree + 3)
+    axes, weights = _norm_axes(level, degree, degree + 3)
     W = tensor_weights(weights)
     J = geom.jacobian_grid(axes)
     det = np.linalg.det(J)
@@ -308,14 +244,14 @@ def pullback_error_norm(f_phys, u, geom, mode="semi", r=0, qpts=None):
     return float(np.sqrt(total))
 
 
-def mapped_rayleigh(rule, q, geom, qpts=None):
+def mapped_rayleigh(rule, q, geom):
     """Largest physical H^1-seminorm vs L2 Rayleigh quotient over the mapped
     q-vanishing sparse basis, by quadrature-assembled Gram matrices."""
     if geom.d != rule.d:
         raise ValueError("geometry dimension does not match the level rule")
     basis = stacked_sparse_basis(rule, q)
     p, n, d = rule.p, rule.n, rule.d
-    axes, weights = _norm_axes((n,) * d, p, qpts or p + 3)
+    axes, weights = _norm_axes((n,) * d, p, p + 3)
     J = geom.jacobian_grid(axes)
     det = np.linalg.det(J)
     Wphys = (tensor_weights(weights) * det).ravel()

@@ -127,22 +127,12 @@ def build_hier_set(d, n, p):
     return HierSet(rule, tuple(levels))
 
 
-def hier_cardinality(d, n, p):
-    """Closed-form size of the hierarchical level set."""
-    return math.comb(n - lambda_eff(p) + d, d)
-
-
 def lemma1_deviation(d):
     """Largest |sum_l (-1)^l C(d-1,l) l^i| over 0 <= i <= d-2 (exact)."""
     if d < 2:
         raise ValueError("requires d >= 2")
     return max(abs(sum((-1) ** l * math.comb(d - 1, l) * l ** i for l in range(d)))
                for i in range(d - 1))
-
-
-def lemma1_oracle(d):
-    """True iff sum_l (-1)^l C(d-1,l) l^i vanishes for all 0 <= i <= d-2."""
-    return lemma1_deviation(d) == 0
 
 
 def lemma3_oracle(d, n, p, ell, k):
@@ -187,8 +177,15 @@ def c2(q):
 
 
 def c10(d, q, r):
+    """Constant of the sparse-grid approximation estimate.
+
+    The layer sum is the triangle-inequality form
+    sum_{l=0}^{d-2} C(d-1, l) 2^{-(q-r)(d-1-l)}, which is positive for every
+    d; the alternating form is negative for d = 3.  Both agree at d = 2, where
+    the constant is (r+1) / ln 2.
+    """
     front = (d - 1) ** (d - 1) / (math.factorial(d - 1) * math.log(2) ** (d - 1))
-    s = sum(2.0 ** (-(q - r) * (d - 1 - l)) * (-1) ** l * math.comb(d - 1, l)
+    s = sum(2.0 ** (-(q - r) * (d - 1 - l)) * math.comb(d - 1, l)
             for l in range(d - 1))
     return front * s * (r + 1) ** (d / 2) * math.sqrt(2.0) ** (d * (q - r))
 

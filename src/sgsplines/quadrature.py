@@ -42,7 +42,7 @@ def gauss_rule(points):
     if not 1 <= points <= MAX_GAUSS_POINTS:
         raise ValueError(f"points must be in [1, {MAX_GAUSS_POINTS}], got {points}")
     t, w = np.polynomial.legendre.leggauss(points)
-    return QuadratureRule(points, (t + 1.0) / 2.0, w / 2.0)
+    return QuadratureRule(points, *_read_only((t + 1.0) / 2.0, w / 2.0))
 
 
 def element_grid(space, rule):
@@ -161,10 +161,9 @@ def project_1d(space, f, r=0, qpts=None):
     return M0 @ _call_deriv(f, nodes, 0) + Mr @ _call_deriv(f, nodes, r)
 
 
-def l2_error_1d(space, coeffs, f, qpts=None):
-    """L2 norm of f minus the spline with the given coefficients."""
-    if qpts is None:
-        qpts = space.degree + 3
-    nodes, weights = element_grid(space, gauss_rule(qpts))
+def l2_error_1d(space, coeffs, f):
+    """L2 norm of f minus the spline with the given coefficients, by the
+    (degree + 3)-point Gauss rule on every cell."""
+    nodes, weights = element_grid(space, gauss_rule(space.degree + 3))
     diff = _call_deriv(f, nodes, 0) - collocation_matrix(space, nodes, 0) @ coeffs
     return float(np.sqrt(np.sum(weights * diff ** 2)))

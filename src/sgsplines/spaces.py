@@ -11,7 +11,6 @@ time by a rank check.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -26,16 +25,9 @@ from .bspline import (
     refinement_operator,
     vanishing_subspace,
 )
-from .indices import _levels_with_sum, build_combination_set, build_hier_set, cbinom
+from .indices import build_combination_set, build_hier_set
 from .quadrature import gram_matrix
-from .tensorops import (
-    CoefficientTensor,
-    complement_direction,
-    multi_indices,
-    project_direction,
-    project_tensor,
-    sample,
-)
+from .tensorops import multi_indices, project_tensor
 
 
 @dataclass(frozen=True)
@@ -68,56 +60,13 @@ class SparseGridFunction:
         return out
 
 
-def combination_project(f, rule, r=0, qpts=None):
-    """Project ``f`` onto every admissible level and combine."""
+def combination_project(f, rule):
+    """L2-project ``f`` onto every admissible level and combine."""
     cs = build_combination_set(rule.d, rule.n, rule.p)
     terms = []
     for lvl, c in cs.levels:
-        ct = project_tensor(f, lvl, rule.p, r=r, qpts=qpts)
-        terms.append((lvl, c, ct))
+        terms.append((lvl, c, project_tensor(f, lvl, rule.p)))
     return SparseGridFunction(rule, rule.p, tuple(terms))
-
-
-@dataclass(frozen=True)
-class HierFunction:
-    """Function in hierarchical form: one coefficient array per increment,
-    shaped by the per-direction selection counts of its level."""
-
-    rule: object
-    degree: int
-    increments: tuple  # ((level, coefficient array), ...)
-
-    def __post_init__(self):
-        hs = build_hier_set(self.rule.d, self.rule.n, self.rule.p)
-        if {lvl for lvl, _ in self.increments} != set(hs.levels):
-            raise ValueError("increments must cover the hierarchy levels exactly")
-
-    @property
-    def d(self):
-        return self.rule.d
-
-    @property
-    def finest_level(self):
-        return (self.rule.n,) * self.d
-
-    def _tensors(self):
-        selections = dict(hier_basis(self.rule))
-        for lvl, w in self.increments:
-            sels = selections[lvl]
-            if w.shape != tuple(len(s) for s in sels):
-                raise ValueError(f"increment at level {lvl} has shape {w.shape}, "
-                                 f"expected {tuple(len(s) for s in sels)}")
-            coeffs = np.zeros([2 ** li + self.degree for li in lvl])
-            coeffs[np.ix_(*sels)] = w
-            yield CoefficientTensor(lvl, self.degree, coeffs)
-
-    @property
-    def terms(self):
-        """The increments as unit-weight terms of a sparse-grid sum."""
-        return tuple((ct.level, 1, ct) for ct in self._tensors())
-
-    deriv_grid = SparseGridFunction.deriv_grid
-    eval_points = SparseGridFunction.eval_points
 
 
 # ---------------------------------------------------------------------------
@@ -234,85 +183,6 @@ def equivalence_report(rule, svd_tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# telescopic decomposition and combination cancellations
-
-
-def telescopic_residual(f, level, degree, r=0, qpts=None):
-    """Max grid discrepancy of the complementary-projector decomposition:
-    (I - P)f versus the alternating sum of partial complements over all
-    nonempty direction subsets."""
-    gs = sample(f, level, degree, r, qpts)
-    d = gs.d
-    proj = gs
-    for i in range(d):
-        proj = project_direction(proj, i)
-    lhs = gs.values - proj.values
-    rhs = np.zeros_like(lhs)
-    for k in range(1, d + 1):
-        for J in itertools.combinations(range(d), k):
-            part = gs
-            for i in J:
-                part = complement_direction(part, i)
-            rhs = rhs + (-1) ** (k - 1) * part.values
-    return float(np.abs(lhs - rhs).max())
-
-
-def cancellation_constant(d, k, l):
-    """Coefficient of the layer-l partial terms after the combination's
-    coarse-term cancellations (derived by regrouping the layer sums; the
-    completion multiplicities depend only on the layer offset, so the
-    constant carries no minimum-level term)."""
-    return sum((-1) ** kap * math.comb(d - 1, kap)
-               * cbinom(l - kap + d - k - 1, d - k - 1)
-               for kap in range(l + 1))
-
-
-def _lemma8_sides(rule, values):
-    """Both sides of the combination cancellation identity for abstract
-    per-(J, level) values; `values(J, sub)` depends only on the J-components."""
-    d, n, lam = rule.d, rule.n, rule.lam
-    cs = build_combination_set(d, n, rule.p)
-    all_J = [J for k in range(1, d + 1)
-             for J in itertools.combinations(range(d), k)]
-    lhs = 0.0
-    for lvl, c in cs.levels:
-        for J in all_J:
-            lhs += c * values(J, tuple(lvl[i] for i in J))
-    rhs = 0.0
-    for k in range(1, d):
-        for l in range(0, d - 1):
-            coef = cancellation_constant(d, k, l)
-            if coef == 0:
-                continue
-            for J in itertools.combinations(range(d), k):
-                for sub in _levels_with_sum(k, n + (k - 1) * lam - l, lam):
-                    rhs += coef * values(J, sub)
-    full = tuple(range(d))
-    for layer_idx, layer in enumerate(cs.layers):
-        c = (-1) ** layer_idx * math.comb(d - 1, layer_idx)
-        for lvl in layer:
-            rhs += c * values(full, lvl)
-    return lhs, rhs
-
-
-def lemma8_residual(rule, values=None, seed=0):
-    """|LHS - RHS| of the cancellation identity; with no explicit values a
-    seeded uniform(-1, 1) draw per (J, level restriction) is used."""
-    if values is None:
-        rng = np.random.default_rng(seed)
-        cache = {}
-
-        def values(J, sub):
-            key = (J, sub)
-            if key not in cache:
-                cache[key] = rng.uniform(-1.0, 1.0)
-            return cache[key]
-
-    lhs, rhs = _lemma8_sides(rule, values)
-    return abs(lhs - rhs)
-
-
-# ---------------------------------------------------------------------------
 # q-vanishing sparse basis and the mixed-norm pencil
 
 
@@ -342,7 +212,7 @@ def _constrained_chain(p, q, lam, n):
     """Per-level increment coefficient matrices of the univariate q-vanishing
     chain, each in its own level's coordinates."""
     spaces = [make_space(p, lev) for lev in range(lam, n + 1)]
-    tilde = [vanishing_subspace(s, q).basis for s in spaces]
+    tilde = [vanishing_subspace(s, q) for s in spaces]
     increments = [tilde[0]]
     acc = tilde[0]
     for j in range(1, len(spaces)):

@@ -440,7 +440,7 @@ def _study_sparse(cfg, geom):
 
     def row(p, n):
         q = p + 1
-        sg = combination_project(f, LevelRule(d, n, p), r=0)
+        sg = combination_project(f, LevelRule(d, n, p))
         err = error_norm(f, sg, "semi", 0)
         h = 2.0 ** -n
         bound = c10(d, q, 0) * h ** q * abs(np.log(h)) ** (d - 1) * mixnorms[p]
@@ -461,7 +461,7 @@ def _study_mapped(cfg, geom):
     pull = PullbackFunction(f_phys, geom)
 
     def row(p, n):
-        sg = combination_project(pull, LevelRule(d, n, p), r=0)
+        sg = combination_project(pull, LevelRule(d, n, p))
         err = pullback_error_norm(f_phys, sg, geom, "semi", 0)
         return [Row(cfg.kind, d, p, n, value=err, source="T1")]
 

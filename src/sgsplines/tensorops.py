@@ -123,7 +123,6 @@ class GridSample:
     r: int
     axes: tuple = field(repr=False)
     weights: tuple = field(repr=False)
-    qpts: int
     fields: dict = field(repr=False)
 
     @property
@@ -137,35 +136,26 @@ class GridSample:
     def spaces(self):
         return [make_space(self.degree, l) for l in self.level]
 
-    def subtract(self, other):
-        out = {S: v - other.fields[S] for S, v in self.fields.items()}
-        return GridSample(self.level, self.degree, self.r, self.axes,
-                          self.weights, self.qpts, out)
 
-    def l2_norm(self):
-        W = tensor_weights(self.weights)
-        return float(np.sqrt(np.sum(W * self.values ** 2)))
-
-
-def sample(f, level, degree, r=0, qpts=None):
+def sample(f, level, degree, r=0):
     """Sample an analytic function (and the derivative fields an order-r
-    projection needs) on the tensor Gauss grid of the given level."""
+    projection needs) on the tensor Gauss grid of the given level, whose
+    degree + 3 points per cell are those of `projection_matrices`."""
     d = len(level)
-    qpts = qpts or degree + 3
-    axes, weights = _norm_axes(level, degree, qpts)
+    axes, weights = _norm_axes(level, degree, degree + 3)
     subsets = [frozenset()] if r == 0 else \
         [frozenset(c) for k in range(d + 1) for c in itertools.combinations(range(d), k)]
     fields = {}
     for S in subsets:
         alpha = tuple(r if i in S else 0 for i in range(d))
         fields[S] = f.eval_grid(axes, alpha)
-    return GridSample(tuple(level), degree, r, axes, weights, qpts, fields)
+    return GridSample(tuple(level), degree, r, axes, weights, fields)
 
 
 def project_direction(gs, i):
     """Apply the univariate order-r projector along axis i of a sample."""
     sp = gs.spaces()[i]
-    nodes, _, M0, Mr = projection_matrices(sp, gs.r, gs.qpts)
+    nodes, _, M0, Mr = projection_matrices(sp, gs.r)
     E0 = collocation_matrix(sp, nodes, 0)
     Er = collocation_matrix(sp, nodes, gs.r) if gs.r >= 1 else None
     out = {}
@@ -178,12 +168,7 @@ def project_direction(gs, i):
         out[S] = _apply_along(E0, coeff, i)
         if gs.r >= 1:
             out[S | {i}] = _apply_along(Er, coeff, i)
-    return GridSample(gs.level, gs.degree, gs.r, gs.axes, gs.weights, gs.qpts, out)
-
-
-def complement_direction(gs, i):
-    """Apply (identity - projector) along axis i."""
-    return gs.subtract(project_direction(gs, i))
+    return GridSample(gs.level, gs.degree, gs.r, gs.axes, gs.weights, out)
 
 
 def to_coefficients(gs):
@@ -191,12 +176,12 @@ def to_coefficients(gs):
     coefficients; exact on members of the tensor space."""
     arr = gs.values
     for i, sp in enumerate(gs.spaces()):
-        _, _, M0, _ = projection_matrices(sp, 0, gs.qpts)
+        _, _, M0, _ = projection_matrices(sp, 0)
         arr = _apply_along(M0, arr, i)
     return CoefficientTensor(gs.level, gs.degree, arr)
 
 
-def project_tensor(f, level, degree, J=None, r=0, qpts=None):
+def project_tensor(f, level, degree, J=None, r=0):
     """Directional projection onto the tensor-product spline space.
 
     ``J`` is the set of directions to project (0-based).  ``J=None`` (or the
@@ -205,7 +190,7 @@ def project_tensor(f, level, degree, J=None, r=0, qpts=None):
     remaining directions held as quadrature-grid samples; an empty ``J``
     returns the (sampled) input unchanged.
     """
-    gs = f if isinstance(f, GridSample) else sample(f, level, degree, r, qpts)
+    gs = f if isinstance(f, GridSample) else sample(f, level, degree, r)
     d = gs.d
     dirs = tuple(range(d)) if J is None else tuple(sorted(set(J)))
     if any(i < 0 or i >= d for i in dirs):
@@ -239,10 +224,10 @@ def _norm_axes(level, degree, qpts):
     return tuple(g[0] for g in grids), tuple(g[1] for g in grids)
 
 
-def error_norm(f, u, mode, order, qpts=None):
-    """Sobolev norm of f - u by tensor Gauss quadrature on the finest level
-    involved in ``u`` (a `CoefficientTensor` or any object exposing
-    ``finest_level``, ``degree`` and ``deriv_grid``).
+def error_norm(f, u, mode, order):
+    """Sobolev norm of f - u by tensor Gauss quadrature (degree + 3 points per
+    cell) on the finest level involved in ``u`` (a `CoefficientTensor` or any
+    object exposing ``finest_level``, ``degree`` and ``deriv_grid``).
 
     ``f`` may be None to measure the norm of ``u`` itself.
     """
@@ -250,8 +235,7 @@ def error_norm(f, u, mode, order, qpts=None):
     if order > degree:
         raise ValueError(f"norm order {order} exceeds spline degree {degree}")
     level = u.finest_level
-    qpts = qpts or degree + 3
-    axes, weights = _norm_axes(level, degree, qpts)
+    axes, weights = _norm_axes(level, degree, degree + 3)
     W = tensor_weights(weights)
     total = 0.0
     for alpha in multi_indices(len(level), order, mode):
@@ -262,12 +246,11 @@ def error_norm(f, u, mode, order, qpts=None):
     return float(np.sqrt(total))
 
 
-def function_norm(f, d, mode, order, level=None, qpts=6):
-    """Sobolev norm of an analytic function by quadrature on a fixed fine
-    dyadic grid (level 6 for d <= 2, level 4 for d = 3)."""
-    if level is None:
-        level = 6 if d <= 2 else 4
-    axes, weights = _norm_axes((level,) * d, 1, qpts)
+def function_norm(f, d, mode, order):
+    """Sobolev norm of an analytic function by 6-point Gauss quadrature on a
+    fixed fine dyadic grid (level 6 for d <= 2, level 4 for d = 3)."""
+    level = 6 if d <= 2 else 4
+    axes, weights = _norm_axes((level,) * d, 1, 6)
     W = tensor_weights(weights)
     total = 0.0
     for alpha in multi_indices(d, order, mode):

@@ -1,0 +1,191 @@
+"""Reference code the tests compare the package against.
+
+None of this runs in a study: these are independent evaluations, the paper's
+identities as residuals, a Newton inverse of a geometry map and a writer of
+the geometry file format.  Test modules import it as ``from oracles import``
+(pytest puts ``tests/`` on the path).
+"""
+
+import itertools
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from sgsplines.bspline import collocation_matrix
+from sgsplines.functions import SumOfSeparable, TrigFactor
+from sgsplines.indices import _levels_with_sum, build_combination_set, cbinom
+from sgsplines.tensorops import project_direction, sample, tensor_weights
+
+_NEWTON_LATTICE = 17
+
+
+def eval_spline(space, coeffs, x, m=0):
+    """Evaluate the spline with the given coefficient vector (or stacked
+    columns of vectors) at points `x`."""
+    return collocation_matrix(space, x, m) @ coeffs
+
+
+def spline_factor(space, coeffs):
+    """The spline with the given coefficients as a univariate factor
+    ``g(x, m)`` of a `SumOfSeparable`, or as a callable for `project_1d`."""
+    return lambda x, m=0: eval_spline(space, coeffs, np.atleast_1d(x), m)
+
+
+def random_trig(d, seed, terms=3, max_freq=2):
+    """Random smooth function: a few separable products of low-frequency
+    sines with random phases and coefficients."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for _ in range(terms):
+        c = rng.uniform(-1.0, 1.0)
+        fs = [TrigFactor(rng.integers(1, max_freq + 1) * math.pi, rng.uniform(0, 2 * math.pi))
+              for _ in range(d)]
+        entries.append((c, fs))
+    return SumOfSeparable(d, entries, name=f"random-trig-{seed}")
+
+
+# ---------------------------------------------------------------------------
+# telescopic decomposition and combination cancellations
+
+
+def complement_direction(gs, i):
+    """Apply (identity - projector) along axis i of a `GridSample`."""
+    proj = project_direction(gs, i)
+    return replace(gs, fields={S: v - proj.fields[S] for S, v in gs.fields.items()})
+
+
+def l2_norm(gs):
+    """L2 norm of the values of a `GridSample` by its own quadrature."""
+    return float(np.sqrt(np.sum(tensor_weights(gs.weights) * gs.values ** 2)))
+
+
+def telescopic_residual(f, level, degree, r=0):
+    """Max grid discrepancy of the complementary-projector decomposition:
+    (I - P)f versus the alternating sum of partial complements over all
+    nonempty direction subsets."""
+    gs = sample(f, level, degree, r)
+    d = gs.d
+    proj = gs
+    for i in range(d):
+        proj = project_direction(proj, i)
+    lhs = gs.values - proj.values
+    rhs = np.zeros_like(lhs)
+    for k in range(1, d + 1):
+        for J in itertools.combinations(range(d), k):
+            part = gs
+            for i in J:
+                part = complement_direction(part, i)
+            rhs = rhs + (-1) ** (k - 1) * part.values
+    return float(np.abs(lhs - rhs).max())
+
+
+def cancellation_constant(d, k, l):
+    """Coefficient of the layer-l partial terms after the combination's
+    coarse-term cancellations (derived by regrouping the layer sums; the
+    completion multiplicities depend only on the layer offset, so the
+    constant carries no minimum-level term)."""
+    return sum((-1) ** kap * math.comb(d - 1, kap)
+               * cbinom(l - kap + d - k - 1, d - k - 1)
+               for kap in range(l + 1))
+
+
+def lemma8_sides(rule, values):
+    """Both sides of the combination cancellation identity for abstract
+    per-(J, level) values; `values(J, sub)` depends only on the J-components."""
+    d, n, lam = rule.d, rule.n, rule.lam
+    cs = build_combination_set(d, n, rule.p)
+    all_J = [J for k in range(1, d + 1)
+             for J in itertools.combinations(range(d), k)]
+    lhs = 0.0
+    for lvl, c in cs.levels:
+        for J in all_J:
+            lhs += c * values(J, tuple(lvl[i] for i in J))
+    rhs = 0.0
+    for k in range(1, d):
+        for l in range(0, d - 1):
+            coef = cancellation_constant(d, k, l)
+            if coef == 0:
+                continue
+            for J in itertools.combinations(range(d), k):
+                for sub in _levels_with_sum(k, n + (k - 1) * lam - l, lam):
+                    rhs += coef * values(J, sub)
+    full = tuple(range(d))
+    for layer_idx, layer in enumerate(cs.layers):
+        c = (-1) ** layer_idx * math.comb(d - 1, layer_idx)
+        for lvl in layer:
+            rhs += c * values(full, lvl)
+    return lhs, rhs
+
+
+def random_values(seed):
+    """Values for `lemma8_sides`: one seeded uniform(-1, 1) draw per
+    (J, level restriction), in the order of first use."""
+    rng = np.random.default_rng(seed)
+    cache = {}
+
+    def values(J, sub):
+        key = (J, sub)
+        if key not in cache:
+            cache[key] = rng.uniform(-1.0, 1.0)
+        return cache[key]
+
+    return values
+
+
+def lemma8_residual(rule, values=None, seed=0):
+    """|LHS - RHS| of the cancellation identity; with no explicit values,
+    those of ``random_values(seed)``."""
+    lhs, rhs = lemma8_sides(rule, values or random_values(seed))
+    return abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# geometry maps
+
+
+def inverse(geom, x, tol=1e-12, maxiter=50):
+    """Parameter preimage of physical points under ``geom`` by Newton
+    iteration.
+
+    Starts from the preimage, on a 17^d parameter lattice, nearest each
+    target; iterates are clamped to the unit box.  Raises if the residual does
+    not reach `tol` or a singular Jacobian is met.
+    """
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = x.reshape(-1, geom.d)
+    pts1 = np.linspace(0.0, 1.0, _NEWTON_LATTICE)
+    params = np.stack(np.meshgrid(*([pts1] * geom.d), indexing="ij"),
+                      axis=-1).reshape(-1, geom.d)
+    values = geom.eval(params)
+    d2 = ((values[None, :, :] - pts[:, None, :]) ** 2).sum(-1)
+    xi = params[np.argmin(d2, axis=1)].copy()
+    best = np.inf
+    for _ in range(maxiter):
+        r = geom.eval(xi) - pts
+        res = np.linalg.norm(r, axis=-1)
+        best = min(best, res.max())
+        if res.max() < tol:
+            break
+        J = geom.jacobian(xi)
+        det = np.linalg.det(J)
+        if np.any(np.abs(det) < 1e-14):
+            raise RuntimeError("singular Jacobian during Newton inversion")
+        step = np.linalg.solve(J, r[..., None])[..., 0]
+        xi = np.clip(xi - step, 0.0, 1.0)
+    else:
+        raise RuntimeError(f"Newton inversion did not converge "
+                           f"(best residual {best:.3e})")
+    return xi[0] if single else xi.reshape(x.shape)
+
+
+def save_geometry(geom, path):
+    """Write a map in the plain-text geometry format that
+    `sgsplines.geometry.load_geometry` reads."""
+    with open(path, "w") as fh:
+        fh.write(f"degree {geom.degree}\n")
+        fh.write("dims " + " ".join(str(s) for s in geom.ctrl.shape[:-1]) + "\n")
+        fh.write("control_points\n")
+        for idx in itertools.product(*(range(s) for s in geom.ctrl.shape[:-1])):
+            fh.write(" ".join(repr(float(c)) for c in geom.ctrl[idx]) + "\n")

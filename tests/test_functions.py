@@ -53,4 +53,5 @@ def test_registry_errors():
         fn.target_function("nope", 2)
     with pytest.raises(ValueError, match="not defined for d=3"):
         fn.target_function("sinpi-exp", 3)
-    assert "sinpi-prod" in fn.target_names()
+    with pytest.raises(ValueError, match="sinpi-prod"):
+        fn.target_function("nope", 2)

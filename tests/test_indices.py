@@ -13,10 +13,9 @@ from sgsplines.indices import (
     c2,
     c10,
     c11,
-    hier_cardinality,
     lambda_eff,
     layer_cardinality,
-    lemma1_oracle,
+    lemma1_deviation,
     lemma3_oracle,
     sparse_dimension,
 )
@@ -104,14 +103,14 @@ def test_hier_set_examples():
     assert chain.levels == tuple((l,) for l in range(2, 6))
     assert len(build_hier_set(3, 4, 1).levels) == 20
     for d, n, p in [(2, 6, 1), (3, 5, 2), (4, 6, 3)]:
-        assert len(build_hier_set(d, n, p).levels) == hier_cardinality(d, n, p)
+        assert len(build_hier_set(d, n, p).levels) == math.comb(n - lambda_eff(p) + d, d)
 
 
 def test_lemma1_small_cases_and_grid():
     assert sum((-1) ** l * math.comb(2, l) * l for l in range(3)) == 0
     assert sum((-1) ** l * math.comb(1, l) for l in range(2)) == 0
     for d in range(2, 9):
-        assert lemma1_oracle(d)
+        assert lemma1_deviation(d) == 0
 
 
 def test_lemma3_examples():
@@ -152,5 +151,10 @@ def test_theory_constants():
     for q, r in [(2, 0), (3, 0), (2, 1), (3, 2)]:
         assert c10(2, q, r) == pytest.approx((r + 1) / np.log(2))
         assert c10(2, q, r) > 0
+    # the triangle-inequality layer sum keeps the constant positive for d > 2
+    for d in (3, 4):
+        for q in (1, 2, 3):
+            for r in range(q):
+                assert c10(d, q, r) > 0
     assert c11(2, 1) == pytest.approx(96 / (2 * np.log(2)), rel=1e-12)
     assert c11(2, 2) > c11(2, 1) > 0

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from sgsplines import functions as fn
-from sgsplines.bspline import eval_spline, make_space
+from sgsplines.bspline import make_space
 from sgsplines.quadrature import (
     element_grid,
     gauss_rule,
@@ -14,6 +14,7 @@ from sgsplines.quadrature import (
     project_1d,
     projection_matrices,
 )
+from oracles import eval_spline, spline_factor
 
 
 def test_gauss_rule_examples():
@@ -77,16 +78,12 @@ def test_gram_rejects_order_above_degree():
         gram_matrix(make_space(2, 2), 3)
 
 
-def _spline_callable(space, coeffs):
-    return lambda x, m=0: eval_spline(space, coeffs, np.atleast_1d(x), m)
-
-
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_projection_idempotent_on_members(r):
     rng = np.random.default_rng(11)
     space = make_space(3, 3)
     coeffs = rng.standard_normal(space.dim)
-    out = project_1d(space, _spline_callable(space, coeffs), r)
+    out = project_1d(space, spline_factor(space, coeffs), r)
     assert np.abs(out - coeffs).max() < 1e-12
 
 
@@ -96,7 +93,7 @@ def test_seminorm_projection_reproduces_members_at_finer_levels(p, level, r):
     rng = np.random.default_rng(11)
     space = make_space(p, level)
     coeffs = rng.standard_normal(space.dim)
-    out = project_1d(space, _spline_callable(space, coeffs), r)
+    out = project_1d(space, spline_factor(space, coeffs), r)
     assert np.abs(out - coeffs).max() < 1e-12
 
 
@@ -105,7 +102,7 @@ def test_seminorm_projection_rule_size():
     rng = np.random.default_rng(3)
     space = make_space(4, 2)
     coeffs = rng.standard_normal(space.dim)
-    member = _spline_callable(space, coeffs)
+    member = spline_factor(space, coeffs)
     with pytest.raises(ValueError, match="need at least 3"):
         project_1d(space, member, 2, qpts=2)
     out = project_1d(space, member, 2, qpts=3)
@@ -157,6 +154,7 @@ def test_cached_matrices_are_read_only(r):
     s = make_space(3, 3)
     arrays = [gram_matrix(s, r)]
     arrays += [a for a in projection_matrices(s, r) if a is not None]
+    arrays += [gauss_rule(4).nodes, gauss_rule(4).weights]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0

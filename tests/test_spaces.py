@@ -7,26 +7,28 @@ import numpy as np
 import pytest
 
 from sgsplines import functions as fn
-from sgsplines.bspline import collocation_matrix, eval_spline, greville, make_space
+from sgsplines.bspline import collocation_matrix, greville, make_space
 from sgsplines.indices import LevelRule, build_hier_set, lambda_eff, sparse_dimension
 from sgsplines.spaces import (
-    HierFunction,
-    _lemma8_sides,
     combination_project,
     dimension_rank,
     equivalence_report,
     hier_basis,
     increment_indices,
-    lemma8_residual,
     sparse_rayleigh,
     stacked_sparse_basis,
-    telescopic_residual,
 )
 from sgsplines.tensorops import error_norm, project_tensor
-
-
-def _spline_factor(space, coeffs):
-    return lambda x, m=0: eval_spline(space, coeffs, np.atleast_1d(x), m)
+from oracles import (
+    cancellation_constant,
+    eval_spline,
+    lemma8_residual,
+    lemma8_sides,
+    random_trig,
+    random_values,
+    spline_factor,
+    telescopic_residual,
+)
 
 
 def test_combination_project_constant():
@@ -45,8 +47,8 @@ def test_combination_reproduces_coarse_member():
     rule = LevelRule(2, 4, 2)
     base = make_space(2, rule.lam)
     cx, cy = rng.standard_normal(base.dim), rng.standard_normal(base.dim)
-    f = fn.SumOfSeparable(2, [(1.0, [_spline_factor(base, cx),
-                                     _spline_factor(base, cy)])])
+    f = fn.SumOfSeparable(2, [(1.0, [spline_factor(base, cx),
+                                     spline_factor(base, cy)])])
     sg = combination_project(f, rule)
     pts = rng.random((100, 2))
     assert np.abs(sg.eval_points(pts) - f.eval_points(pts)).max() < 1e-12
@@ -80,7 +82,7 @@ def test_eval_zero_and_single_level():
 def test_eval_matches_per_level_sum():
     rng = np.random.default_rng(4)
     rule = LevelRule(2, 3, 1)
-    sg = combination_project(fn.random_trig(2, 8), rule)
+    sg = combination_project(random_trig(2, 8), rule)
     pts = rng.random((50, 2))
     by_level = sum(c * ct.eval_points(pts) for _, c, ct in sg.terms)
     assert np.abs(sg.eval_points(pts) - by_level).max() < 1e-14
@@ -156,8 +158,8 @@ def test_dimension_rank_matches_formula():
 def test_telescopic_identity_on_member():
     rng = np.random.default_rng(2)
     sx, sy = make_space(2, 3), make_space(2, 2)
-    f = fn.SumOfSeparable(2, [(1.0, [_spline_factor(sx, rng.standard_normal(sx.dim)),
-                                     _spline_factor(sy, rng.standard_normal(sy.dim))])])
+    f = fn.SumOfSeparable(2, [(1.0, [spline_factor(sx, rng.standard_normal(sx.dim)),
+                                     spline_factor(sy, rng.standard_normal(sy.dim))])])
     assert telescopic_residual(f, (3, 2), 2) < 1e-12
 
 
@@ -168,12 +170,11 @@ def test_telescopic_identity_examples():
 
 def test_telescopic_identity_random_functions():
     for seed in range(5):
-        assert telescopic_residual(fn.random_trig(2, seed), (3, 2), 2) < 1e-9
-        assert telescopic_residual(fn.random_trig(3, seed), (2, 3, 2), 1) < 1e-9
+        assert telescopic_residual(random_trig(2, seed), (3, 2), 2) < 1e-9
+        assert telescopic_residual(random_trig(3, seed), (2, 3, 2), 1) < 1e-9
 
 
 def test_cancellation_constants():
-    from sgsplines.spaces import cancellation_constant
     # layer-0 partial terms survive with unit weight; deeper layers cancel
     assert cancellation_constant(2, 1, 0) == 1
     assert cancellation_constant(3, 1, 0) == 1
@@ -195,16 +196,7 @@ def test_lemma8_random_draws_relative():
         for n in (4, 6):
             rule = LevelRule(d, n, 1)
             for seed in range(17):
-                rng = np.random.default_rng(seed)
-                cache = {}
-
-                def values(J, sub):
-                    key = (J, sub)
-                    if key not in cache:
-                        cache[key] = rng.uniform(-1.0, 1.0)
-                    return cache[key]
-
-                lhs, rhs = _lemma8_sides(rule, values)
+                lhs, rhs = lemma8_sides(rule, random_values(seed))
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -212,36 +204,6 @@ def test_lemma8_holds_for_higher_degree():
     # the minimum-level offset must not enter the cancellation constants
     for d in (2, 3):
         assert lemma8_residual(LevelRule(d, 5, 2), seed=3) < 1e-12
-
-
-def test_hier_function_evaluation():
-    rng = np.random.default_rng(6)
-    rule = LevelRule(1, 2, 1)
-    # d = 1 chain: base level holds the whole coarse space
-    incs = [((1,), rng.standard_normal(3)), ((2,), rng.standard_normal(2))]
-    hf = HierFunction(rule, 1, tuple(incs))
-    x = np.linspace(0, 1, 9)[:, None]
-    direct = np.zeros(9)
-    for ct in hf._tensors():
-        direct += eval_spline(make_space(1, ct.level[0]), ct.coeffs, x[:, 0])
-    np.testing.assert_allclose(hf.eval_points(x), direct, atol=1e-14)
-
-    rule2 = LevelRule(2, 3, 1)
-    incs2 = []
-    for lvl in build_hier_set(2, 3, 1).levels:
-        shape = tuple(len(increment_indices(1, li, 1)) for li in lvl)
-        incs2.append((lvl, rng.standard_normal(shape)))
-    hf2 = HierFunction(rule2, 1, tuple(incs2))
-    pts = rng.random((20, 2))
-    per_level = sum(ct.eval_points(pts) for ct in hf2._tensors())
-    np.testing.assert_allclose(hf2.eval_points(pts), per_level, atol=1e-14)
-
-    zero = HierFunction(rule2, 1, tuple((lvl, np.zeros_like(w))
-                                        for lvl, w in incs2))
-    np.testing.assert_allclose(zero.eval_points(pts), 0.0, atol=1e-15)
-
-    with pytest.raises(ValueError, match="cover the hierarchy"):
-        HierFunction(rule2, 1, (incs2[0],))
 
 
 def test_stacked_sparse_basis_dimension():
@@ -276,7 +238,7 @@ def test_constrained_spans_agree_between_constructions():
         mats = []
         for li in lvl:
             space = make_space(p, li)
-            tilde = vanishing_subspace(space, q).basis
+            tilde = vanishing_subspace(space, q)
             mats.append(collocation_matrix(space, pts, 0) @ tilde)
         Mx, My = mats
         cols.append((Mx[:, None, :, None] * My[None, :, None, :]).reshape(
@@ -313,7 +275,7 @@ def test_univariate_pencil_is_one_dimensional_sparse_pencil(p, q):
 
     for n in (lambda_eff(p) + 1, 6):
         space = make_space(p, n)
-        sub = vanishing_subspace(space, q).basis
+        sub = vanishing_subspace(space, q)
         A = sub.T @ gram_matrix(space, q) @ sub
         B = sub.T @ gram_matrix(space, 0) @ sub
         direct = np.sqrt(scipy.linalg.eigh(A, B, eigvals_only=True)[-1])

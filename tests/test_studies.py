@@ -176,7 +176,8 @@ def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, value):
 
 
 def test_mapped_study_reads_geometry_file(tmp_path, capsys):
-    from sgsplines.geometry import distorted_square_geometry, save_geometry
+    from oracles import save_geometry
+    from sgsplines.geometry import distorted_square_geometry
     geo = tmp_path / "dist.geo"
     save_geometry(distorted_square_geometry(), geo)
     cfg = tmp_path / "m.cfg"
@@ -249,3 +250,12 @@ def test_mapped_study_builds_one_geometry(tmp_path, monkeypatch):
     cfg.write_text("kind=mapped-convergence\np=2\nn=3,4\n")
     cli_main(["run", str(cfg)])
     assert built == ["distorted-square"]
+
+
+def test_sparse_convergence_passes_in_three_dimensions(tmp_path, capsys):
+    # every d = 3 row passes: the log-corrected bound of the L6 estimate is
+    # positive, because c10 sums its layers by the triangle inequality
+    cfg = tmp_path / "d3.cfg"
+    cfg.write_text("kind=sparse-convergence\nd=3\np=1\nn=3..4\n")
+    assert cli_main(["run", str(cfg)]) == 0
+    assert "0 failing" in capsys.readouterr().out

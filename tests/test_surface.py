@@ -1,0 +1,59 @@
+"""The package surface: the names it exports and the names its modules import.
+
+The project configures no linter, so unused imports are found by an AST walk
+here.
+"""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+import sgsplines
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "sgsplines").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by the imports of ``source`` that no name or attribute
+    expression uses; a dotted ``import a.b`` counts as used only through
+    ``a.b``."""
+    tree = ast.parse(source)
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            parts = ast.unparse(node).split(".")
+            used.update(".".join(parts[:k]) for k in range(1, len(parts) + 1))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            unused += [a.asname or a.name for a in node.names
+                       if (a.asname or a.name) not in used]
+    return unused
+
+
+def test_exports_are_the_names_the_readme_imports():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    readme = {alias.name for block in blocks
+              for node in ast.walk(ast.parse(block))
+              if isinstance(node, ast.ImportFrom) and node.module == "sgsplines"
+              for alias in node.names}
+    assert readme
+    assert set(sgsplines.__all__) == readme
+    assert all(hasattr(sgsplines, name) for name in readme)
+
+
+def test_unused_import_check_finds_unused_names():
+    source = ("import os\nimport scipy.linalg\nimport numpy as np\n"
+              "from math import pi, tau\nnp.zeros(1)\nscipy.sparse\nprint(pi)\n")
+    assert unused_imports(source) == ["os", "scipy.linalg", "tau"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []

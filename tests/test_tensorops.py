@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from sgsplines import functions as fn
-from sgsplines.bspline import eval_spline, make_space
+from sgsplines.bspline import make_space
 from sgsplines.quadrature import element_grid, gauss_rule
 from sgsplines.tensorops import (
     CoefficientTensor,
-    complement_direction,
     error_norm,
     function_norm,
     multi_indices,
@@ -16,10 +15,7 @@ from sgsplines.tensorops import (
     sample,
     to_coefficients,
 )
-
-
-def _spline_factor(space, coeffs):
-    return lambda x, m=0: eval_spline(space, coeffs, np.atleast_1d(x), m)
+from oracles import complement_direction, l2_norm, random_trig, spline_factor
 
 
 def test_coefficient_tensor_validates_extents():
@@ -36,7 +32,7 @@ def test_partial_projection_identity_on_separable_member():
     # f = g (x) h with g already in the x-space: projecting x changes nothing
     rng = np.random.default_rng(3)
     sx = make_space(2, 3)
-    g = _spline_factor(sx, rng.standard_normal(sx.dim))
+    g = spline_factor(sx, rng.standard_normal(sx.dim))
     f = fn.SumOfSeparable(2, [(1.0, [g, fn.ExpFactor(1.0)])])
     gs = sample(f, (3, 2), 2)
     out = project_tensor(f, (3, 2), 2, J=(0,))
@@ -98,7 +94,7 @@ def test_mixed_seminorm_factorizes_for_separable_function():
 
 def test_norm_ordering_on_random_smooth_functions():
     for seed in range(3):
-        f = fn.random_trig(2, seed)
+        f = random_trig(2, seed)
         for q in (1, 2):
             full = function_norm(f, 2, "full", q)
             mix = function_norm(f, 2, "mix", q)
@@ -133,7 +129,7 @@ def test_partial_projection_error_decays_per_direction():
                 level = (lev, 2) if axis == 0 else (2, lev)
                 gs = sample(f, level, p)
                 out = complement_direction(complement_direction(gs, 0), 1)
-                errs.append(out.l2_norm())
+                errs.append(l2_norm(out))
             rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
             assert rates.min() >= q - 0.1
 
@@ -143,6 +139,6 @@ def test_seminorm_tensor_projection_idempotent():
     rng = np.random.default_rng(9)
     sx, sy = make_space(2, 3), make_space(2, 2)
     cx, cy = rng.standard_normal(sx.dim), rng.standard_normal(sy.dim)
-    f = fn.SumOfSeparable(2, [(1.0, [_spline_factor(sx, cx), _spline_factor(sy, cy)])])
+    f = fn.SumOfSeparable(2, [(1.0, [spline_factor(sx, cx), spline_factor(sy, cy)])])
     ct = project_tensor(f, (3, 2), 2, r=1)
     np.testing.assert_allclose(ct.coeffs, np.outer(cx, cy), atol=1e-10)
