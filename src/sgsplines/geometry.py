@@ -38,7 +38,8 @@ class GeometryMap:
     """
 
     def __init__(self, degree, ctrl):
-        ctrl = np.asarray(ctrl, dtype=float)
+        # a copy: freezing the caller's own array would be a side effect
+        ctrl = np.array(ctrl, dtype=float)
         self.degree = int(degree)
         self.d = ctrl.ndim - 1
         if self.d < 1 or ctrl.shape[-1] != self.d:

@@ -6,13 +6,22 @@ equivalence checks and inverse-inequality pencils.  The increment at the base
 level is the whole coarsest space; above it, the increment selects the fine
 basis functions anchored at the new odd knots, certified independent at build
 time by a rank check.
+
+The inverse-inequality pencil over the q-vanishing sparse space is solved in
+standard form.  The stacked 1D increments are orthonormalized in L2 by the
+Cholesky factor of their Gram matrix, which is lower triangular in level
+order, so every level prefix keeps its span.  The hierarchy set is downward
+closed, so the tensor products of the orthonormal functions span the same
+sparse space, with the identity as L2 Gram matrix.  The norm matrix is a
+Hadamard product over directions of 1D Gram matrices, and only its top
+eigenvalue is computed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -27,7 +36,7 @@ from .bspline import (
 )
 from .indices import build_combination_set, build_hier_set
 from .quadrature import gram_matrix
-from .tensorops import multi_indices, project_tensor
+from .tensorops import project_tensor
 
 
 @dataclass(frozen=True)
@@ -208,28 +217,39 @@ class StackedSparseBasis:
         return self.entries.shape[0]
 
 
+@lru_cache(maxsize=None)
 def _constrained_chain(p, q, lam, n):
     """Per-level increment coefficient matrices of the univariate q-vanishing
-    chain, each in its own level's coordinates."""
-    spaces = [make_space(p, lev) for lev in range(lam, n + 1)]
-    tilde = [vanishing_subspace(s, q) for s in spaces]
-    increments = [tilde[0]]
-    acc = tilde[0]
-    for j in range(1, len(spaces)):
-        R = refinement_operator(spaces[j - 1], spaces[j])
-        acc = R @ acc
-        T = tilde[j]
-        take = 2 ** (spaces[j].level - 1)
-        Qacc, _ = np.linalg.qr(acc)
-        Z = T - Qacc @ (Qacc.T @ T)
-        _, _, piv = scipy.linalg.qr(Z, pivoting=True)
-        W = T[:, np.sort(piv[:take])]
-        acc = np.hstack([acc, W])
-        if np.linalg.matrix_rank(acc) != acc.shape[1]:
-            raise RuntimeError(f"constrained increment selection rank-deficient "
-                               f"at p={p}, q={q}, level={spaces[j].level}")
-        increments.append(W)
-    return increments
+    chain, levels lam..n, each in its own level's coordinates.
+
+    The chain of level n extends the cached chain of level n-1 by one level:
+    the new increment is the set of q-vanishing level-n functions that a
+    pivoted QR picks as most independent of the refined coarser span, checked
+    by a rank test.  The arrays are read-only, because the cache shares them
+    between callers and threads.
+    """
+    T = vanishing_subspace(make_space(p, n), q)
+    if n == lam:
+        T.setflags(write=False)
+        return (T,)
+    head = _constrained_chain(p, q, lam, n - 1)
+    # the span of the coarser chain, refined level by level to level n
+    R = [refinement_operator(make_space(p, lev - 1), make_space(p, lev))
+         for lev in range(lam + 1, n + 1)]
+    acc = head[0]
+    for Rl, W in zip(R, head[1:]):
+        acc = np.hstack([Rl @ acc, W])
+    acc = R[-1] @ acc
+    Qacc, _ = np.linalg.qr(acc)
+    Z = T - Qacc @ (Qacc.T @ T)
+    _, _, piv = scipy.linalg.qr(Z, pivoting=True)
+    W = T[:, np.sort(piv[:2 ** (n - 1)])]
+    acc = np.hstack([acc, W])
+    if np.linalg.matrix_rank(acc) != acc.shape[1]:
+        raise RuntimeError(f"constrained increment selection rank-deficient "
+                           f"at p={p}, q={q}, level={n}")
+    W.setflags(write=False)
+    return head + (W,)
 
 
 def stacked_sparse_basis(rule, q):
@@ -252,21 +272,49 @@ def stacked_sparse_basis(rule, q):
     return StackedSparseBasis(rule, q, V, slices, np.array(entries, dtype=int))
 
 
+def _orthonormal_grams(basis):
+    """Gram matrices L^-1 G_a L^-T, a = 0..q, of the stacked 1D increments
+    orthonormalized in level order, where G_a = V^T G_a^(n) V and
+    G_0 = L L^T; the first is the identity up to roundoff."""
+    space_n = make_space(basis.rule.p, basis.rule.n)
+    G = [basis.V.T @ gram_matrix(space_n, a) @ basis.V
+         for a in range(basis.q + 1)]
+    L = scipy.linalg.cholesky(G[0], lower=True)
+    out = []
+    for Ga in G:
+        X = scipy.linalg.solve_triangular(L, Ga, lower=True)
+        out.append(scipy.linalg.solve_triangular(L, X.T, lower=True))
+    return out
+
+
+def _hadamard(H, entries):
+    """Matrix of prod_i H[e_i, f_i] over all pairs (e, f) of tensor entries."""
+    A = H[np.ix_(entries[:, 0], entries[:, 0])]
+    for ix in entries.T[1:]:
+        A *= H[np.ix_(ix, ix)]
+    return A
+
+
 def sparse_rayleigh(rule, q, mode="mix"):
     """Largest Rayleigh quotient of the mixed H^q norm (or 'mix-semi'
-    seminorm) against L2 over the q-vanishing sparse space, via the
-    generalized symmetric eigenproblem of the stacked basis."""
+    seminorm) against L2 over the q-vanishing sparse space.
+
+    A standard symmetric eigenproblem in the orthonormalized basis (module
+    docstring).  The mixed norm sums prod_i G_{a_i} over every a with
+    max_i a_i <= q: the Hadamard product over directions of
+    H = sum_{a <= q} G_a.  The 'mix-semi' seminorm (max_i a_i = q) subtracts
+    the Hadamard product of sum_{a < q} G_a.
+    """
+    if mode not in ("mix", "mix-semi"):
+        raise ValueError(f"unknown norm mode '{mode}'")
     basis = stacked_sparse_basis(rule, q)
-    space_n = make_space(rule.p, rule.n)
-    G = {a: basis.V.T @ gram_matrix(space_n, a) @ basis.V for a in range(q + 1)}
-    idx = [basis.entries[:, i] for i in range(rule.d)]
-    sub = [{a: G[a][np.ix_(ix, ix)] for a in range(q + 1)} for ix in idx]
-    A = np.zeros((basis.size, basis.size))
-    for alpha in multi_indices(rule.d, q, mode):
-        term = reduce(np.multiply, (sub[i][a] for i, a in enumerate(alpha)))
-        A += term
-    B = reduce(np.multiply, (sub[i][0] for i in range(rule.d)))
-    lam_max = scipy.linalg.eigh(A, B, eigvals_only=True)[-1]
+    G = _orthonormal_grams(basis)
+    A = _hadamard(sum(G), basis.entries)
+    if mode == "mix-semi":
+        A -= _hadamard(sum(G[:q], np.zeros_like(G[0])), basis.entries)
+    top = basis.size - 1
+    lam_max = scipy.linalg.eigh(A, eigvals_only=True, overwrite_a=True,
+                                subset_by_index=[top, top])[0]
     return float(np.sqrt(lam_max))
 
 

@@ -346,17 +346,34 @@ def _grid(cfg, row, *axes):
                       cfg.timing)
 
 
-def _fitted(cfg, groups, row, fit):
+# errors below this multiple of the target's L2 norm are roundoff
+_ROUNDOFF_FLOOR = 1e3 * np.finfo(float).eps
+
+
+def _fitted(cfg, groups, row, fit, floor=0.0):
     """For each group (a degree, or a degree and an order q), the rows of
     ``row(*group, n)`` over the levels n, run as one batch, then the fit row
-    ``fit(*group, pairs)`` of their (h, value) pairs with h decreasing."""
+    ``fit(*group, pairs)`` of their (h, value) pairs with h decreasing.
+
+    Levels whose value lies below ``floor`` are left out of the fit, because
+    a rate fitted to roundoff means nothing.  When fewer than two levels are
+    left, the target is reproduced to roundoff: the group ends with a passing
+    ``exact`` row holding the finest level's value against the floor.
+    """
     out = []
     for group in groups:
         # levels with h*p >= 1 fall outside the estimates' hypothesis
         levels = [n for n in cfg.n if n >= lambda_eff(group[0])]
         rows = _grid(cfg, row, *([g] for g in group), levels)
-        pairs = sorted(((2.0 ** -x.n, x.value) for x in rows), reverse=True)
-        out += rows + [fit(*group, pairs)]
+        pairs = sorted(((2.0 ** -x.n, x.value) for x in rows
+                        if x.value >= floor), reverse=True)
+        if len(pairs) >= 2:
+            out += rows + [fit(*group, pairs)]
+        else:
+            finest = max(rows, key=lambda x: x.n)
+            out += rows + [replace(finest, n="", level="exact", bound=floor,
+                                   ratio=finest.value / floor, passed=True,
+                                   seconds=0.0)]
     return out
 
 
@@ -430,7 +447,8 @@ def _study_univariate(cfg, geom):
         return Row(cfg.kind, 1, p, "", level="fit", r=r, value=order,
                    bound=target, passed=abs(order - target) <= 0.1, source="L2")
 
-    return _fitted(cfg, [(p,) for p in cfg.p], row, fit)
+    floor = _ROUNDOFF_FLOOR * function_norm(f, 1, "semi", 0)
+    return _fitted(cfg, [(p,) for p in cfg.p], row, fit, floor)
 
 
 def _study_sparse(cfg, geom):
@@ -452,7 +470,8 @@ def _study_sparse(cfg, geom):
         return Row(cfg.kind, d, p, "", level="fit", value=order,
                    bound=p + 1 - 0.15, passed=order >= p + 1 - 0.15, source="L6")
 
-    return _fitted(cfg, [(p,) for p in cfg.p], row, fit)
+    floor = _ROUNDOFF_FLOOR * function_norm(f, d, "semi", 0)
+    return _fitted(cfg, [(p,) for p in cfg.p], row, fit, floor)
 
 
 def _study_mapped(cfg, geom):
@@ -471,7 +490,9 @@ def _study_mapped(cfg, geom):
         return Row(cfg.kind, d, p, "", level="fit", value=order,
                    bound=min_order, passed=order >= min_order, source="T1")
 
-    return _fitted(cfg, [(p,) for p in cfg.p], row, fit)
+    # the parameter-domain L2 norm of the pullback stands for the target's
+    floor = _ROUNDOFF_FLOOR * function_norm(pull, d, "semi", 0)
+    return _fitted(cfg, [(p,) for p in cfg.p], row, fit, floor)
 
 
 def _study_equivalence(cfg, geom):

@@ -1,21 +1,36 @@
 """Reference code the tests compare the package against.
 
 None of this runs in a study: these are independent evaluations, the paper's
-identities as residuals, a Newton inverse of a geometry map and a writer of
-the geometry file format.  Test modules import it as ``from oracles import``
-(pytest puts ``tests/`` on the path).
+identities as residuals, the dense generalized sparse pencil, a one-pass build
+of the constrained increment chain, a Newton inverse of a geometry map and a
+writer of the geometry file format.  Test modules import it as
+``from oracles import`` (pytest puts ``tests/`` on the path).
 """
 
 import itertools
 import math
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
+import scipy.linalg
 
-from sgsplines.bspline import collocation_matrix
+from sgsplines.bspline import (
+    collocation_matrix,
+    make_space,
+    refinement_operator,
+    vanishing_subspace,
+)
 from sgsplines.functions import SumOfSeparable, TrigFactor
 from sgsplines.indices import _levels_with_sum, build_combination_set, cbinom
-from sgsplines.tensorops import project_direction, sample, tensor_weights
+from sgsplines.quadrature import gram_matrix
+from sgsplines.spaces import stacked_sparse_basis
+from sgsplines.tensorops import (
+    multi_indices,
+    project_direction,
+    sample,
+    tensor_weights,
+)
 
 _NEWTON_LATTICE = 17
 
@@ -138,6 +153,47 @@ def lemma8_residual(rule, values=None, seed=0):
     those of ``random_values(seed)``."""
     lhs, rhs = lemma8_sides(rule, values or random_values(seed))
     return abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# the q-vanishing sparse basis and its pencil
+
+
+def constrained_chain(p, q, lam, n):
+    """Increments of the univariate q-vanishing chain, levels lam..n, built
+    in one pass from the base level: the reference for the level-by-level
+    extension that `sgsplines.spaces._constrained_chain` caches."""
+    spaces = [make_space(p, lev) for lev in range(lam, n + 1)]
+    tilde = [vanishing_subspace(s, q) for s in spaces]
+    increments = [tilde[0]]
+    acc = tilde[0]
+    for j in range(1, len(spaces)):
+        acc = refinement_operator(spaces[j - 1], spaces[j]) @ acc
+        T = tilde[j]
+        Qacc, _ = np.linalg.qr(acc)
+        Z = T - Qacc @ (Qacc.T @ T)
+        _, _, piv = scipy.linalg.qr(Z, pivoting=True)
+        W = T[:, np.sort(piv[:2 ** (spaces[j].level - 1)])]
+        acc = np.hstack([acc, W])
+        increments.append(W)
+    return increments
+
+
+def dense_rayleigh(rule, q, mode="mix"):
+    """The sparse pencil as a dense generalized eigenproblem eigh(A, B) on the
+    stacked basis, without orthonormalization: A sums the Hadamard products
+    of the 1D Gram matrices over every derivative multi-index of the norm,
+    and B is the L2 Gram matrix of the stacked tensor functions."""
+    basis = stacked_sparse_basis(rule, q)
+    space_n = make_space(rule.p, rule.n)
+    G = {a: basis.V.T @ gram_matrix(space_n, a) @ basis.V for a in range(q + 1)}
+    sub = [{a: G[a][np.ix_(ix, ix)] for a in range(q + 1)}
+           for ix in basis.entries.T]
+    A = np.zeros((basis.size, basis.size))
+    for alpha in multi_indices(rule.d, q, mode):
+        A += reduce(np.multiply, (sub[i][a] for i, a in enumerate(alpha)))
+    B = reduce(np.multiply, (sub[i][0] for i in range(rule.d)))
+    return float(np.sqrt(scipy.linalg.eigh(A, B, eigvals_only=True)[-1]))
 
 
 # ---------------------------------------------------------------------------

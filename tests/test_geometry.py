@@ -65,6 +65,16 @@ def test_corner_interpolation_enforced():
         assert np.abs(G.eval(np.array(corner)) - np.array(corner)).max() < 1e-12
 
 
+def test_map_freezes_its_own_copy_of_the_control_points():
+    ctrl = identity_geometry(2, degree=1).ctrl.copy()
+    G = GeometryMap(1, ctrl)
+    assert ctrl.flags.writeable
+    ctrl[0, 0, 0] = 0.5  # the caller's array stays the caller's
+    assert G.ctrl[0, 0, 0] == 0.0
+    with pytest.raises(ValueError):
+        G.ctrl[0, 0, 0] = 1.0
+
+
 def test_inverse_identity_and_affine():
     G = identity_geometry(2, degree=1)
     x = np.random.default_rng(3).random((20, 2))

@@ -10,6 +10,8 @@ from sgsplines import functions as fn
 from sgsplines.bspline import collocation_matrix, greville, make_space
 from sgsplines.indices import LevelRule, build_hier_set, lambda_eff, sparse_dimension
 from sgsplines.spaces import (
+    _constrained_chain,
+    _orthonormal_grams,
     combination_project,
     dimension_rank,
     equivalence_report,
@@ -21,6 +23,8 @@ from sgsplines.spaces import (
 from sgsplines.tensorops import error_norm, project_tensor
 from oracles import (
     cancellation_constant,
+    constrained_chain,
+    dense_rayleigh,
     eval_spline,
     lemma8_residual,
     lemma8_sides,
@@ -281,3 +285,51 @@ def test_univariate_pencil_is_one_dimensional_sparse_pencil(p, q):
         direct = np.sqrt(scipy.linalg.eigh(A, B, eigvals_only=True)[-1])
         val = sparse_rayleigh(LevelRule(1, n, p), q, "mix-semi")
         assert abs(val - direct) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize("d,p,q,n,mode", [
+    (2, 2, 1, 5, "mix"), (2, 2, 2, 5, "mix"), (2, 3, 2, 5, "mix"),
+    (3, 1, 1, 4, "mix"), (2, 2, 1, 5, "mix-semi"), (1, 3, 2, 8, "mix-semi")])
+def test_standard_pencil_matches_dense_generalized_pencil(d, p, q, n, mode):
+    # orthonormalized increments keep the sparse span and make B = I
+    rule = LevelRule(d, n, p)
+    val = sparse_rayleigh(rule, q, mode)
+    ref = dense_rayleigh(rule, q, mode)
+    assert abs(val - ref) <= 1e-10 * ref
+
+
+def test_orthonormalized_increments_have_identity_gram():
+    p, n = 3, 8
+    for q in (1, 2, 3):
+        G = _orthonormal_grams(stacked_sparse_basis(LevelRule(1, n, p), q))
+        assert len(G) == q + 1
+        assert np.linalg.norm(G[0] - np.eye(len(G[0])), 2) <= 1e-10
+        for Ga in G:
+            np.testing.assert_allclose(Ga, Ga.T, rtol=0, atol=1e-10 * np.abs(Ga).max())
+
+
+def test_sparse_rayleigh_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown norm mode"):
+        sparse_rayleigh(LevelRule(1, 3, 1), 1, "semi")
+
+
+def test_chain_extension_matches_one_pass_build():
+    # each level extends the cached chain of the level below; the result is
+    # bit for bit the chain built in one pass from the base level
+    _constrained_chain.cache_clear()
+    for p in range(0, 5):
+        lam = lambda_eff(p)
+        for q in range(0, p + 1):
+            for n in range(lam, 9):
+                got = _constrained_chain(p, q, lam, n)
+                want = constrained_chain(p, q, lam, n)
+                assert len(got) == len(want) == n - lam + 1
+                for W, ref in zip(got, want):
+                    assert W.dtype == ref.dtype and np.array_equal(W, ref)
+
+
+def test_cached_chain_arrays_are_read_only():
+    # shared by every caller and every study thread
+    for W in _constrained_chain(3, 1, lambda_eff(3), 5):
+        with pytest.raises(ValueError):
+            W[0, 0] = 1.0

@@ -259,3 +259,52 @@ def test_sparse_convergence_passes_in_three_dimensions(tmp_path, capsys):
     cfg.write_text("kind=sparse-convergence\nd=3\np=1\nn=3..4\n")
     assert cli_main(["run", str(cfg)]) == 0
     assert "0 failing" in capsys.readouterr().out
+
+
+def test_target_in_the_space_gives_an_exact_row(tmp_path, capsys):
+    # errors near 1e-15 are roundoff: no rate is fitted to them
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("kind=sparse-convergence\ntarget=one\np=1\nn=3..4\n")
+    out = tmp_path / "one.csv"
+    assert cli_main(["run", str(cfg), "--out", str(out)]) == 0
+    last = out.read_text().splitlines()[-1].split(",")
+    assert last[CSV_COLUMNS.index("level")] == "exact"
+    assert last[CSV_COLUMNS.index("pass")] == "true"
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_fit_leaves_out_levels_below_the_floor():
+    errors = {3: 1e-2, 4: 2.5e-3, 5: 6.25e-4, 6: 1e-17}
+
+    def row(p, n):
+        return [studies.Row("sparse-convergence", 1, p, n, value=errors[n])]
+
+    def fit(p, pairs):
+        return studies.Row("sparse-convergence", 1, p, "", level="fit",
+                           value=fit_rate(pairs), source=len(pairs))
+
+    cfg = StudyConfig(kind="sparse-convergence", n=(3, 4, 5, 6))
+    rows = studies._fitted(cfg, [(1,)], row, fit, floor=1e-13)
+    assert rows[-1].level == "fit" and rows[-1].source == 3
+    assert rows[-1].value == pytest.approx(2.0)
+    rows = studies._fitted(cfg, [(1,)], row, fit, floor=5e-3)
+    assert rows[-1].level == "exact" and rows[-1].passed
+    assert rows[-1].value == 1e-17 and rows[-1].bound == 5e-3
+
+
+def test_csv_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
+    # the chain cache is shared by the pool threads; it starts empty each run
+    from sgsplines.spaces import _constrained_chain
+    cfg = tmp_path / "pencil.cfg"
+    cfg.write_text("kind=inverse-inequality\n")
+    outs = []
+    for threads in ("1", "2"):
+        _constrained_chain.cache_clear()
+        monkeypatch.setenv("STUDY_THREADS", threads)
+        out = tmp_path / f"threads-{threads}.csv"
+        code = cli_main(["run", str(cfg), "--set", "variant=sparse",
+                         "--set", "n=3..5", "--out", str(out)])
+        assert code in (0, 1)  # 1: the by-design red at p = q = 2
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + 2 * 2 * 3
