@@ -227,7 +227,8 @@ def vanishing_subspace(space, q):
 
     The constraints couple only the first/last boundary coefficients, so the
     nullspace is assembled from two small endpoint blocks around an interior
-    identity; falls back to a global nullspace when the blocks would overlap.
+    identity.  Raises ``ValueError`` when the blocks would overlap
+    (``space.dim < 2p``), which no admissible level reaches.
     """
     p = space.degree
     if not 0 <= q <= p:
@@ -236,21 +237,21 @@ def vanishing_subspace(space, q):
     n, nc = space.dim, len(orders)
     if nc == 0:
         return np.eye(n)
-    # rows scaled by h^order so the blocks are O(1)
+    if n < 2 * p:
+        raise ValueError(f"endpoint constraints overlap on the dim-{n} space "
+                         f"of degree {p}; need dim >= {2 * p}")
+    # rows scaled by h^order so the blocks are O(1); function p already
+    # vanishes to order p at x=0 (likewise at x=1), so the constraints act on
+    # the p outermost coefficients per side
     scale = space.h ** np.array(orders, dtype=float)
     rows0 = np.array([eval_basis(space, 0.0, m) for m in orders]) * scale[:, None]
     rows1 = np.array([eval_basis(space, 1.0, m) for m in orders]) * scale[:, None]
-    if n >= 2 * p:
-        # function p already vanishes to order p at x=0 (likewise at x=1),
-        # so the constraints act on the p outermost coefficients per side
-        null_l = scipy.linalg.null_space(rows0[:, :p])
-        null_r = scipy.linalg.null_space(rows1[:, n - p:])
-        B = np.zeros((n, n - 2 * nc))
-        B[:p, :p - nc] = null_l
-        B[p:n - p, p - nc:p - nc + n - 2 * p] = np.eye(n - 2 * p)
-        B[n - p:, n - 2 * nc - (p - nc):] = null_r
-    else:
-        B = scipy.linalg.null_space(np.vstack([rows0, rows1]))
+    null_l = scipy.linalg.null_space(rows0[:, :p])
+    null_r = scipy.linalg.null_space(rows1[:, n - p:])
+    B = np.zeros((n, n - 2 * nc))
+    B[:p, :p - nc] = null_l
+    B[p:n - p, p - nc:p - nc + n - 2 * p] = np.eye(n - 2 * p)
+    B[n - p:, n - 2 * nc - (p - nc):] = null_r
     if B.shape[1] != n - 2 * nc:
         raise RuntimeError("unexpected constraint rank in vanishing subspace")
     return B

@@ -261,10 +261,9 @@ def mapped_rayleigh(rule, q, geom):
     space_n = make_space(p, n)
     E0 = collocation_matrix(space_n, axes[0], 0) @ basis.V
     E1 = collocation_matrix(space_n, axes[0], 1) @ basis.V
-    idx = [basis.entries[:, i] for i in range(d)]
-
-    U = khatri_rao([E0] * d, idx)
-    grads_param = [khatri_rao([E1 if i == j else E0 for i in range(d)], idx)
+    U = khatri_rao([E0] * d, basis.entries.T)
+    grads_param = [khatri_rao([E1 if i == j else E0 for i in range(d)],
+                              basis.entries.T)
                    for j in range(d)]
     B = U.T @ (Wphys[:, None] * U)
     A = np.zeros_like(B)

@@ -133,37 +133,28 @@ def projection_matrices(space, r, qpts=None):
     return _read_only(nodes, weights, M0, Mr)
 
 
-def _call_deriv(f, x, m):
-    if m == 0:
-        try:
-            return np.asarray(f(x, 0), dtype=float)
-        except TypeError:
-            return np.asarray(f(x), dtype=float)
-    return np.asarray(f(x, m), dtype=float)
-
-
 def project_1d(space, f, r=0, qpts=None):
     """Coefficients of the seminorm H^r-orthogonal projection of ``f``.
 
-    ``f`` is called as ``f(x)`` or ``f(x, m)`` on arrays of quadrature nodes;
-    the m = r derivative is required when r >= 1.  Idempotent on members of
-    the space up to roundoff, which grows with the level and with r as the
-    conditioning of the r-th-derivative collocation matrix does.  For
-    standard-normal coefficients at p = 4, level 8 the largest error over 100
-    seeds is about 1e-11 at r = 2, 3e-9 at r = 3 and 4e-6 at r = 4 (6e-7 with
-    seed 11).
+    ``f`` is called as ``f(x, m)`` on arrays of quadrature nodes, for m = 0
+    and, when r >= 1, for m = r.  Idempotent on members of the space up to
+    roundoff, which grows with the level and with r as the conditioning of
+    the r-th-derivative collocation matrix does.  For standard-normal
+    coefficients at p = 4, level 8 the largest error over 100 seeds is about
+    1e-11 at r = 2, 3e-9 at r = 3 and 4e-6 at r = 4 (6e-7 with seed 11).
     """
     if r > space.degree:
         raise ValueError(f"projection order {r} exceeds degree {space.degree}")
     nodes, _, M0, Mr = projection_matrices(space, r, qpts)
     if r == 0:
-        return M0 @ _call_deriv(f, nodes, 0)
-    return M0 @ _call_deriv(f, nodes, 0) + Mr @ _call_deriv(f, nodes, r)
+        return M0 @ f(nodes, 0)
+    return M0 @ f(nodes, 0) + Mr @ f(nodes, r)
 
 
 def l2_error_1d(space, coeffs, f):
     """L2 norm of f minus the spline with the given coefficients, by the
-    (degree + 3)-point Gauss rule on every cell."""
+    (degree + 3)-point Gauss rule on every cell; ``f`` is called as
+    ``f(x, 0)``."""
     nodes, weights = element_grid(space, gauss_rule(space.degree + 3))
-    diff = _call_deriv(f, nodes, 0) - collocation_matrix(space, nodes, 0) @ coeffs
+    diff = f(nodes, 0) - collocation_matrix(space, nodes, 0) @ coeffs
     return float(np.sqrt(np.sum(weights * diff ** 2)))

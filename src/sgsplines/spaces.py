@@ -2,10 +2,16 @@
 
 A sparse function is stored per admissible level (combination form) as the
 primary representation; the hierarchical form is materialized on demand for
-equivalence checks and inverse-inequality pencils.  The increment at the base
-level is the whole coarsest space; above it, the increment selects the fine
-basis functions anchored at the new odd knots, certified independent at build
-time by a rank check.
+equivalence checks and inverse-inequality pencils.
+
+Every hierarchical basis has one form: a level-ordered stack of univariate
+columns, plus the tensor entries that pick one stacked column per direction
+for every tensor function of a level set (`_entries`).  Tensor columns are
+formed only by `khatri_rao`.  The plain hierarchy (`hier_basis`) keeps the
+whole coarsest space at the base level and, above it, the fine basis
+functions anchored at the new odd knots, certified independent by a rank
+check.  The q-vanishing chain (`_constrained_chain`) is stacked in level-n
+coefficients and grows by one refinement per level.
 
 The inverse-inequality pencil over the q-vanishing sparse space is solved in
 standard form.  The stacked 1D increments are orthonormalized in L2 by the
@@ -19,7 +25,6 @@ eigenvalue is computed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -30,7 +35,6 @@ from .bspline import (
     collocation_matrix,
     greville,
     make_space,
-    prolongation,
     refinement_operator,
     vanishing_subspace,
 )
@@ -82,48 +86,48 @@ def combination_project(f, rule):
 # hierarchical increments
 
 
-@lru_cache(maxsize=None)
-def increment_indices(p, level, lam):
-    """Univariate basis indices forming the hierarchical increment.
+def hier_basis(rule):
+    """Univariate basis indices of the plain hierarchical increments, as
+    {level: indices} for the levels lam..n in order.
 
     At the base level every function is selected; above it, the functions
     anchored at the new odd knots (anchor = middle knot of the support).
     Function i has its anchor at knot index k = i + (p+2)//2; the interior
     knot k = p+j sits at j / 2**level, which is new at this level iff j is odd.
+    Every level is rank-certified: the refined coarser space plus the selected
+    functions span it.
     """
-    space = make_space(p, level)
-    if level == lam:
-        return tuple(range(space.dim))
+    p, lam = rule.p, rule.lam
     mid = (p + 2) // 2
-    # anchors k = p+1, p+3, ..., p + 2**level - 1
-    sel = range(p + 1 - mid, p + space.num_cells - mid, 2)
-    if len(sel) != 2 ** (level - 1):
-        raise RuntimeError(f"increment selection at p={p}, level={level} "
-                           f"found {len(sel)} functions, expected {2 ** (level - 1)}")
-    return tuple(sel)
-
-
-@lru_cache(maxsize=None)
-def _certify_chain(p, lam, n):
-    """Rank-certify that base space plus selected increments span each level."""
-    for level in range(lam + 1, n + 1):
+    sels = {lam: np.arange(make_space(p, lam).dim)}
+    for level in range(lam + 1, rule.n + 1):
         coarse, fine = make_space(p, level - 1), make_space(p, level)
-        R = refinement_operator(coarse, fine)
-        E = np.eye(fine.dim)[:, increment_indices(p, level, lam)]
-        M = np.hstack([R, E])
+        # anchors k = p+1, p+3, ..., p + 2**level - 1
+        sel = np.arange(p + 1 - mid, p + fine.num_cells - mid, 2)
+        if len(sel) != 2 ** (level - 1):
+            raise RuntimeError(f"increment selection at p={p}, level={level} "
+                               f"found {len(sel)} functions, expected {2 ** (level - 1)}")
+        M = np.hstack([refinement_operator(coarse, fine), np.eye(fine.dim)[:, sel]])
         if np.linalg.matrix_rank(M) != fine.dim:
             raise RuntimeError(f"increment selection not independent at "
                                f"p={p}, level={level}")
-    return True
+        sels[level] = sel
+    return sels
 
 
-def hier_basis(rule):
-    """Hierarchical increments over all levels of the hierarchy set, as
-    (level, per-direction selected basis indices) pairs."""
-    hs = build_hier_set(rule.d, rule.n, rule.p)
-    _certify_chain(rule.p, rule.lam, rule.n)
-    return [(lvl, tuple(increment_indices(rule.p, li, rule.lam) for li in lvl))
-            for lvl in hs.levels]
+def _entries(sizes, levels):
+    """Stacked 1D column indices of every tensor function of the level set
+    `levels`, one row per function, last direction fastest.
+
+    `sizes` maps each univariate level, in stacking order, to its number of
+    stacked columns; a tensor level takes every combination of the column
+    blocks of its directions' levels.
+    """
+    starts = dict(zip(sizes, np.cumsum([0, *sizes.values()])))
+    return np.concatenate([
+        np.indices([sizes[li] for li in lvl]).reshape(len(lvl), -1).T
+        + [starts[li] for li in lvl]
+        for lvl in levels])
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +147,6 @@ def khatri_rao(mats, cols):
     return out
 
 
-def _all_columns(mats, sels=None):
-    """Khatri-Rao product of every combination of the selected columns (all
-    columns by default), last direction fastest."""
-    sels = sels or [range(M.shape[1]) for M in mats]
-    grid = np.indices([len(s) for s in sels]).reshape(len(sels), -1)
-    return khatri_rao(mats, [np.asarray(s)[g] for s, g in zip(sels, grid)])
-
-
 def _combination_collocation(rule, svd_tol):
     """Univariate collocation matrices of every level on the Greville points
     of level n+1 (unisolvent for every level <= n), the stacked combination
@@ -159,7 +155,9 @@ def _combination_collocation(rule, svd_tol):
     V = {lev: collocation_matrix(make_space(rule.p, lev), pts, 0)
          for lev in range(rule.lam, rule.n + 1)}
     cs = build_combination_set(rule.d, rule.n, rule.p)
-    lstack = np.hstack([_all_columns([V[li] for li in lvl]) for lvl, _ in cs.levels])
+    entries = _entries({lev: M.shape[1] for lev, M in V.items()},
+                       [lvl for lvl, _ in cs.levels])
+    lstack = khatri_rao([np.hstack(list(V.values()))] * rule.d, entries.T)
     svals = scipy.linalg.svd(lstack, compute_uv=False)
     return V, lstack, int(np.sum(svals > svd_tol * svals[0]))
 
@@ -172,8 +170,11 @@ def equivalence_report(rule, svd_tol=1e-8):
     residual of either basis fitted in the other.
     """
     V, lstack, rank = _combination_collocation(rule, svd_tol)
-    hstack = np.hstack([_all_columns([V[li] for li in lvl], sels)
-                        for lvl, sels in hier_basis(rule)])
+    sels = hier_basis(rule)
+    odd = np.hstack([V[lev][:, sel] for lev, sel in sels.items()])
+    entries = _entries({lev: len(sel) for lev, sel in sels.items()},
+                       build_hier_set(rule.d, rule.n, rule.p).levels)
+    hstack = khatri_rao([odd] * rule.d, entries.T)
     dim_h = hstack.shape[1]
 
     def rel_residuals(A, B):
@@ -197,19 +198,18 @@ def equivalence_report(rule, svd_tol=1e-8):
 
 @dataclass(frozen=True)
 class StackedSparseBasis:
-    """All hierarchical increment functions of the (q-vanishing) sparse space,
-    prolonged to level n per direction.
+    """All hierarchical increment functions of the (q-vanishing) sparse space
+    in stacked form.
 
-    `V` holds one column per univariate increment function in level-n
-    coordinates (directions share the construction), `slices` maps a level to
-    its column range, and `entries` lists the per-direction stacked column
-    indices of each tensor basis function.
+    `V` is the univariate chain of `_constrained_chain`: one column per
+    increment function in level-n coefficients, in level order (directions
+    share it).  `entries` lists the per-direction stacked column indices of
+    each tensor basis function.
     """
 
     rule: object
     q: int
     V: np.ndarray = field(repr=False)
-    slices: dict = field(repr=False)
     entries: np.ndarray = field(repr=False)
 
     @property
@@ -219,57 +219,42 @@ class StackedSparseBasis:
 
 @lru_cache(maxsize=None)
 def _constrained_chain(p, q, lam, n):
-    """Per-level increment coefficient matrices of the univariate q-vanishing
-    chain, levels lam..n, each in its own level's coordinates.
+    """Stacked increments of the univariate q-vanishing chain, levels lam..n,
+    as one matrix of level-n coefficients with one column per increment
+    function, in level order.
 
-    The chain of level n extends the cached chain of level n-1 by one level:
-    the new increment is the set of q-vanishing level-n functions that a
-    pivoted QR picks as most independent of the refined coarser span, checked
-    by a rank test.  The arrays are read-only, because the cache shares them
+    The chain of level n is the cached chain of level n-1 refined by one
+    level, followed by the new increment: the q-vanishing level-n functions
+    that a pivoted QR picks as most independent of the refined span, checked
+    by a rank test.  The matrix is read-only, because the cache shares it
     between callers and threads.
     """
     T = vanishing_subspace(make_space(p, n), q)
     if n == lam:
         T.setflags(write=False)
-        return (T,)
-    head = _constrained_chain(p, q, lam, n - 1)
-    # the span of the coarser chain, refined level by level to level n
-    R = [refinement_operator(make_space(p, lev - 1), make_space(p, lev))
-         for lev in range(lam + 1, n + 1)]
-    acc = head[0]
-    for Rl, W in zip(R, head[1:]):
-        acc = np.hstack([Rl @ acc, W])
-    acc = R[-1] @ acc
+        return T
+    R = refinement_operator(make_space(p, n - 1), make_space(p, n))
+    acc = R @ _constrained_chain(p, q, lam, n - 1)
     Qacc, _ = np.linalg.qr(acc)
     Z = T - Qacc @ (Qacc.T @ T)
     _, _, piv = scipy.linalg.qr(Z, pivoting=True)
-    W = T[:, np.sort(piv[:2 ** (n - 1)])]
-    acc = np.hstack([acc, W])
-    if np.linalg.matrix_rank(acc) != acc.shape[1]:
+    V = np.hstack([acc, T[:, np.sort(piv[:2 ** (n - 1)])]])
+    if np.linalg.matrix_rank(V) != V.shape[1]:
         raise RuntimeError(f"constrained increment selection rank-deficient "
                            f"at p={p}, q={q}, level={n}")
-    W.setflags(write=False)
-    return head + (W,)
+    V.setflags(write=False)
+    return V
 
 
 def stacked_sparse_basis(rule, q):
     """Assemble the q-vanishing hierarchical sparse basis in stacked form."""
-    p, lam, n, d = rule.p, rule.lam, rule.n, rule.d
-    increments = _constrained_chain(p, q, lam, n)
-    cols = []
-    slices = {}
-    start = 0
-    for lev, W in zip(range(lam, n + 1), increments):
-        cols.append(prolongation(make_space(p, lev), n) @ W)
-        slices[lev] = slice(start, start + W.shape[1])
-        start += W.shape[1]
-    V = np.hstack(cols)
-    hs = build_hier_set(d, n, p)
-    entries = []
-    for lvl in hs.levels:
-        ranges = [range(slices[li].start, slices[li].stop) for li in lvl]
-        entries.extend(itertools.product(*ranges))
-    return StackedSparseBasis(rule, q, V, slices, np.array(entries, dtype=int))
+    p, lam, n = rule.p, rule.lam, rule.n
+    V = _constrained_chain(p, q, lam, n)
+    # level l > lam adds 2**(l-1) functions; the base level holds the rest
+    sizes = {lev: 2 ** (lev - 1) for lev in range(lam + 1, n + 1)}
+    sizes = {lam: V.shape[1] - sum(sizes.values()), **sizes}
+    entries = _entries(sizes, build_hier_set(rule.d, n, p).levels)
+    return StackedSparseBasis(rule, q, V, entries)
 
 
 def _orthonormal_grams(basis):

@@ -160,9 +160,11 @@ def lemma8_residual(rule, values=None, seed=0):
 
 
 def constrained_chain(p, q, lam, n):
-    """Increments of the univariate q-vanishing chain, levels lam..n, built
-    in one pass from the base level: the reference for the level-by-level
-    extension that `sgsplines.spaces._constrained_chain` caches."""
+    """The univariate q-vanishing chain, levels lam..n, built in one pass from
+    the base level: the stack of all increments in level-n coefficients, and
+    the increments in their own levels' coefficients.  The reference for the
+    level-by-level extension that `sgsplines.spaces._constrained_chain`
+    caches."""
     spaces = [make_space(p, lev) for lev in range(lam, n + 1)]
     tilde = [vanishing_subspace(s, q) for s in spaces]
     increments = [tilde[0]]
@@ -176,7 +178,7 @@ def constrained_chain(p, q, lam, n):
         W = T[:, np.sort(piv[:2 ** (spaces[j].level - 1)])]
         acc = np.hstack([acc, W])
         increments.append(W)
-    return increments
+    return acc, increments
 
 
 def dense_rayleigh(rule, q, mode="mix"):

@@ -230,3 +230,9 @@ def test_vanishing_subspace_constraints_hold():
 def test_vanishing_subspace_rejects_large_order():
     with pytest.raises(ValueError):
         vanishing_subspace(make_space(2, 2), 3)
+
+
+def test_vanishing_subspace_rejects_overlapping_endpoint_blocks():
+    # dim 5 < 2p = 6: the two endpoint blocks would share coefficients
+    with pytest.raises(ValueError, match="overlap"):
+        vanishing_subspace(make_space(3, 1), 1)

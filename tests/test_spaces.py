@@ -1,6 +1,5 @@
 """Sparse-grid constructions: combination form, increments, identities."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +10,12 @@ from sgsplines.bspline import collocation_matrix, greville, make_space
 from sgsplines.indices import LevelRule, build_hier_set, lambda_eff, sparse_dimension
 from sgsplines.spaces import (
     _constrained_chain,
+    _entries,
     _orthonormal_grams,
     combination_project,
     dimension_rank,
     equivalence_report,
     hier_basis,
-    increment_indices,
     sparse_rayleigh,
     stacked_sparse_basis,
 )
@@ -104,6 +103,8 @@ def test_increment_indices_select_new_odd_knots():
     # dyadic of the current level with odd numerator
     for p in range(5):
         lam = lambda_eff(p)
+        sels = hier_basis(LevelRule(1, 8, p))
+        assert list(sels) == list(range(lam, 9))
         for level in range(lam + 1, 9):
             ncells = 2 ** level
             knots = ([Fraction(0)] * (p + 1)
@@ -113,29 +114,34 @@ def test_increment_indices_select_new_odd_knots():
             expected = tuple(i for i in range(ncells + p)
                              if knots[i + mid].denominator == ncells
                              and knots[i + mid].numerator % 2 == 1)
-            assert increment_indices(p, level, lam) == expected
+            assert tuple(sels[level]) == expected
 
 
 def test_increment_counts_and_chain():
     # base level keeps the whole space, higher levels add 2^(l-1) functions
-    assert len(increment_indices(1, 1, 1)) == 3
-    assert len(increment_indices(1, 2, 1)) == 2
-    assert len(increment_indices(1, 3, 1)) == 4
-    basis = hier_basis(LevelRule(1, 2, 1))
-    total = sum(math.prod(len(s) for s in sels) for _, sels in basis)
-    assert total == 2 ** 2 + 1 == 5
-    at_22 = [sels for lvl, sels in hier_basis(LevelRule(2, 3, 1)) if lvl == (2, 2)]
-    assert math.prod(len(s) for s in at_22[0]) == 4
+    sels = hier_basis(LevelRule(1, 3, 1))
+    assert [len(s) for s in sels.values()] == [3, 2, 4]
+    sizes = {lev: len(s) for lev, s in hier_basis(LevelRule(1, 2, 1)).items()}
+    assert len(_entries(sizes, build_hier_set(1, 2, 1).levels)) == 2 ** 2 + 1 == 5
+    sizes = {lev: len(s) for lev, s in hier_basis(LevelRule(2, 3, 1)).items()}
+    entries = _entries(sizes, build_hier_set(2, 3, 1).levels)
+    lo, hi = sizes[1], sizes[1] + sizes[2]  # the stacked columns of level 2
+    at_22 = [e for e in entries if all(lo <= i < hi for i in e)]
+    assert len(at_22) == 4
+    assert len(entries) == sparse_dimension(2, 3, 1)[0]
+
+
+def test_entries_enumerate_levels_last_direction_fastest():
+    entries = _entries({1: 2, 2: 1, 3: 2}, [(1, 2), (3, 1)])
+    assert entries.tolist() == [[0, 2], [1, 2], [3, 0], [3, 1], [4, 0], [4, 1]]
 
 
 def test_increment_union_has_full_collocation_rank():
     for p in (1, 2, 3):
         rule = LevelRule(1, 4, p)
         pts = greville(make_space(p, 5))
-        cols = []
-        for lvl, sels in hier_basis(rule):
-            cols.append(collocation_matrix(make_space(p, lvl[0]), pts, 0)[:, list(sels[0])])
-        M = np.hstack(cols)
+        M = np.hstack([collocation_matrix(make_space(p, lev), pts, 0)[:, sel]
+                       for lev, sel in hier_basis(rule).items()])
         assert M.shape[1] == 2 ** 4 + p
         assert np.linalg.matrix_rank(M) == M.shape[1]
 
@@ -314,22 +320,22 @@ def test_sparse_rayleigh_rejects_unknown_mode():
 
 
 def test_chain_extension_matches_one_pass_build():
-    # each level extends the cached chain of the level below; the result is
-    # bit for bit the chain built in one pass from the base level
+    # each level refines the cached chain of the level below and appends its
+    # increment; the result is bit for bit the stack built in one pass
     _constrained_chain.cache_clear()
     for p in range(0, 5):
         lam = lambda_eff(p)
         for q in range(0, p + 1):
             for n in range(lam, 9):
                 got = _constrained_chain(p, q, lam, n)
-                want = constrained_chain(p, q, lam, n)
-                assert len(got) == len(want) == n - lam + 1
-                for W, ref in zip(got, want):
-                    assert W.dtype == ref.dtype and np.array_equal(W, ref)
+                stack, increments = constrained_chain(p, q, lam, n)
+                assert got.dtype == stack.dtype and np.array_equal(got, stack)
+                if n > lam:
+                    assert np.array_equal(got[:, -2 ** (n - 1):], increments[-1])
 
 
 def test_cached_chain_arrays_are_read_only():
     # shared by every caller and every study thread
-    for W in _constrained_chain(3, 1, lambda_eff(3), 5):
-        with pytest.raises(ValueError):
-            W[0, 0] = 1.0
+    V = _constrained_chain(3, 1, lambda_eff(3), 5)
+    with pytest.raises(ValueError):
+        V[0, 0] = 1.0
