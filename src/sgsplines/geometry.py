@@ -247,7 +247,18 @@ def pullback_error_norm(f_phys, u, geom, mode="semi", r=0):
 
 def mapped_rayleigh(rule, q, geom):
     """Largest physical H^1-seminorm vs L2 Rayleigh quotient over the mapped
-    q-vanishing sparse basis, by quadrature-assembled Gram matrices."""
+    q-vanishing sparse basis, by quadrature-assembled Gram matrices.
+
+    At most two grid x N value matrices are alive at once (grid = quadrature
+    points, N = basis size): U and its weighted copy for B, then for each
+    physical direction i the gradient G_i = sum_j Jinv[:, j, i] * dU/du_j,
+    accumulated in place one parameter direction at a time, and its weighted
+    copy.  Each Gram product keeps the form ``M.T @ (Wphys * M)`` with the
+    same operands and order, and the sum over j runs in the same order, so
+    A, B and the eigenvalue are bit-for-bit those of holding every matrix at
+    once.  SYRK, sqrt(W) scaling or row-blocked products would change the
+    last digits.
+    """
     if geom.d != rule.d:
         raise ValueError("geometry dimension does not match the level rule")
     basis = stacked_sparse_basis(rule, q)
@@ -261,14 +272,22 @@ def mapped_rayleigh(rule, q, geom):
     space_n = make_space(p, n)
     E0 = collocation_matrix(space_n, axes[0], 0) @ basis.V
     E1 = collocation_matrix(space_n, axes[0], 1) @ basis.V
-    U = khatri_rao([E0] * d, basis.entries.T)
-    grads_param = [khatri_rao([E1 if i == j else E0 for i in range(d)],
-                              basis.entries.T)
-                   for j in range(d)]
+    cols = basis.entries.T
+    U = khatri_rao([E0] * d, cols)
     B = U.T @ (Wphys[:, None] * U)
+    del U
+
+    def scaled_gradient(j, i):
+        """Jinv[:, j, i] * dU/du_j, in one fresh grid x N buffer."""
+        G = khatri_rao([E1 if k == j else E0 for k in range(d)], cols)
+        G *= Jinv[:, j, i][:, None]
+        return G
+
     A = np.zeros_like(B)
     for i in range(d):
-        Gi = sum(Jinv[:, j, i][:, None] * grads_param[j] for j in range(d))
+        Gi = scaled_gradient(0, i)
+        for j in range(1, d):
+            Gi += scaled_gradient(j, i)
         A += Gi.T @ (Wphys[:, None] * Gi)
     lam_max = scipy.linalg.eigh(A, B, eigvals_only=True)[-1]
     return float(np.sqrt(lam_max))

@@ -2,8 +2,9 @@
 
 None of this runs in a study: these are independent evaluations, the paper's
 identities as residuals, the dense generalized sparse pencil, a one-pass build
-of the constrained increment chain, a Newton inverse of a geometry map and a
-writer of the geometry file format.  Test modules import it as
+of the constrained increment chain, the mapped pencil with every value matrix
+held at once, a Newton inverse of a geometry map and a writer of the geometry
+file format.  Test modules import it as
 ``from oracles import`` (pytest puts ``tests/`` on the path).
 """
 
@@ -24,8 +25,9 @@ from sgsplines.bspline import (
 from sgsplines.functions import SumOfSeparable, TrigFactor
 from sgsplines.indices import _levels_with_sum, build_combination_set, cbinom
 from sgsplines.quadrature import gram_matrix
-from sgsplines.spaces import stacked_sparse_basis
+from sgsplines.spaces import khatri_rao, stacked_sparse_basis
 from sgsplines.tensorops import (
+    _norm_axes,
     multi_indices,
     project_direction,
     sample,
@@ -200,6 +202,35 @@ def dense_rayleigh(rule, q, mode="mix"):
 
 # ---------------------------------------------------------------------------
 # geometry maps
+
+
+def mapped_rayleigh_reference(rule, q, geom):
+    """The mapped pencil with U and all d parameter gradients held at once,
+    and each physical gradient summed by a generator: the arithmetic that
+    `sgsplines.geometry.mapped_rayleigh` must reproduce bit for bit in two
+    grid-sized buffers."""
+    basis = stacked_sparse_basis(rule, q)
+    p, n, d = rule.p, rule.n, rule.d
+    axes, weights = _norm_axes((n,) * d, p, p + 3)
+    J = geom.jacobian_grid(axes)
+    det = np.linalg.det(J)
+    Wphys = (tensor_weights(weights) * det).ravel()
+    Jinv = np.linalg.inv(J).reshape(-1, d, d)
+
+    space_n = make_space(p, n)
+    E0 = collocation_matrix(space_n, axes[0], 0) @ basis.V
+    E1 = collocation_matrix(space_n, axes[0], 1) @ basis.V
+    U = khatri_rao([E0] * d, basis.entries.T)
+    grads_param = [khatri_rao([E1 if i == j else E0 for i in range(d)],
+                              basis.entries.T)
+                   for j in range(d)]
+    B = U.T @ (Wphys[:, None] * U)
+    A = np.zeros_like(B)
+    for i in range(d):
+        Gi = sum(Jinv[:, j, i][:, None] * grads_param[j] for j in range(d))
+        A += Gi.T @ (Wphys[:, None] * Gi)
+    lam_max = scipy.linalg.eigh(A, B, eigvals_only=True)[-1]
+    return float(np.sqrt(lam_max))
 
 
 def inverse(geom, x, tol=1e-12, maxiter=50):

@@ -1,5 +1,7 @@
 """Geometry maps: evaluation, inversion, physical norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from sgsplines.geometry import (
 from sgsplines.indices import LevelRule
 from sgsplines.spaces import combination_project
 from sgsplines.tensorops import error_norm
-from oracles import inverse, save_geometry
+from oracles import inverse, mapped_rayleigh_reference, save_geometry
 
 SHEAR = np.array([[1.0, 0.4], [0.0, 1.0]])
 
@@ -183,3 +185,29 @@ def test_mapped_rayleigh_growth():
     env = {n: 2.0 ** n * abs(np.log(2.0 ** -n)) for n in (3, 4)}
     slope = (np.log(vals[4]) - np.log(vals[3])) / (np.log(env[4]) - np.log(env[3]))
     assert slope <= 1.05
+
+
+# d = 3 runs the in-place sum over j >= 1 twice per direction, d = 1 not at all
+@pytest.mark.parametrize("d,n,p,q,geom", [
+    (2, 4, 2, 1, distorted_square_geometry()),
+    (2, 4, 3, 2, shear_geometry()),
+    (3, 3, 1, 1, identity_geometry(3, 1)),
+    (1, 5, 2, 1, identity_geometry(1, 1)),
+], ids=["d2-distorted", "d2-shear", "d3-identity", "d1-identity"])
+def test_mapped_rayleigh_matches_reference_bits(d, n, p, q, geom):
+    rule = LevelRule(d, n, p)
+    assert mapped_rayleigh(rule, q, geom) == mapped_rayleigh_reference(rule, q, geom)
+
+
+def test_mapped_rayleigh_holds_two_grid_buffers():
+    # (2^4 (p+3))^2 = 6400 quadrature points by N = 128 basis functions
+    buffer = 6400 * 128 * 8
+    rule, geom = LevelRule(2, 4, 2), distorted_square_geometry()
+    mapped_rayleigh(rule, 1, geom)  # the cached basis is not counted
+    tracemalloc.start()
+    try:
+        mapped_rayleigh(rule, 1, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * buffer
