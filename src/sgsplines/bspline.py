@@ -111,12 +111,11 @@ def _derivative_transfer(p, level, m):
     for j in range(1, m + 1):
         q = p - j + 1  # degree before this differentiation step
         tj = knots[j - 1:len(knots) - (j - 1)] if j > 1 else knots
-        rows = dim - j
-        Dj = np.zeros((rows, rows + 1))
-        for i in range(rows):
-            denom = tj[i + q + 1] - tj[i + 1]
-            Dj[i, i] = -q / denom
-            Dj[i, i + 1] = q / denom
+        i = np.arange(dim - j)
+        w = q / (tj[i + q + 1] - tj[i + 1])
+        Dj = np.zeros((dim - j, dim - j + 1))
+        Dj[i, i] = -w
+        Dj[i, i + 1] = w
         D = Dj @ D
     D.setflags(write=False)
     return D

@@ -66,12 +66,6 @@ class SparseGridFunction:
             out = out + c * ct.deriv_grid(axes, alpha)
         return out
 
-    def eval_points(self, pts, alpha=None):
-        out = 0.0
-        for _, c, ct in self.terms:
-            out = out + c * ct.eval_points(pts, alpha)
-        return out
-
 
 def combination_project(f, rule):
     """L2-project ``f`` onto every admissible level and combine."""

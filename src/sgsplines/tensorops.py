@@ -1,31 +1,22 @@
 """Anisotropic tensor-product projections and Sobolev-norm quadrature.
 
-Directional projections are applied one axis at a time (the univariate
-projectors commute).  When only a subset of directions is projected, the
-remaining directions are kept as sampled data on the tensor Gauss grid so
-operators can be composed without committing those directions to any finite
-space.  For seminorm projections of order r >= 1 a sample carries, per subset
-S of directions, the grid of the mixed derivative of order r in each direction
-of S; projecting an axis consumes exactly the (S, S + {axis}) pairs and
-reproduces both fields from the projected spline.
+Members of a tensor-product spline space are evaluated only on tensor grids,
+by one collocation matrix per direction (`CoefficientTensor.deriv_grid`).
+Directional L2 projections are applied one axis at a time (the univariate
+projectors commute).  While only some directions are projected, the others
+are kept as sampled data on the tensor Gauss grid, so operators can be
+composed without committing those directions to any finite space.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
 
-from .bspline import (
-    _derivative_transfer,
-    _find_spans,
-    _nonzero_basis,
-    _space,
-    collocation_matrix,
-    make_space,
-)
+from .bspline import _space, collocation_matrix, make_space
 from .quadrature import element_grid, gauss_rule, projection_matrices
 
 
@@ -70,39 +61,6 @@ class CoefficientTensor:
         # now comes first
         return np.moveaxis(out, 0, -1) if out.ndim > self.d else out
 
-    def eval_points(self, pts, alpha=None):
-        """Pointwise evaluation at scattered points of shape (..., d).
-
-        Uses only the degree+1 nonvanishing basis functions per direction, so
-        the per-point cost is O((degree+1)^d) after a one-off banded
-        differentiation of the coefficient array.
-        """
-        alpha = alpha or (0,) * self.d
-        pts = np.asarray(pts, dtype=float)
-        if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-            raise ValueError("evaluation points must lie in [0, 1]^d")
-        flat = pts.reshape(-1, self.d)
-        coeffs = self.coeffs
-        for i, (sp, a) in enumerate(zip(self.spaces(), alpha)):
-            if a:
-                D = _derivative_transfer(sp.degree, sp.level, a)
-                coeffs = np.moveaxis(
-                    np.tensordot(D, coeffs, axes=([1], [i])), 0, i)
-        acc = coeffs
-        for i, (sp, a) in enumerate(zip(self.spaces(), alpha)):
-            deg = sp.degree - a
-            knots = sp.knots[a:len(sp.knots) - a] if a else sp.knots
-            spans = _find_spans(knots, deg, flat[:, i])
-            N = _nonzero_basis(knots, deg, spans, flat[:, i])
-            cols = spans[:, None] - deg + np.arange(deg + 1)[None, :]
-            if i == 0:
-                window = acc[cols]
-            else:
-                idx = cols.reshape(cols.shape + (1,) * (acc.ndim - 2))
-                window = np.take_along_axis(acc, idx, axis=1)
-            acc = np.einsum("nr...,nr->n...", window, N)
-        return acc.reshape(pts.shape[:-1] + self.coeffs.shape[self.d:])
-
 
 def tensor_weights(weights):
     return reduce(np.multiply.outer, weights)
@@ -115,60 +73,38 @@ def _apply_along(M, arr, axis):
 
 @dataclass(frozen=True)
 class GridSample:
-    """Function data on a tensor Gauss grid, sufficient to apply and compose
-    directional seminorm projections of a fixed order r."""
+    """Function values on a tensor Gauss grid, to which directional L2
+    projections are applied and composed."""
 
     level: tuple
     degree: int
-    r: int
     axes: tuple = field(repr=False)
     weights: tuple = field(repr=False)
-    fields: dict = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     @property
     def d(self):
         return len(self.level)
 
-    @property
-    def values(self):
-        return self.fields[frozenset()]
-
     def spaces(self):
         return [make_space(self.degree, l) for l in self.level]
 
 
-def sample(f, level, degree, r=0):
-    """Sample an analytic function (and the derivative fields an order-r
-    projection needs) on the tensor Gauss grid of the given level, whose
-    degree + 3 points per cell are those of `projection_matrices`."""
-    d = len(level)
+def sample(f, level, degree):
+    """Sample an analytic function on the tensor Gauss grid of the given
+    level, whose degree + 3 points per cell are those of
+    `projection_matrices`."""
     axes, weights = _norm_axes(level, degree, degree + 3)
-    subsets = [frozenset()] if r == 0 else \
-        [frozenset(c) for k in range(d + 1) for c in itertools.combinations(range(d), k)]
-    fields = {}
-    for S in subsets:
-        alpha = tuple(r if i in S else 0 for i in range(d))
-        fields[S] = f.eval_grid(axes, alpha)
-    return GridSample(tuple(level), degree, r, axes, weights, fields)
+    return GridSample(tuple(level), degree, axes, weights, f.eval_grid(axes))
 
 
 def project_direction(gs, i):
-    """Apply the univariate order-r projector along axis i of a sample."""
+    """Apply the univariate L2 projector along axis i of a sample."""
     sp = gs.spaces()[i]
-    nodes, _, M0, Mr = projection_matrices(sp, gs.r)
-    E0 = collocation_matrix(sp, nodes, 0)
-    Er = collocation_matrix(sp, nodes, gs.r) if gs.r >= 1 else None
-    out = {}
-    for S, v in gs.fields.items():
-        if i in S:
-            continue
-        coeff = _apply_along(M0, v, i)
-        if gs.r >= 1:
-            coeff = coeff + _apply_along(Mr, gs.fields[S | {i}], i)
-        out[S] = _apply_along(E0, coeff, i)
-        if gs.r >= 1:
-            out[S | {i}] = _apply_along(Er, coeff, i)
-    return GridSample(gs.level, gs.degree, gs.r, gs.axes, gs.weights, out)
+    nodes, _, M0, _ = projection_matrices(sp, 0)
+    coeff = _apply_along(M0, gs.values, i)
+    values = _apply_along(collocation_matrix(sp, nodes, 0), coeff, i)
+    return replace(gs, values=values)
 
 
 def to_coefficients(gs):
@@ -181,25 +117,13 @@ def to_coefficients(gs):
     return CoefficientTensor(gs.level, gs.degree, arr)
 
 
-def project_tensor(f, level, degree, J=None, r=0):
-    """Directional projection onto the tensor-product spline space.
-
-    ``J`` is the set of directions to project (0-based).  ``J=None`` (or the
-    full set) applies the projector in every direction and returns a
-    `CoefficientTensor`; a proper subset returns a `GridSample` with the
-    remaining directions held as quadrature-grid samples; an empty ``J``
-    returns the (sampled) input unchanged.
-    """
-    gs = f if isinstance(f, GridSample) else sample(f, level, degree, r)
-    d = gs.d
-    dirs = tuple(range(d)) if J is None else tuple(sorted(set(J)))
-    if any(i < 0 or i >= d for i in dirs):
-        raise ValueError(f"directions {dirs} outside range(0, {d})")
-    for i in dirs:
+def project_tensor(f, level, degree):
+    """L2 projection of an analytic function onto the tensor-product spline
+    space at ``level``, one direction at a time."""
+    gs = sample(f, level, degree)
+    for i in range(gs.d):
         gs = project_direction(gs, i)
-    if len(dirs) == d:
-        return to_coefficients(gs)
-    return gs
+    return to_coefficients(gs)
 
 
 def multi_indices(d, order, mode):

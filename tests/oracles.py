@@ -1,10 +1,12 @@
 """Reference code the tests compare the package against.
 
-None of this runs in a study: these are independent evaluations, the paper's
-identities as residuals, the dense generalized sparse pencil, a one-pass build
-of the constrained increment chain, the mapped pencil with every value matrix
-held at once, a Newton inverse of a geometry map and a writer of the geometry
-file format.  Test modules import it as
+None of this runs in a study: these are independent evaluations (among them
+scattered-point evaluation of tensor and sparse splines and of geometry maps
+by dense collocation rows, and the derivative transfer built row by row), the
+paper's identities as residuals, the dense generalized sparse pencil, a
+one-pass build of the constrained increment chain, the mapped pencil with
+every value matrix held at once, a Newton inverse of a geometry map and a
+writer of the geometry file format.  Test modules import it as
 ``from oracles import`` (pytest puts ``tests/`` on the path).
 """
 
@@ -23,9 +25,10 @@ from sgsplines.bspline import (
     vanishing_subspace,
 )
 from sgsplines.functions import SumOfSeparable, TrigFactor
+from sgsplines.geometry import GeometryMap
 from sgsplines.indices import _levels_with_sum, build_combination_set, cbinom
 from sgsplines.quadrature import gram_matrix
-from sgsplines.spaces import khatri_rao, stacked_sparse_basis
+from sgsplines.spaces import SparseGridFunction, khatri_rao, stacked_sparse_basis
 from sgsplines.tensorops import (
     _norm_axes,
     multi_indices,
@@ -41,6 +44,49 @@ def eval_spline(space, coeffs, x, m=0):
     """Evaluate the spline with the given coefficient vector (or stacked
     columns of vectors) at points `x`."""
     return collocation_matrix(space, x, m) @ coeffs
+
+
+def eval_points(u, pts, alpha=None):
+    """Mixed derivative of a `CoefficientTensor`, `SparseGridFunction` or
+    `GeometryMap` at scattered points of shape (..., d), by dense rows of
+    tensor collocation: O(points x coefficients), for checking `deriv_grid`."""
+    if isinstance(u, SparseGridFunction):
+        return sum(c * eval_points(ct, pts, alpha) for _, c, ct in u.terms)
+    if isinstance(u, GeometryMap):
+        u = u.tensor
+    pts = np.asarray(pts, dtype=float)
+    flat = pts.reshape(-1, u.d)
+    rows = np.ones((len(flat), 1))
+    for sp, x, a in zip(u.spaces(), flat.T, alpha or (0,) * u.d):
+        B = collocation_matrix(sp, x, a)
+        rows = (rows[:, :, None] * B[:, None, :]).reshape(len(flat), -1)
+    vals = rows @ u.coeffs.reshape(rows.shape[1], -1)
+    return vals.reshape(pts.shape[:-1] + u.coeffs.shape[u.d:])
+
+
+def jacobian(geom, pts):
+    """Jacobians of a geometry map at scattered points; shape (..., d, d),
+    J[..., i, j] = dF_i/dxi_j."""
+    units = np.eye(geom.d, dtype=int)
+    return np.stack([eval_points(geom, pts, tuple(e)) for e in units], axis=-1)
+
+
+def derivative_transfer_rows(p, level, m):
+    """The derivative transfer matrix of `sgsplines.bspline`, built one row
+    at a time: the reference its vectorized build must equal bit for bit."""
+    knots = make_space(p, level).knots
+    dim = 2 ** level + p
+    D = np.eye(dim)
+    for j in range(1, m + 1):
+        q = p - j + 1
+        tj = knots[j - 1:len(knots) - (j - 1)] if j > 1 else knots
+        Dj = np.zeros((dim - j, dim - j + 1))
+        for i in range(dim - j):
+            denom = tj[i + q + 1] - tj[i + 1]
+            Dj[i, i] = -q / denom
+            Dj[i, i + 1] = q / denom
+        D = Dj @ D
+    return D
 
 
 def spline_factor(space, coeffs):
@@ -69,7 +115,7 @@ def random_trig(d, seed, terms=3, max_freq=2):
 def complement_direction(gs, i):
     """Apply (identity - projector) along axis i of a `GridSample`."""
     proj = project_direction(gs, i)
-    return replace(gs, fields={S: v - proj.fields[S] for S, v in gs.fields.items()})
+    return replace(gs, values=gs.values - proj.values)
 
 
 def l2_norm(gs):
@@ -77,11 +123,11 @@ def l2_norm(gs):
     return float(np.sqrt(np.sum(tensor_weights(gs.weights) * gs.values ** 2)))
 
 
-def telescopic_residual(f, level, degree, r=0):
+def telescopic_residual(f, level, degree):
     """Max grid discrepancy of the complementary-projector decomposition:
     (I - P)f versus the alternating sum of partial complements over all
     nonempty direction subsets."""
-    gs = sample(f, level, degree, r)
+    gs = sample(f, level, degree)
     d = gs.d
     proj = gs
     for i in range(d):
@@ -247,17 +293,17 @@ def inverse(geom, x, tol=1e-12, maxiter=50):
     pts1 = np.linspace(0.0, 1.0, _NEWTON_LATTICE)
     params = np.stack(np.meshgrid(*([pts1] * geom.d), indexing="ij"),
                       axis=-1).reshape(-1, geom.d)
-    values = geom.eval(params)
+    values = eval_points(geom, params)
     d2 = ((values[None, :, :] - pts[:, None, :]) ** 2).sum(-1)
     xi = params[np.argmin(d2, axis=1)].copy()
     best = np.inf
     for _ in range(maxiter):
-        r = geom.eval(xi) - pts
+        r = eval_points(geom, xi) - pts
         res = np.linalg.norm(r, axis=-1)
         best = min(best, res.max())
         if res.max() < tol:
             break
-        J = geom.jacobian(xi)
+        J = jacobian(geom, xi)
         det = np.linalg.det(J)
         if np.any(np.abs(det) < 1e-14):
             raise RuntimeError("singular Jacobian during Newton inversion")

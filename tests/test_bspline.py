@@ -17,7 +17,7 @@ from sgsplines.bspline import (
     refinement_operator,
     vanishing_subspace,
 )
-from oracles import eval_spline
+from oracles import derivative_transfer_rows, eval_spline
 
 
 def test_make_space_examples():
@@ -95,6 +95,14 @@ def test_basis_matches_scipy(p, level):
         ours = collocation_matrix(s, x, m)
         ref = BSpline(s.knots, np.eye(s.dim), p)(x, nu=m)
         np.testing.assert_allclose(ours, ref, atol=1e-9 * max(1.0, np.abs(ref).max()))
+
+
+def test_derivative_transfer_matches_row_loop():
+    for p in range(6):
+        for level in range(1, 7):
+            for m in range(p + 1):
+                np.testing.assert_array_equal(_derivative_transfer(p, level, m),
+                                              derivative_transfer_rows(p, level, m))
 
 
 def test_refinement_piecewise_constant():

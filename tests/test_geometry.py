@@ -20,7 +20,13 @@ from sgsplines.geometry import (
 from sgsplines.indices import LevelRule
 from sgsplines.spaces import combination_project
 from sgsplines.tensorops import error_norm
-from oracles import inverse, mapped_rayleigh_reference, save_geometry
+from oracles import (
+    eval_points,
+    inverse,
+    jacobian,
+    mapped_rayleigh_reference,
+    save_geometry,
+)
 
 SHEAR = np.array([[1.0, 0.4], [0.0, 1.0]])
 
@@ -28,30 +34,46 @@ SHEAR = np.array([[1.0, 0.4], [0.0, 1.0]])
 def test_identity_map_and_jacobian():
     G = identity_geometry(2, degree=2)
     pts = np.random.default_rng(0).random((100, 2))
-    assert np.abs(G.eval(pts) - pts).max() < 1e-12
-    assert np.abs(G.jacobian(pts) - np.eye(2)).max() < 1e-12
+    assert np.abs(eval_points(G, pts) - pts).max() < 1e-12
+    assert np.abs(jacobian(G, pts) - np.eye(2)).max() < 1e-12
 
 
 def test_affine_shear_constant_jacobian():
     G = shear_geometry()
     pts = np.random.default_rng(1).random((100, 2))
-    assert np.abs(G.eval(pts) - pts @ SHEAR.T).max() < 1e-12
-    assert np.abs(G.jacobian(pts) - SHEAR).max() < 1e-12
+    assert np.abs(eval_points(G, pts) - pts @ SHEAR.T).max() < 1e-12
+    assert np.abs(jacobian(G, pts) - SHEAR).max() < 1e-12
 
 
 def test_distorted_square_jacobian_positive_and_fd():
     G = distorted_square_geometry()
     rng = np.random.default_rng(2)
     pts = rng.random((50, 2)) * 0.9 + 0.05
-    det = np.linalg.det(G.jacobian(pts))
+    det = np.linalg.det(jacobian(G, pts))
     assert det.min() > 0
     eps = 1e-6
     for j in range(2):
         dp = np.zeros(2)
         dp[j] = eps
-        fd = (G.eval(pts + dp) - G.eval(pts - dp)) / (2 * eps)
-        ana = G.jacobian(pts)[:, :, j]
+        fd = (eval_points(G, pts + dp) - eval_points(G, pts - dp)) / (2 * eps)
+        ana = jacobian(G, pts)[:, :, j]
         assert np.abs(fd - ana).max() < 1e-6 * max(1.0, np.abs(ana).max())
+
+
+def _affine_3d():
+    A = np.array([[1.0, 0.2, 0.0], [0.1, 0.9, 0.3], [0.0, -0.2, 1.1]])
+    return GeometryMap(2, identity_geometry(3, degree=2).ctrl @ A.T + 0.5)
+
+
+@pytest.mark.parametrize("geom", [distorted_square_geometry, _affine_3d],
+                         ids=["distorted-square", "affine-d3"])
+def test_grid_evaluation_matches_scattered_oracle(geom):
+    G = geom()
+    rng = np.random.default_rng(6)
+    axes = [np.r_[0.0, np.sort(rng.random(k)), 1.0] for k in (5, 4, 3)[:G.d]]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    assert np.abs(G.eval_grid(axes) - eval_points(G, pts)).max() < 1e-12
+    assert np.abs(G.jacobian_grid(axes) - jacobian(G, pts)).max() < 1e-12
 
 
 def test_degenerate_map_rejected():
@@ -64,7 +86,16 @@ def test_degenerate_map_rejected():
 def test_corner_interpolation_enforced():
     G = distorted_square_geometry()
     for corner in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]:
-        assert np.abs(G.eval(np.array(corner)) - np.array(corner)).max() < 1e-12
+        corner = np.array(corner)
+        assert np.abs(eval_points(G, corner) - corner).max() < 1e-12
+
+
+def test_non_finite_control_points_rejected():
+    # NaN at the interior point of a 3x3 net leaves the corners intact
+    ctrl = distorted_square_geometry().ctrl.copy()
+    ctrl[1, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        GeometryMap(2, ctrl)
 
 
 def test_map_freezes_its_own_copy_of_the_control_points():
@@ -90,7 +121,7 @@ def test_inverse_identity_and_affine():
 def test_inverse_round_trip_distorted():
     G = distorted_square_geometry()
     xi = np.random.default_rng(4).random((200, 2))
-    x = G.eval(xi)
+    x = eval_points(G, xi)
     assert np.abs(inverse(G, x) - xi).max() < 1e-10
 
 
@@ -113,7 +144,7 @@ def test_pullback_norm_of_pushforward_is_zero():
     class PushForward:
         def eval_points(self, pts, alpha=None):
             assert not alpha or not any(alpha)
-            return sg.eval_points(inverse(G, pts))
+            return eval_points(sg, inverse(G, pts))
 
     assert pullback_error_norm(PushForward(), sg, G, "semi", 0) < 1e-10
 
@@ -169,6 +200,9 @@ def test_geometry_file_errors(tmp_path):
         load_geometry(bad)
     bad.write_text("dims 2 2\ncontrol_points\n0 0\n1 0\n0 1\n1 1\n")
     with pytest.raises(ValueError, match="missing required"):
+        load_geometry(bad)
+    bad.write_text("degree 1\ndims 0 0\ncontrol_points\n")
+    with pytest.raises(ValueError, match="at least 1"):
         load_geometry(bad)
 
 

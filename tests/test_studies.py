@@ -207,6 +207,7 @@ def _bad_geometry(tmp_path, name, lines):
     ("mapped-convergence", ["geometry=nope"]),
     ("mapped-convergence", ["geometry={few}"]),
     ("mapped-convergence", ["geometry={nodegree}"]),
+    ("mapped-convergence", ["geometry={nodims}"]),
     ("sparse-convergence", ["d=0"]),
     ("univariate-convergence", ["n=5"]),
     ("sparse-convergence", ["n=5"]),
@@ -218,16 +219,18 @@ def _bad_geometry(tmp_path, name, lines):
     ("inverse-inequality", ["q=-1"]),
     ("univariate-convergence", ["p=0", "target=one"]),
 ], ids=["unknown-target", "target-dimension", "unknown-geometry",
-        "few-control-points", "degree-without-value", "d0", "univariate-one-level",
-        "sparse-one-level", "repeated-level", "mapped-pencil-one-level",
-        "pencil-geometry-dimension", "geometry-dimension", "negative-r",
-        "negative-q", "zero-seminorm-bound"])
+        "few-control-points", "degree-without-value", "zero-dims", "d0",
+        "univariate-one-level", "sparse-one-level", "repeated-level",
+        "mapped-pencil-one-level", "pencil-geometry-dimension",
+        "geometry-dimension", "negative-r", "negative-q", "zero-seminorm-bound"])
 def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
     geometries = {
         "few": _bad_geometry(tmp_path, "few.geo",
                              ["degree 2", "dims 3 3", "control_points", "0 0"]),
         "nodegree": _bad_geometry(tmp_path, "nodeg.geo",
                                   ["degree", "dims 3 3", "control_points"]),
+        "nodims": _bad_geometry(tmp_path, "nodims.geo",
+                                ["degree 2", "dims 0 0", "control_points"]),
     }
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"kind={kind}\n")

@@ -1,7 +1,7 @@
 """The package surface: the names it exports and the names its modules import.
 
 The project configures no linter, so unused imports are found by an AST walk
-here.
+here, in the package modules and in the test modules alike.
 """
 
 import ast
@@ -14,7 +14,7 @@ import sgsplines
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "sgsplines").glob("*.py")
-                 if p.name != "__init__.py")
+                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):

@@ -11,16 +11,32 @@ from sgsplines.tensorops import (
     error_norm,
     function_norm,
     multi_indices,
+    project_direction,
     project_tensor,
     sample,
     to_coefficients,
 )
-from oracles import complement_direction, l2_norm, random_trig, spline_factor
+from oracles import (
+    complement_direction,
+    eval_points,
+    l2_norm,
+    random_trig,
+    spline_factor,
+)
 
 
 def test_coefficient_tensor_validates_extents():
     with pytest.raises(ValueError):
         CoefficientTensor((2, 3), 1, np.zeros((5, 5)))
+
+
+def test_deriv_grid_matches_scattered_oracle():
+    rng = np.random.default_rng(5)
+    ct = CoefficientTensor((3, 2), 3, rng.standard_normal((11, 7)))
+    axes = [np.r_[0.0, np.sort(rng.random(6)), 1.0], np.sort(rng.random(5))]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    grid = ct.deriv_grid(axes, (1, 2))
+    assert np.abs(grid - eval_points(ct, pts, (1, 2))).max() < 1e-12
 
 
 def test_project_constant_gives_ones():
@@ -35,30 +51,18 @@ def test_partial_projection_identity_on_separable_member():
     g = spline_factor(sx, rng.standard_normal(sx.dim))
     f = fn.SumOfSeparable(2, [(1.0, [g, fn.ExpFactor(1.0)])])
     gs = sample(f, (3, 2), 2)
-    out = project_tensor(f, (3, 2), 2, J=(0,))
+    out = project_direction(gs, 0)
     assert np.abs(out.values - gs.values).max() < 1e-12
 
 
-def test_empty_direction_set_is_identity():
-    f = fn.sinpi_exp()
-    gs = sample(f, (2, 2), 1)
-    out = project_tensor(gs, (2, 2), 1, J=())
-    assert out is gs
-
-
 def test_directional_projections_commute():
-    f = fn.sinpi_exp()
-    a = project_tensor(project_tensor(f, (3, 2), 2, J=(0,)), (3, 2), 2, J=(1,))
-    b = project_tensor(project_tensor(f, (3, 2), 2, J=(1,)), (3, 2), 2, J=(0,))
+    gs = sample(fn.sinpi_exp(), (3, 2), 2)
+    a = project_direction(project_direction(gs, 0), 1)
+    b = project_direction(project_direction(gs, 1), 0)
     ca, cb = to_coefficients(a), to_coefficients(b)
     assert np.abs(ca.coeffs - cb.coeffs).max() < 1e-12
-    full = project_tensor(f, (3, 2), 2)
+    full = project_tensor(fn.sinpi_exp(), (3, 2), 2)
     assert np.abs(ca.coeffs - full.coeffs).max() < 1e-12
-
-
-def test_project_tensor_rejects_bad_directions():
-    with pytest.raises(ValueError):
-        project_tensor(fn.sinpi_exp(), (2, 2), 1, J=(0, 2))
 
 
 def test_error_norm_zero():
@@ -133,12 +137,3 @@ def test_partial_projection_error_decays_per_direction():
             rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
             assert rates.min() >= q - 0.1
 
-
-def test_seminorm_tensor_projection_idempotent():
-    # r = 1 member reproduction through the grid machinery
-    rng = np.random.default_rng(9)
-    sx, sy = make_space(2, 3), make_space(2, 2)
-    cx, cy = rng.standard_normal(sx.dim), rng.standard_normal(sy.dim)
-    f = fn.SumOfSeparable(2, [(1.0, [spline_factor(sx, cx), spline_factor(sy, cy)])])
-    ct = project_tensor(f, (3, 2), 2, r=1)
-    np.testing.assert_allclose(ct.coeffs, np.outer(cx, cy), atol=1e-10)
