@@ -247,10 +247,10 @@ def vanishing_subspace(space, q):
     rows1 = np.array([eval_basis(space, 1.0, m) for m in orders]) * scale[:, None]
     null_l = scipy.linalg.null_space(rows0[:, :p])
     null_r = scipy.linalg.null_space(rows1[:, n - p:])
+    if not null_l.shape[1] == null_r.shape[1] == p - nc:
+        raise RuntimeError("unexpected constraint rank in vanishing subspace")
     B = np.zeros((n, n - 2 * nc))
     B[:p, :p - nc] = null_l
     B[p:n - p, p - nc:p - nc + n - 2 * p] = np.eye(n - 2 * p)
     B[n - p:, n - 2 * nc - (p - nc):] = null_r
-    if B.shape[1] != n - 2 * nc:
-        raise RuntimeError("unexpected constraint rank in vanishing subspace")
     return B

@@ -60,10 +60,9 @@ class SumOfSeparable:
     points, for any mixed derivative multi-index.
     """
 
-    def __init__(self, d, terms, name="f"):
+    def __init__(self, d, terms):
         self.d = d
         self.terms = [(float(c), list(fs)) for c, fs in terms]
-        self.name = name
         for _, fs in self.terms:
             if len(fs) != d:
                 raise ValueError("each term needs one factor per direction")
@@ -107,33 +106,30 @@ def _one():
 
 
 def constant(d, value=1.0):
-    return SumOfSeparable(d, [(value, [_one() for _ in range(d)])], name="const")
+    return SumOfSeparable(d, [(value, [_one() for _ in range(d)])])
 
 
 def sin_2pi():
-    return SumOfSeparable(1, [(1.0, [TrigFactor(2 * math.pi)])], name="sin-2pi")
+    return SumOfSeparable(1, [(1.0, [TrigFactor(2 * math.pi)])])
 
 
 def sinpi_product(d):
-    return SumOfSeparable(d, [(1.0, [TrigFactor(math.pi) for _ in range(d)])],
-                          name="sinpi-prod")
+    return SumOfSeparable(d, [(1.0, [TrigFactor(math.pi) for _ in range(d)])])
 
 
 def poly_bump(d, a=3):
     """Tensorized x^a (1-x)^a; a polynomial bump vanishing at the boundary."""
     coef = np.polynomial.Polynomial([0.0, 1.0]) ** a * np.polynomial.Polynomial([1.0, -1.0]) ** a
-    return SumOfSeparable(d, [(1.0, [PolyFactor(coef) for _ in range(d)])],
-                          name="poly-bump")
+    return SumOfSeparable(d, [(1.0, [PolyFactor(coef) for _ in range(d)])])
 
 
 def exp_sum(d):
-    return SumOfSeparable(d, [(1.0, [ExpFactor(1.0) for _ in range(d)])], name="exp-sum")
+    return SumOfSeparable(d, [(1.0, [ExpFactor(1.0) for _ in range(d)])])
 
 
 def sinpi_exp():
     """sin(pi x) * e^y, a handy non-symmetric smooth 2-d target."""
-    return SumOfSeparable(2, [(1.0, [TrigFactor(math.pi), ExpFactor(1.0)])],
-                          name="sinpi-exp")
+    return SumOfSeparable(2, [(1.0, [TrigFactor(math.pi), ExpFactor(1.0)])])
 
 
 def xyz_sin_sum():
@@ -153,7 +149,7 @@ def xyz_sin_sum():
         (1.0, term("csc")),
         (1.0, term("ccs")),
         (-1.0, term("sss")),
-    ], name="xyz-sin-sum")
+    ])
 
 
 _REGISTRY = {

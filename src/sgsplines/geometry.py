@@ -1,11 +1,11 @@
 """B-spline geometry maps from the unit parameter box to a physical domain.
 
 The geometry lives on a coarse mesh (single element by default) and is checked
-at build time to have finite control points and a positive Jacobian
-determinant.  It is evaluated, like every spline member, only on tensor grids
-(`CoefficientTensor.deriv_grid`).  Physical-domain norms and the mapped
-inverse-inequality pencil are computed by parameter-space quadrature with
-Jacobian weights.
+at build time to have degree at least 1, finite control points and a positive
+Jacobian determinant.  It is evaluated, like every spline member, only on
+tensor grids (`CoefficientTensor.deriv_grid`).  The physical-domain L2 norm
+and the mapped inverse-inequality pencil are computed by parameter-space
+quadrature with Jacobian weights.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ class GeometryMap:
         # a copy: freezing the caller's own array would be a side effect
         ctrl = np.array(ctrl, dtype=float)
         self.degree = int(degree)
+        if self.degree < 1:
+            raise ValueError(f"geometry degree {self.degree} is below 1; a map "
+                             f"needs degree >= 1 to have a Jacobian")
         self.d = ctrl.ndim - 1
         if self.d < 1 or ctrl.shape[-1] != self.d:
             raise ValueError("control grid must have shape dims + (d,)")
@@ -198,42 +201,17 @@ class PullbackFunction:
         return self.f_phys.eval_points(self.geom.eval_grid(axes))
 
 
-def pullback_error_norm(f_phys, u, geom, mode="semi", r=0):
-    """Physical-domain H^r error norm of f_phys minus the push-forward of u.
+def pullback_error_norm(f_phys, u, geom):
+    """Physical-domain L2 error norm of f_phys minus the push-forward of u.
 
     Integrates over the parameter domain with |det J| weights (degree + 3
-    Gauss points per cell of the finest level of ``u``); physical
-    gradients of the spline part are obtained from parameter gradients via
-    the inverse Jacobian transpose.  Only r in {0, 1} is supported.
+    Gauss points per cell of the finest level of ``u``).
     """
-    if r not in (0, 1):
-        raise ValueError("physical norms support r in {0, 1} only")
-    if mode not in ("semi", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
     degree = u.degree
-    level = u.finest_level
-    axes, weights = _norm_axes(level, degree, degree + 3)
-    W = tensor_weights(weights)
-    J = geom.jacobian_grid(axes)
-    det = np.linalg.det(J)
-    Wphys = W * det
-    phys_pts = geom.eval_grid(axes)
-
-    total = 0.0
-    if r == 0 or mode == "full":
-        diff = f_phys.eval_points(phys_pts) - u.deriv_grid(axes)
-        total += float(np.sum(Wphys * diff ** 2))
-        if r == 0:
-            return float(np.sqrt(total))
-    Jinv = np.linalg.inv(J)
-    d = geom.d
-    grad_param = np.stack([u.deriv_grid(axes, _unit(d, i)) for i in range(d)],
-                          axis=-1)
-    grad_u = np.einsum("...ji,...j->...i", Jinv, grad_param)
-    for i in range(d):
-        diff = f_phys.eval_points(phys_pts, _unit(d, i)) - grad_u[..., i]
-        total += float(np.sum(Wphys * diff ** 2))
-    return float(np.sqrt(total))
+    axes, weights = _norm_axes(u.finest_level, degree, degree + 3)
+    Wphys = tensor_weights(weights) * np.linalg.det(geom.jacobian_grid(axes))
+    diff = f_phys.eval_points(geom.eval_grid(axes)) - u.deriv_grid(axes)
+    return float(np.sqrt(np.sum(Wphys * diff ** 2)))
 
 
 def mapped_rayleigh(rule, q, geom):

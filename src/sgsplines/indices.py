@@ -109,22 +109,15 @@ def layer_cardinality(d, n, p, l):
     return cbinom(n + d - 1 - lambda_eff(p) - l, d - 1)
 
 
-@dataclass(frozen=True)
-class HierSet:
-    """Levels of the hierarchical construction: |level|_1 <= n + (d-1)*lam
-    with every component >= lam."""
-
-    rule: LevelRule
-    levels: tuple
-
-
 @lru_cache(maxsize=None)
 def build_hier_set(d, n, p):
+    """Levels of the hierarchical construction: |level|_1 <= n + (d-1)*lam
+    with every component >= lam, as a tuple in order of increasing sum."""
     rule = LevelRule(d, n, p)
     levels = []
     for total in range(d * rule.lam, n + (d - 1) * rule.lam + 1):
         levels.extend(_levels_with_sum(d, total, rule.lam))
-    return HierSet(rule, tuple(levels))
+    return tuple(levels)
 
 
 def lemma1_deviation(d):
@@ -155,10 +148,9 @@ def increment_dim(p, level, lam):
 def sparse_dimension(d, n, p):
     """Dimension of the sparse-grid space (increment sum) and of the full
     tensor-product space at level n."""
-    hs = build_hier_set(d, n, p)
-    lam = hs.rule.lam
+    lam = lambda_eff(p)
     sparse = sum(math.prod(increment_dim(p, li, lam) for li in lvl)
-                 for lvl in hs.levels)
+                 for lvl in build_hier_set(d, n, p))
     full = (2 ** n + p) ** d
     return sparse, full
 

@@ -84,7 +84,7 @@ def gram_matrix(space, r):
 
 
 @lru_cache(maxsize=None)
-def projection_matrices(space, r, qpts=None):
+def projection_matrices(space, r):
     """Linear maps from grid data to projected spline coefficients.
 
     Returns (nodes, weights, M0, Mr) with coefficients = M0 @ values for r = 0,
@@ -98,24 +98,16 @@ def projection_matrices(space, r, qpts=None):
     the r-th-derivative values, P the monomials of degree < r and Q = B^T W P
     their moments.  A QR of Q splits the coefficients into a constrained part Y
     and a null-space part Z, and one QR of W^1/2 B_r Z solves for the latter;
-    no inverse is taken.  The rule must have at least p - r + 1 points, so that
-    the discrete functional is the H^r seminorm, i.e. B_r^T W B_r is the
-    order-r Gram matrix.
+    no inverse is taken.  The (p + 3)-point rule integrates the degree-2(p - r)
+    derivative products exactly, so B_r^T W B_r is the order-r Gram matrix.
     """
-    p = space.degree
-    if qpts is None:
-        qpts = p + 3
-    nodes, weights = element_grid(space, gauss_rule(qpts))
+    nodes, weights = element_grid(space, gauss_rule(space.degree + 3))
     if r == 0:
         B = collocation_matrix(space, nodes, 0)
         G = gram_matrix(space, 0)
         cho = scipy.linalg.cho_factor(G)
         M0 = scipy.linalg.cho_solve(cho, B.T * weights[None, :])
         return _read_only(nodes, weights, M0, None)
-    if qpts < p - r + 1:
-        raise ValueError(
-            f"rule with {qpts} points cannot integrate degree-{2 * (p - r)} "
-            f"derivative products exactly; need at least {p - r + 1}")
     # Equality-constrained least squares by the null-space method: with
     # Q = [Y Z] [R; 0], the constraint fixes the Y-part of the coefficients and
     # the Z-part solves an unconstrained problem through a QR of A Z.
@@ -133,7 +125,7 @@ def projection_matrices(space, r, qpts=None):
     return _read_only(nodes, weights, M0, Mr)
 
 
-def project_1d(space, f, r=0, qpts=None):
+def project_1d(space, f, r=0):
     """Coefficients of the seminorm H^r-orthogonal projection of ``f``.
 
     ``f`` is called as ``f(x, m)`` on arrays of quadrature nodes, for m = 0
@@ -145,16 +137,8 @@ def project_1d(space, f, r=0, qpts=None):
     """
     if r > space.degree:
         raise ValueError(f"projection order {r} exceeds degree {space.degree}")
-    nodes, _, M0, Mr = projection_matrices(space, r, qpts)
+    nodes, _, M0, Mr = projection_matrices(space, r)
     if r == 0:
         return M0 @ f(nodes, 0)
     return M0 @ f(nodes, 0) + Mr @ f(nodes, r)
 
-
-def l2_error_1d(space, coeffs, f):
-    """L2 norm of f minus the spline with the given coefficients, by the
-    (degree + 3)-point Gauss rule on every cell; ``f`` is called as
-    ``f(x, 0)``."""
-    nodes, weights = element_grid(space, gauss_rule(space.degree + 3))
-    diff = f(nodes, 0) - collocation_matrix(space, nodes, 0) @ coeffs
-    return float(np.sqrt(np.sum(weights * diff ** 2)))

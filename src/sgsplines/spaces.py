@@ -141,10 +141,14 @@ def khatri_rao(mats, cols):
     return out
 
 
-def _combination_collocation(rule, svd_tol):
+SVD_TOL = 1e-8
+
+
+def _combination_collocation(rule):
     """Univariate collocation matrices of every level on the Greville points
     of level n+1 (unisolvent for every level <= n), the stacked combination
-    bases on their tensor grid, and the numerical rank of that stack."""
+    bases on their tensor grid, and the numerical rank of that stack: the
+    number of singular values above `SVD_TOL` times the largest."""
     pts = greville(make_space(rule.p, rule.n + 1))
     V = {lev: collocation_matrix(make_space(rule.p, lev), pts, 0)
          for lev in range(rule.lam, rule.n + 1)}
@@ -153,21 +157,21 @@ def _combination_collocation(rule, svd_tol):
                        [lvl for lvl, _ in cs.levels])
     lstack = khatri_rao([np.hstack(list(V.values()))] * rule.d, entries.T)
     svals = scipy.linalg.svd(lstack, compute_uv=False)
-    return V, lstack, int(np.sum(svals > svd_tol * svals[0]))
+    return V, lstack, int(np.sum(svals > SVD_TOL * svals[0]))
 
 
-def equivalence_report(rule, svd_tol=1e-8):
+def equivalence_report(rule):
     """Compare the combination-technique and hierarchical spans.
 
     Returns a dict with both dimensions, the brute-force collocation rank of
     the stacked combination bases, and the maximum relative least-squares
     residual of either basis fitted in the other.
     """
-    V, lstack, rank = _combination_collocation(rule, svd_tol)
+    V, lstack, rank = _combination_collocation(rule)
     sels = hier_basis(rule)
     odd = np.hstack([V[lev][:, sel] for lev, sel in sels.items()])
     entries = _entries({lev: len(sel) for lev, sel in sels.items()},
-                       build_hier_set(rule.d, rule.n, rule.p).levels)
+                       build_hier_set(rule.d, rule.n, rule.p))
     hstack = khatri_rao([odd] * rule.d, entries.T)
     dim_h = hstack.shape[1]
 
@@ -247,7 +251,7 @@ def stacked_sparse_basis(rule, q):
     # level l > lam adds 2**(l-1) functions; the base level holds the rest
     sizes = {lev: 2 ** (lev - 1) for lev in range(lam + 1, n + 1)}
     sizes = {lam: V.shape[1] - sum(sizes.values()), **sizes}
-    entries = _entries(sizes, build_hier_set(rule.d, n, p).levels)
+    entries = _entries(sizes, build_hier_set(rule.d, n, p))
     return StackedSparseBasis(rule, q, V, entries)
 
 
@@ -297,7 +301,7 @@ def sparse_rayleigh(rule, q, mode="mix"):
     return float(np.sqrt(lam_max))
 
 
-def dimension_rank(rule, svd_tol=1e-8):
+def dimension_rank(rule):
     """Brute-force dimension of the combination span: collocation rank of all
     stacked level bases on the unisolvent fine grid."""
-    return _combination_collocation(rule, svd_tol)[2]
+    return _combination_collocation(rule)[2]

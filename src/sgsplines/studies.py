@@ -47,14 +47,14 @@ from .indices import (
     lemma3_oracle,
     sparse_dimension,
 )
-from .quadrature import l2_error_1d, project_1d
+from .quadrature import project_1d
 from .spaces import (
     combination_project,
     dimension_rank,
     equivalence_report,
     sparse_rayleigh,
 )
-from .tensorops import error_norm, function_norm
+from .tensorops import CoefficientTensor, error_norm, function_norm
 
 CSV_COLUMNS = ("kind", "d", "p", "n", "level", "r", "q", "value", "bound",
                "ratio", "pass", "source", "seconds")
@@ -78,7 +78,6 @@ class StudyConfig:
     geometry: str = ""
     q: tuple = ()
     variant: str = ""
-    min_order: float = 0.0
     rank_max: int = 5
     r: int = 0
     out: str = ""
@@ -101,7 +100,7 @@ def default_config(kind):
 
 
 # each key is parsed by the type of its StudyConfig default
-_PARSERS = {tuple: _parse_ints, int: int, float: float, str: str}
+_PARSERS = {tuple: _parse_ints, int: int, str: str}
 
 
 def parse_config(path, overrides=()):
@@ -436,7 +435,8 @@ def _study_univariate(cfg, geom):
     def row(p, n):
         q = p + 1
         space = make_space(p, n)
-        err = l2_error_1d(space, project_1d(space, f, r), f)
+        u = CoefficientTensor((n,), p, project_1d(space, f, r))
+        err = error_norm(f, u, "semi", 0)
         bound = c1(q, r) * space.h ** (q - r) * seminorms[p]
         return [Row(cfg.kind, 1, p, n, value=err, bound=bound,
                     ratio=err / bound, passed=err <= bound, source="L2")]
@@ -481,14 +481,13 @@ def _study_mapped(cfg, geom):
 
     def row(p, n):
         sg = combination_project(pull, LevelRule(d, n, p))
-        err = pullback_error_norm(f_phys, sg, geom, "semi", 0)
+        err = pullback_error_norm(f_phys, sg, geom)
         return [Row(cfg.kind, d, p, n, value=err, source="T1")]
 
     def fit(p, pairs):
         order = fit_rate(pairs, log_power=d - 1)
-        min_order = cfg.min_order or (p + 1 - 0.2)
         return Row(cfg.kind, d, p, "", level="fit", value=order,
-                   bound=min_order, passed=order >= min_order, source="T1")
+                   bound=p + 1 - 0.2, passed=order >= p + 1 - 0.2, source="T1")
 
     # the parameter-domain L2 norm of the pullback stands for the target's
     floor = _ROUNDOFF_FLOOR * function_norm(pull, d, "semi", 0)
@@ -569,7 +568,7 @@ _KINDS = {
     "mapped-convergence": _Kind(
         "pullback L2 error rate on a geometry map", _study_mapped,
         dict(d=2, p=(2,), n=tuple(range(3, 8)), target="sinpi-prod",
-             geometry="distorted-square", min_order=2.8)),
+             geometry="distorted-square")),
     "equivalence": _Kind(
         "combination vs hierarchical span equality", _study_equivalence,
         dict(d=2, p=(1, 2), n=tuple(range(2, 6)))),

@@ -105,7 +105,7 @@ def random_trig(d, seed, terms=3, max_freq=2):
         fs = [TrigFactor(rng.integers(1, max_freq + 1) * math.pi, rng.uniform(0, 2 * math.pi))
               for _ in range(d)]
         entries.append((c, fs))
-    return SumOfSeparable(d, entries, name=f"random-trig-{seed}")
+    return SumOfSeparable(d, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.interpolate import BSpline
 
 from sgsplines.bspline import (
@@ -238,6 +239,14 @@ def test_vanishing_subspace_constraints_hold():
 def test_vanishing_subspace_rejects_large_order():
     with pytest.raises(ValueError):
         vanishing_subspace(make_space(2, 2), 3)
+
+
+def test_vanishing_subspace_checks_the_endpoint_null_spaces(monkeypatch):
+    # a null space wider than p - nc is caught before it is copied into B
+    monkeypatch.setattr(scipy.linalg, "null_space",
+                        lambda A: np.eye(A.shape[1]))
+    with pytest.raises(RuntimeError, match="unexpected constraint rank"):
+        vanishing_subspace(make_space(3, 3), 1)
 
 
 def test_vanishing_subspace_rejects_overlapping_endpoint_blocks():

@@ -38,7 +38,6 @@ p=2
 n=3..7
 target=sinpi-prod
 geometry=distorted-square  # builtin name or file path
-min_order=2.8
 seed=0
 timing=off  # 'on' records wall time per row
 # out=report.csv

@@ -130,7 +130,7 @@ def test_pullback_norm_identity_matches_parameter_norm():
     f = fn.sinpi_product(2)
     sg = combination_project(PullbackFunction(f, G), LevelRule(2, 4, 2))
     e_param = error_norm(f, sg, "semi", 0)
-    e_phys = pullback_error_norm(f, sg, G, "semi", 0)
+    e_phys = pullback_error_norm(f, sg, G)
     assert abs(e_param - e_phys) < 1e-12 * max(1.0, e_param)
 
 
@@ -146,7 +146,7 @@ def test_pullback_norm_of_pushforward_is_zero():
             assert not alpha or not any(alpha)
             return eval_points(sg, inverse(G, pts))
 
-    assert pullback_error_norm(PushForward(), sg, G, "semi", 0) < 1e-10
+    assert pullback_error_norm(PushForward(), sg, G) < 1e-10
 
 
 def test_pullback_norm_affine_change_of_variables():
@@ -155,7 +155,7 @@ def test_pullback_norm_affine_change_of_variables():
                                           fn.TrigFactor(np.pi / 2)])])
     pull = PullbackFunction(f_phys, G)
     sg = combination_project(pull, LevelRule(2, 4, 2))
-    e_phys = pullback_error_norm(f_phys, sg, G, "semi", 0)
+    e_phys = pullback_error_norm(f_phys, sg, G)
 
     class Pull:
         d = 2
@@ -165,17 +165,6 @@ def test_pullback_norm_affine_change_of_variables():
     e_param = error_norm(Pull(), sg, "semi", 0)
     scale = np.sqrt(abs(np.linalg.det(SHEAR)))
     assert abs(e_phys - e_param * scale) < 1e-10
-
-
-def test_pullback_gradient_mode_identity():
-    G = identity_geometry(2, degree=1)
-    f = fn.sinpi_product(2)
-    sg = combination_project(PullbackFunction(f, G), LevelRule(2, 4, 2))
-    e_param = error_norm(f, sg, "semi", 1)
-    e_phys = pullback_error_norm(f, sg, G, "semi", 1)
-    assert abs(e_param - e_phys) < 1e-10 * max(1.0, e_param)
-    with pytest.raises(ValueError):
-        pullback_error_norm(f, sg, G, "semi", 2)
 
 
 def test_geometry_file_round_trip(tmp_path):

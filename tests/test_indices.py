@@ -78,12 +78,12 @@ def test_combination_set_structure():
 
 def test_hier_set_structure():
     for d, n, p in [(2, 5, 1), (3, 4, 2)]:
-        hs = build_hier_set(d, n, p)
-        lam = hs.rule.lam
-        for lvl in hs.levels:
+        levels = build_hier_set(d, n, p)
+        lam = lambda_eff(p)
+        for lvl in levels:
             assert sum(lvl) <= n + (d - 1) * lam
             assert min(lvl) >= lam
-        assert len(set(hs.levels)) == len(hs.levels)
+        assert len(set(levels)) == len(levels)
 
 
 def test_layer_cardinality_formula_matches_enumeration():
@@ -97,13 +97,12 @@ def test_layer_cardinality_formula_matches_enumeration():
 
 
 def test_hier_set_examples():
-    hs = build_hier_set(2, 3, 1)
-    assert set(hs.levels) == {(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)}
-    chain = build_hier_set(1, 5, 2)
-    assert chain.levels == tuple((l,) for l in range(2, 6))
-    assert len(build_hier_set(3, 4, 1).levels) == 20
+    levels = build_hier_set(2, 3, 1)
+    assert set(levels) == {(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)}
+    assert build_hier_set(1, 5, 2) == tuple((l,) for l in range(2, 6))
+    assert len(build_hier_set(3, 4, 1)) == 20
     for d, n, p in [(2, 6, 1), (3, 5, 2), (4, 6, 3)]:
-        assert len(build_hier_set(d, n, p).levels) == math.comb(n - lambda_eff(p) + d, d)
+        assert len(build_hier_set(d, n, p)) == math.comb(n - lambda_eff(p) + d, d)
 
 
 def test_lemma1_small_cases_and_grid():

@@ -10,10 +10,10 @@ from sgsplines.quadrature import (
     element_grid,
     gauss_rule,
     gram_matrix,
-    l2_error_1d,
     project_1d,
     projection_matrices,
 )
+from sgsplines.tensorops import CoefficientTensor, error_norm
 from oracles import eval_spline, spline_factor
 
 
@@ -97,18 +97,6 @@ def test_seminorm_projection_reproduces_members_at_finer_levels(p, level, r):
     assert np.abs(out - coeffs).max() < 1e-12
 
 
-def test_seminorm_projection_rule_size():
-    # p - r + 1 points integrate the degree-2(p - r) derivative products exactly
-    rng = np.random.default_rng(3)
-    space = make_space(4, 2)
-    coeffs = rng.standard_normal(space.dim)
-    member = spline_factor(space, coeffs)
-    with pytest.raises(ValueError, match="need at least 3"):
-        project_1d(space, member, 2, qpts=2)
-    out = project_1d(space, member, 2, qpts=3)
-    assert np.abs(out - coeffs).max() < 1e-12
-
-
 def test_projection_of_one_is_partition_coefficients():
     space = make_space(2, 4)
     out = project_1d(space, fn.constant(1), 0)
@@ -119,7 +107,8 @@ def test_projection_error_within_univariate_bound():
     # sin(2 pi x) at p=2, level 4: bound (sqrt(2) h)^3 |f|_{H^3}
     f = fn.sin_2pi()
     space = make_space(2, 4)
-    err = l2_error_1d(space, project_1d(space, f, 0), f)
+    err = error_norm(f, CoefficientTensor((4,), 2, project_1d(space, f, 0)),
+                     "semi", 0)
     bound = (np.sqrt(2) * 2.0 ** -4) ** 3 * (2 * np.pi) ** 3 / np.sqrt(2)
     assert err <= bound
     assert err == pytest.approx(2.4364600165e-4, rel=1e-4)
@@ -131,7 +120,8 @@ def test_best_approximation_bound_grid():
         seminorm = (2 * np.pi) ** (p + 1) / np.sqrt(2)
         for level in range(3, 8):
             space = make_space(p, level)
-            err = l2_error_1d(space, project_1d(space, f, 0), f)
+            u = CoefficientTensor((level,), p, project_1d(space, f, 0))
+            err = error_norm(f, u, "semi", 0)
             assert err <= (np.sqrt(2) * space.h) ** (p + 1) * seminorm
 
 

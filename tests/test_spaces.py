@@ -118,9 +118,9 @@ def test_increment_counts_and_chain():
     sels = hier_basis(LevelRule(1, 3, 1))
     assert [len(s) for s in sels.values()] == [3, 2, 4]
     sizes = {lev: len(s) for lev, s in hier_basis(LevelRule(1, 2, 1)).items()}
-    assert len(_entries(sizes, build_hier_set(1, 2, 1).levels)) == 2 ** 2 + 1 == 5
+    assert len(_entries(sizes, build_hier_set(1, 2, 1))) == 2 ** 2 + 1 == 5
     sizes = {lev: len(s) for lev, s in hier_basis(LevelRule(2, 3, 1)).items()}
-    entries = _entries(sizes, build_hier_set(2, 3, 1).levels)
+    entries = _entries(sizes, build_hier_set(2, 3, 1))
     lo, hi = sizes[1], sizes[1] + sizes[2]  # the stacked columns of level 2
     at_22 = [e for e in entries if all(lo <= i < hi for i in e)]
     assert len(at_22) == 4
@@ -217,10 +217,9 @@ def test_stacked_sparse_basis_dimension():
     basis = stacked_sparse_basis(rule, 2)  # no constraints at p=2, q=2
     assert basis.size == sparse_dimension(2, 4, 2)[0]
     # with constraints the base level loses two functions per direction
-    hs_levels = build_hier_set(2, 4, 2).levels
     b1 = stacked_sparse_basis(rule, 1)
     expect = 0
-    for lvl in hs_levels:
+    for lvl in build_hier_set(2, 4, 2):
         counts = [(2 ** rule.lam + 2 - 2) if li == rule.lam else 2 ** (li - 1)
                   for li in lvl]
         expect += int(np.prod(counts))
@@ -328,6 +327,27 @@ def test_chain_extension_matches_one_pass_build():
                 assert got.dtype == stack.dtype and np.array_equal(got, stack)
                 if n > lam:
                     assert np.array_equal(got[:, -2 ** (n - 1):], increments[-1])
+
+
+@pytest.fixture
+def rank_one_short(monkeypatch):
+    """Every rank certificate in `sgsplines.spaces` sees one less than the
+    true rank; no chain built meanwhile stays cached."""
+    rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: rank(M) - 1)
+    _constrained_chain.cache_clear()
+    yield
+    _constrained_chain.cache_clear()
+
+
+def test_increment_rank_certificate_fires(rank_one_short):
+    with pytest.raises(RuntimeError, match="not independent"):
+        hier_basis(LevelRule(1, 3, 2))
+
+
+def test_chain_rank_certificate_fires(rank_one_short):
+    with pytest.raises(RuntimeError, match="rank-deficient"):
+        _constrained_chain(3, 1, lambda_eff(3), 4)
 
 
 def test_cached_chain_arrays_are_read_only():

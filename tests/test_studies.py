@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,10 +182,19 @@ def test_mapped_study_reads_geometry_file(tmp_path, capsys):
     geo = tmp_path / "dist.geo"
     save_geometry(distorted_square_geometry(), geo)
     cfg = tmp_path / "m.cfg"
-    cfg.write_text(f"kind=mapped-convergence\np=2\nn=3,4,5\nmin_order=2.5\n"
+    cfg.write_text(f"kind=mapped-convergence\np=2\nn=3,4,5\n"
                    f"geometry={geo}\n")
     assert cli_main(["run", str(cfg)]) == 0
     assert "T1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p,bound", [(1, 1.8), (3, 3.8)])
+def test_mapped_fit_bound_follows_the_degree(p, bound):
+    cfg = replace(default_config("mapped-convergence"), p=(p,), n=(3, 4, 5))
+    fit = run_study(cfg).rows[-1]
+    assert fit.level == "fit"
+    assert fit.bound == pytest.approx(bound)
+    assert fit.passed
 
 
 def test_default_configs_are_valid():
@@ -208,6 +218,8 @@ def _bad_geometry(tmp_path, name, lines):
     ("mapped-convergence", ["geometry={few}"]),
     ("mapped-convergence", ["geometry={nodegree}"]),
     ("mapped-convergence", ["geometry={nodims}"]),
+    ("mapped-convergence", ["geometry={negdegree}"]),
+    ("mapped-convergence", ["geometry={zerodegree}"]),
     ("sparse-convergence", ["d=0"]),
     ("univariate-convergence", ["n=5"]),
     ("sparse-convergence", ["n=5"]),
@@ -219,7 +231,8 @@ def _bad_geometry(tmp_path, name, lines):
     ("inverse-inequality", ["q=-1"]),
     ("univariate-convergence", ["p=0", "target=one"]),
 ], ids=["unknown-target", "target-dimension", "unknown-geometry",
-        "few-control-points", "degree-without-value", "zero-dims", "d0",
+        "few-control-points", "degree-without-value", "zero-dims",
+        "negative-degree", "zero-degree", "d0",
         "univariate-one-level", "sparse-one-level", "repeated-level",
         "mapped-pencil-one-level", "pencil-geometry-dimension",
         "geometry-dimension", "negative-r", "negative-q", "zero-seminorm-bound"])
@@ -231,6 +244,14 @@ def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
                                   ["degree", "dims 3 3", "control_points"]),
         "nodims": _bad_geometry(tmp_path, "nodims.geo",
                                 ["degree 2", "dims 0 0", "control_points"]),
+        # extents that fit a dyadic mesh, so only the degree is wrong
+        "negdegree": _bad_geometry(tmp_path, "negdeg.geo",
+                                   ["degree -1", "dims 3 3", "control_points"]
+                                   + [f"{i} {j}" for i in range(3)
+                                      for j in range(3)]),
+        "zerodegree": _bad_geometry(tmp_path, "zerodeg.geo",
+                                    ["degree 0", "dims 2 2", "control_points",
+                                     "0 0", "0 1", "1 0", "1 1"]),
     }
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"kind={kind}\n")
@@ -238,7 +259,11 @@ def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
     for item in overrides:
         args += ["--set", item.format(**geometries)]
     assert cli_main(args) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    # the message names a geometry file's bad degree
+    if any("degree" in item for item in overrides):
+        assert "degree" in err
 
 
 def test_mapped_study_builds_one_geometry(tmp_path, monkeypatch):

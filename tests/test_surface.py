@@ -1,4 +1,5 @@
-"""The package surface: the names it exports and the names its modules import.
+"""The package surface: the names it exports, the names its modules import,
+and the README's examples, which must run.
 
 The project configures no linter, so unused imports are found by an AST walk
 here, in the package modules and in the test modules alike.
@@ -15,6 +16,8 @@ import sgsplines
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "sgsplines").glob("*.py")
                  if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+README_BLOCKS = re.findall(r"```python\n(.*?)```",
+                           (ROOT / "README.md").read_text(), re.S)
 
 
 def unused_imports(source):
@@ -37,15 +40,20 @@ def unused_imports(source):
 
 
 def test_exports_are_the_names_the_readme_imports():
-    text = (ROOT / "README.md").read_text()
-    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
-    readme = {alias.name for block in blocks
+    readme = {alias.name for block in README_BLOCKS
               for node in ast.walk(ast.parse(block))
               if isinstance(node, ast.ImportFrom) and node.module == "sgsplines"
               for alias in node.names}
     assert readme
     assert set(sgsplines.__all__) == readme
     assert all(hasattr(sgsplines, name) for name in readme)
+
+
+def test_readme_examples_run():
+    # in order and in one namespace: the mapped example reuses the tour's names
+    namespace = {}
+    for block in README_BLOCKS:
+        exec(block, namespace)
 
 
 def test_unused_import_check_finds_unused_names():
