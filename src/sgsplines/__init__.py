@@ -10,13 +10,32 @@ The package exports the names the README's library tour uses; everything
 else is imported from its submodule.
 """
 
-from . import functions
-from .bspline import make_space
-from .geometry import PullbackFunction, builtin_geometry, pullback_error_norm
-from .indices import LevelRule, sparse_dimension
-from .quadrature import project_1d
-from .spaces import combination_project
-from .tensorops import error_norm
+import os
+
+# numpy and scipy each bundle an OpenBLAS, and after every call the worker
+# threads of each busy-wait for 2**28 cycles (OpenBLAS's default
+# THREAD_TIMEOUT, about 0.1 s) before they sleep.  With the study pool that
+# makes up to four spinning or working threads on a 2-CPU host.  A spin of
+# 2**4 cycles took the benchmark's `refine-1d` workload (`study run` of
+# `inverse-inequality variant=sparse d=1 n=6..8`) from a median of 1.98 s wall
+# and 3.71 s CPU to 1.07 s and 1.46 s (10 pairs of runs on 2 CPUs, OpenBLAS
+# 0.3.31), with the same CSV bytes.  The setting moves no number: thread
+# counts and OpenBLAS's work partitioning stay as they are.  OpenBLAS reads
+# it once, when it loads, so this must run before numpy is imported; a value
+# already in the environment is kept.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+from . import functions  # noqa: E402
+from .bspline import make_space  # noqa: E402
+from .geometry import (  # noqa: E402
+    PullbackFunction,
+    builtin_geometry,
+    pullback_error_norm,
+)
+from .indices import LevelRule, sparse_dimension  # noqa: E402
+from .quadrature import project_1d  # noqa: E402
+from .spaces import combination_project  # noqa: E402
+from .tensorops import error_norm  # noqa: E402
 
 __all__ = [
     "LevelRule",

@@ -4,7 +4,11 @@ Subcommands: ``study run <config> [--set k=v]... [--out path]``,
 ``study list-kinds``, ``study gen-config <kind>``.  Exit status is 0 when
 every row passes, 1 when any check fails, and 2 for usage or config errors.
 Parallelism across independent rows is capped by the STUDY_THREADS
-environment variable.
+environment variable.  Importing the package sets OPENBLAS_THREAD_TIMEOUT=4
+unless the environment already sets it, so that idle OpenBLAS workers sleep
+after a short spin instead of taking the cores from the study pool; thread
+counts and printed digits stay the same.  Set the variable before the
+interpreter imports numpy to override it.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ eigenvalue is computed.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -244,10 +245,17 @@ def _constrained_chain(p, q, lam, n):
     return V
 
 
+# one lock per chain (p, q, lam): `lru_cache` does not make a second caller
+# wait, so without it two pool threads that miss the cache at once both build
+# the same levels; chains of different keys still build in parallel
+_chain_locks = {}
+
+
 def stacked_sparse_basis(rule, q):
     """Assemble the q-vanishing hierarchical sparse basis in stacked form."""
     p, lam, n = rule.p, rule.lam, rule.n
-    V = _constrained_chain(p, q, lam, n)
+    with _chain_locks.setdefault((p, q, lam), threading.Lock()):
+        V = _constrained_chain(p, q, lam, n)
     # level l > lam adds 2**(l-1) functions; the base level holds the rest
     sizes = {lev: 2 ** (lev - 1) for lev in range(lam + 1, n + 1)}
     sizes = {lam: V.shape[1] - sum(sizes.values()), **sizes}

@@ -436,7 +436,7 @@ def _study_univariate(cfg, geom):
         q = p + 1
         space = make_space(p, n)
         u = CoefficientTensor((n,), p, project_1d(space, f, r))
-        err = error_norm(f, u, "semi", 0)
+        err = error_norm(f, u, "semi", r)
         bound = c1(q, r) * space.h ** (q - r) * seminorms[p]
         return [Row(cfg.kind, 1, p, n, value=err, bound=bound,
                     ratio=err / bound, passed=err <= bound, source="L2")]
@@ -447,7 +447,7 @@ def _study_univariate(cfg, geom):
         return Row(cfg.kind, 1, p, "", level="fit", r=r, value=order,
                    bound=target, passed=abs(order - target) <= 0.1, source="L2")
 
-    floor = _ROUNDOFF_FLOOR * function_norm(f, 1, "semi", 0)
+    floor = _ROUNDOFF_FLOOR * function_norm(f, 1, "semi", r)
     return _fitted(cfg, [(p,) for p in cfg.p], row, fit, floor)
 
 

@@ -336,3 +336,44 @@ def test_csv_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert len(outs[0].splitlines()) == 1 + 2 * 2 * 3
+
+
+def test_each_chain_level_is_built_once_across_pool_threads(tmp_path,
+                                                            monkeypatch):
+    # a sleep in every level build widens the window in which two pool
+    # threads could both miss the chain cache for the same level
+    import time
+
+    from sgsplines import spaces
+
+    builds = []
+    build = spaces.vanishing_subspace
+
+    def slow_build(space, q):
+        builds.append((space.degree, space.level, q))
+        time.sleep(0.01)
+        return build(space, q)
+
+    monkeypatch.setattr(spaces, "vanishing_subspace", slow_build)
+    monkeypatch.setenv("STUDY_THREADS", "2")
+    cfg = tmp_path / "refine.cfg"
+    cfg.write_text("kind=inverse-inequality\n")
+    spaces._constrained_chain.cache_clear()
+    try:
+        code = cli_main(["run", str(cfg), "--set", "variant=sparse",
+                         "--set", "d=1", "--set", "n=6..8",
+                         "--out", str(tmp_path / "refine.csv")])
+    finally:
+        spaces._constrained_chain.cache_clear()
+    assert code == 0
+    assert builds and len(builds) == len(set(builds))
+
+
+@pytest.mark.parametrize("overrides", [("r=1",), ("r=2", "p=2,3")],
+                         ids=["r1", "r2"])
+def test_univariate_fit_at_seminorm_order(tmp_path, overrides):
+    # at r >= 1 the rate p + 1 - r belongs to the H^r seminorm of the error
+    cfg = tmp_path / "uni.cfg"
+    cfg.write_text("kind=univariate-convergence\n")
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    assert cli_main(["run", str(cfg), *sets]) == 0
