@@ -71,13 +71,17 @@ class SumOfSeparable:
         """Values of the alpha mixed derivative on the tensor grid given by
         per-direction node arrays."""
         alpha = alpha or (0,) * self.d
-        shape = tuple(len(np.atleast_1d(ax)) for ax in axes)
-        out = np.zeros(shape)
+        out = None
         for c, fs in self.terms:
             term = np.array(c)
             for g, ax, a in zip(fs, axes, alpha):
                 term = np.multiply.outer(term, g(np.atleast_1d(ax), a))
-            out += term
+            if out is None:
+                out = term
+            else:
+                out += term
+        if out is None:
+            return np.zeros(tuple(len(np.atleast_1d(ax)) for ax in axes))
         return out
 
     def eval_points(self, pts, alpha=None):
@@ -85,13 +89,16 @@ class SumOfSeparable:
         (..., d)."""
         alpha = alpha or (0,) * self.d
         pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[:-1])
+        out = None
         for c, fs in self.terms:
             term = np.full(pts.shape[:-1], c)
             for i, g in enumerate(fs):
-                term = term * g(pts[..., i], alpha[i])
-            out += term
-        return out
+                term *= g(pts[..., i], alpha[i])
+            if out is None:
+                out = term
+            else:
+                out += term
+        return np.zeros(pts.shape[:-1]) if out is None else out
 
     def __call__(self, x, m=0):
         """Univariate convenience: f(x, m) for d = 1 targets."""

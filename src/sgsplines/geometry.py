@@ -15,7 +15,12 @@ import scipy.linalg
 
 from .bspline import _space, collocation_matrix, greville, make_space
 from .spaces import khatri_rao, stacked_sparse_basis
-from .tensorops import CoefficientTensor, _norm_axes, tensor_weights
+from .tensorops import (
+    CoefficientTensor,
+    _norm_axes,
+    _weighted_square_sum,
+    tensor_weights,
+)
 
 _DIFFEO_GRID = 33
 
@@ -82,8 +87,10 @@ class GeometryMap:
     def jacobian_grid(self, axes):
         """Jacobians on a tensor grid; shape grid + (d, d), J[..., i, j] =
         dF_i/dxi_j."""
-        return np.stack([self.tensor.deriv_grid(axes, _unit(self.d, j))
-                         for j in range(self.d)], axis=-1)
+        J = np.empty(tuple(len(ax) for ax in axes) + (self.d, self.d))
+        for j in range(self.d):
+            J[..., j] = self.tensor.deriv_grid(axes, _unit(self.d, j))
+        return J
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +213,22 @@ def pullback_error_norm(f_phys, u, geom):
 
     Integrates over the parameter domain with |det J| weights (degree + 3
     Gauss points per cell of the finest level of ``u``).
+
+    The grid + (d, d) Jacobian is the largest array, d^2 + d grid buffers
+    while it is filled, so its determinant is taken first, while nothing
+    else is alive; the target, whose points take d buffers, is evaluated
+    before the spline for the same reason.  The difference and its weighted
+    square are formed in the spline values' buffer.  The bits are those of
+    ``np.sum((W * det J) * (f - u) ** 2)``.
     """
     degree = u.degree
     axes, weights = _norm_axes(u.finest_level, degree, degree + 3)
-    Wphys = tensor_weights(weights) * np.linalg.det(geom.jacobian_grid(axes))
-    diff = f_phys.eval_points(geom.eval_grid(axes)) - u.deriv_grid(axes)
-    return float(np.sqrt(np.sum(Wphys * diff ** 2)))
+    Wphys = np.linalg.det(geom.jacobian_grid(axes))
+    Wphys *= tensor_weights(weights)
+    fv = f_phys.eval_points(geom.eval_grid(axes))
+    diff = u.deriv_grid(axes)
+    np.subtract(fv, diff, out=diff)
+    return float(np.sqrt(_weighted_square_sum(diff, Wphys)))
 
 
 def mapped_rayleigh(rule, q, geom):

@@ -62,9 +62,18 @@ class SparseGridFunction:
                      for i in range(self.d))
 
     def deriv_grid(self, axes, alpha=None):
-        out = 0.0
+        """Weighted sum of the terms' values, accumulated in the first term's
+        array; each later term is scaled in its own array and released before
+        the next is evaluated, so at most two grid-sized arrays are alive."""
+        out = None
         for _, c, ct in self.terms:
-            out = out + c * ct.deriv_grid(axes, alpha)
+            X = ct.deriv_grid(axes, alpha)
+            X *= c
+            if out is None:
+                out = X
+            else:
+                out += X
+            del X
         return out
 
 

@@ -6,6 +6,12 @@ Directional L2 projections are applied one axis at a time (the univariate
 projectors commute).  While only some directions are projected, the others
 are kept as sampled data on the tensor Gauss grid, so operators can be
 composed without committing those directions to any finite space.
+
+Every `deriv_grid` and `eval_grid` returns a fresh array that the caller
+owns: it shares no memory with coefficients, cached matrices or another
+call's result.  The norms rely on that and overwrite the spline values in
+place, so besides what an evaluator holds while it runs, a norm holds at
+most two grid-sized arrays at once.
 """
 
 from __future__ import annotations
@@ -148,25 +154,38 @@ def _norm_axes(level, degree, qpts):
     return tuple(g[0] for g in grids), tuple(g[1] for g in grids)
 
 
+def _weighted_square_sum(v, W):
+    """``float(np.sum(W * v ** 2))`` by the same operations on the same
+    operands, computed in v's buffer, which it overwrites."""
+    v **= 2
+    v *= W
+    return float(np.sum(v))
+
+
 def error_norm(f, u, mode, order):
     """Sobolev norm of f - u by tensor Gauss quadrature (degree + 3 points per
     cell) on the finest level involved in ``u`` (a `CoefficientTensor` or any
     object exposing ``finest_level``, ``degree`` and ``deriv_grid``).
 
-    ``f`` may be None to measure the norm of ``u`` itself.
+    ``f`` may be None to measure the norm of ``u`` itself.  ``u.deriv_grid``
+    and ``f.eval_grid`` must return fresh arrays that the caller owns: the
+    difference, its square and the weighted square are formed in the spline
+    values' buffer, and the weights are built only after the subtraction, so
+    besides what the evaluators hold while they run, at most two grid-sized
+    arrays are alive at once.  The bits are those of
+    ``np.sum(W * (f - u) ** 2)``.
     """
     degree = u.degree
     if order > degree:
         raise ValueError(f"norm order {order} exceeds spline degree {degree}")
     level = u.finest_level
     axes, weights = _norm_axes(level, degree, degree + 3)
-    W = tensor_weights(weights)
     total = 0.0
     for alpha in multi_indices(len(level), order, mode):
         diff = u.deriv_grid(axes, alpha)
         if f is not None:
-            diff = f.eval_grid(axes, alpha) - diff
-        total += float(np.sum(W * diff ** 2))
+            np.subtract(f.eval_grid(axes, alpha), diff, out=diff)
+        total += _weighted_square_sum(diff, tensor_weights(weights))
     return float(np.sqrt(total))
 
 
@@ -175,9 +194,9 @@ def function_norm(f, d, mode, order):
     fixed fine dyadic grid (level 6 for d <= 2, level 4 for d = 3)."""
     level = 6 if d <= 2 else 4
     axes, weights = _norm_axes((level,) * d, 1, 6)
+    # the grid is fixed and small, so the weights are built once
     W = tensor_weights(weights)
     total = 0.0
     for alpha in multi_indices(d, order, mode):
-        v = f.eval_grid(axes, alpha)
-        total += float(np.sum(W * v ** 2))
+        total += _weighted_square_sum(f.eval_grid(axes, alpha), W)
     return float(np.sqrt(total))

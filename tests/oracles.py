@@ -4,10 +4,10 @@ None of this runs in a study: these are independent evaluations (among them
 scattered-point evaluation of tensor and sparse splines and of geometry maps
 by dense collocation rows, and the derivative transfer built row by row), the
 paper's identities as residuals, the dense generalized sparse pencil, a
-one-pass build of the constrained increment chain, the mapped pencil with
-every value matrix held at once, a Newton inverse of a geometry map and a
-writer of the geometry file format.  Test modules import it as
-``from oracles import`` (pytest puts ``tests/`` on the path).
+one-pass build of the constrained increment chain, the mapped pencil and
+the grid norms with every grid-sized array held at once, a Newton inverse
+of a geometry map and a writer of the geometry file format.  Test modules
+import it as ``from oracles import`` (pytest puts ``tests/`` on the path).
 """
 
 import itertools
@@ -324,3 +324,88 @@ def save_geometry(geom, path):
         fh.write("control_points\n")
         for idx in itertools.product(*(range(s) for s in geom.ctrl.shape[:-1])):
             fh.write(" ".join(repr(float(c)) for c in geom.ctrl[idx]) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# grid norms with every grid-sized array held at once
+
+
+def _deriv_grid_all_held(u, axes, alpha=None):
+    """`deriv_grid` of a tensor member, or of a sparse-grid function summed as
+    ``out + c * X`` from 0.0 with a fresh array per step."""
+    if not isinstance(u, SparseGridFunction):
+        return u.deriv_grid(axes, alpha)
+    out = 0.0
+    for _, c, ct in u.terms:
+        out = out + c * ct.deriv_grid(axes, alpha)
+    return out
+
+
+def _eval_grid_all_held(f, axes, alpha=None):
+    """`SumOfSeparable.eval_grid` summed into a zero array."""
+    alpha = alpha or (0,) * f.d
+    shape = tuple(len(np.atleast_1d(ax)) for ax in axes)
+    out = np.zeros(shape)
+    for c, fs in f.terms:
+        term = np.array(c)
+        for g, ax, a in zip(fs, axes, alpha):
+            term = np.multiply.outer(term, g(np.atleast_1d(ax), a))
+        out += term
+    return out
+
+
+def _eval_points_all_held(f, pts):
+    """`SumOfSeparable.eval_points` of values, summed into a zero array with
+    a fresh product per factor."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.zeros(pts.shape[:-1])
+    for c, fs in f.terms:
+        term = np.full(pts.shape[:-1], c)
+        for i, g in enumerate(fs):
+            term = term * g(pts[..., i], 0)
+        out += term
+    return out
+
+
+def error_norm_all_held(f, u, mode, order):
+    """`sgsplines.tensorops.error_norm` with the weights, both value arrays,
+    the difference and its square each in a fresh array: the arithmetic
+    that the in-place norm must reproduce bit for bit."""
+    degree = u.degree
+    if order > degree:
+        raise ValueError(f"norm order {order} exceeds spline degree {degree}")
+    level = u.finest_level
+    axes, weights = _norm_axes(level, degree, degree + 3)
+    W = tensor_weights(weights)
+    total = 0.0
+    for alpha in multi_indices(len(level), order, mode):
+        diff = _deriv_grid_all_held(u, axes, alpha)
+        if f is not None:
+            diff = _eval_grid_all_held(f, axes, alpha) - diff
+        total += float(np.sum(W * diff ** 2))
+    return float(np.sqrt(total))
+
+
+def function_norm_all_held(f, d, mode, order):
+    """`sgsplines.tensorops.function_norm` with fresh arrays throughout."""
+    level = 6 if d <= 2 else 4
+    axes, weights = _norm_axes((level,) * d, 1, 6)
+    W = tensor_weights(weights)
+    total = 0.0
+    for alpha in multi_indices(d, order, mode):
+        v = _eval_grid_all_held(f, axes, alpha)
+        total += float(np.sum(W * v ** 2))
+    return float(np.sqrt(total))
+
+
+def pullback_error_norm_all_held(f_phys, u, geom):
+    """`sgsplines.geometry.pullback_error_norm` with the Jacobian stacked from
+    its columns and fresh arrays throughout."""
+    degree = u.degree
+    axes, weights = _norm_axes(u.finest_level, degree, degree + 3)
+    units = np.eye(geom.d, dtype=int)
+    J = np.stack([geom.tensor.deriv_grid(axes, tuple(e)) for e in units], axis=-1)
+    Wphys = tensor_weights(weights) * np.linalg.det(J)
+    diff = (_eval_points_all_held(f_phys, geom.eval_grid(axes))
+            - _deriv_grid_all_held(u, axes))
+    return float(np.sqrt(np.sum(Wphys * diff ** 2)))

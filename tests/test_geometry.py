@@ -25,6 +25,8 @@ from oracles import (
     inverse,
     jacobian,
     mapped_rayleigh_reference,
+    pullback_error_norm_all_held,
+    random_trig,
     save_geometry,
 )
 
@@ -234,3 +236,33 @@ def test_mapped_rayleigh_holds_two_grid_buffers():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * buffer
+
+
+@pytest.mark.parametrize("d,n,p,geom", [
+    (2, 4, 2, distorted_square_geometry()),
+    (2, 3, 3, shear_geometry()),
+    (3, 3, 1, identity_geometry(3, 1)),
+    (1, 5, 2, identity_geometry(1, 1)),
+], ids=["d2-distorted", "d2-shear", "d3-identity", "d1-identity"])
+def test_pullback_error_norm_matches_all_held_bits(d, n, p, geom):
+    f = random_trig(d, seed=n)
+    sg = combination_project(PullbackFunction(f, geom), LevelRule(d, n, p))
+    assert (pullback_error_norm(f, sg, geom)
+            == pullback_error_norm_all_held(f, sg, geom))
+
+
+def test_pullback_error_norm_peaks_at_its_jacobian():
+    # the norm peaks where its Jacobian does, at the grid + (d, d) array and
+    # one direction of it (d^2 + d = 6 grid buffers at d = 2): it takes the
+    # determinant before any other grid-sized array exists
+    buffer = 102400 * 8  # (2^6 (p+3))^2 quadrature points
+    f, geom = fn.sinpi_product(2), distorted_square_geometry()
+    sg = combination_project(PullbackFunction(f, geom), LevelRule(2, 6, 2))
+    pullback_error_norm(f, sg, geom)  # the cached 1D matrices are not counted
+    tracemalloc.start()
+    try:
+        pullback_error_norm(f, sg, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * buffer

@@ -372,8 +372,14 @@ def test_each_chain_level_is_built_once_across_pool_threads(tmp_path,
 @pytest.mark.parametrize("overrides", [("r=1",), ("r=2", "p=2,3")],
                          ids=["r1", "r2"])
 def test_univariate_fit_at_seminorm_order(tmp_path, overrides):
-    # at r >= 1 the rate p + 1 - r belongs to the H^r seminorm of the error
+    # at r >= 1 the rate p + 1 - r belongs to the H^r seminorm of the error,
+    # and every row, data and fit, names that r
     cfg = tmp_path / "uni.cfg"
     cfg.write_text("kind=univariate-convergence\n")
+    out = tmp_path / "uni.csv"
     sets = [arg for o in overrides for arg in ("--set", o)]
-    assert cli_main(["run", str(cfg), *sets]) == 0
+    assert cli_main(["run", str(cfg), *sets, "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    r = overrides[0].split("=")[1]
+    assert {row[header.index("r")] for row in rows} == {r}
+    assert any(row[header.index("level")] == "" for row in rows)

@@ -1,13 +1,26 @@
 """Tensor projections, partial projections, and Sobolev-norm quadrature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgsplines import functions as fn
-from sgsplines.bspline import make_space
-from sgsplines.quadrature import element_grid, gauss_rule
+from sgsplines.bspline import _derivative_transfer, make_space
+from sgsplines.geometry import PullbackFunction, distorted_square_geometry
+from sgsplines.indices import LevelRule, lambda_eff
+from sgsplines.quadrature import (
+    _gram_cached,
+    element_grid,
+    gauss_rule,
+    projection_matrices,
+)
+from sgsplines.spaces import combination_project
 from sgsplines.tensorops import (
     CoefficientTensor,
+    _norm_axes,
     error_norm,
     function_norm,
     multi_indices,
@@ -18,7 +31,9 @@ from sgsplines.tensorops import (
 )
 from oracles import (
     complement_direction,
+    error_norm_all_held,
     eval_points,
+    function_norm_all_held,
     l2_norm,
     random_trig,
     spline_factor,
@@ -137,3 +152,105 @@ def test_partial_projection_error_decays_per_direction():
             rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
             assert rates.min() >= q - 0.1
 
+
+
+# (d, p, tensor level, sparse-grid n): every norm mode at every order 0..p
+NORM_CASES = [(1, 3, (4,), 4), (2, 2, (3, 2), 4), (3, 2, (2, 1, 2), 3)]
+
+
+@pytest.mark.parametrize("d,p,level,n", NORM_CASES,
+                         ids=[f"d{c[0]}" for c in NORM_CASES])
+@pytest.mark.parametrize("sparse", [False, True], ids=["tensor", "sparse"])
+def test_norms_match_all_held_bits(d, p, level, n, sparse):
+    f = random_trig(d, seed=d)
+    u = (combination_project(f, LevelRule(d, n, p)) if sparse
+         else project_tensor(f, level, p))
+    for mode in ("semi", "full", "mix"):
+        for order in range(p + 1):
+            for target in (f, None):
+                assert (error_norm(target, u, mode, order)
+                        == error_norm_all_held(target, u, mode, order))
+            assert (function_norm(f, d, mode, order)
+                    == function_norm_all_held(f, d, mode, order))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_error_norm_matches_all_held_bits_on_random_targets(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    p = data.draw(st.integers(1, 3), label="p")
+    f = random_trig(d, data.draw(st.integers(0, 2 ** 16), label="seed"))
+    if data.draw(st.booleans(), label="sparse"):
+        n = data.draw(st.integers(lambda_eff(p), 6 - d), label="n")
+        u = combination_project(f, LevelRule(d, n, p))
+    else:
+        u = project_tensor(f, data.draw(st.tuples(*[st.integers(1, 5 - d)] * d),
+                                        label="level"), p)
+    mode = data.draw(st.sampled_from(["semi", "full", "mix"]), label="mode")
+    order = data.draw(st.integers(0, p), label="order")
+    assert error_norm(f, u, mode, order) == error_norm_all_held(f, u, mode, order)
+
+
+def test_error_norm_holds_two_grid_buffers():
+    # (2^6 (p+3))^2 = 102400 quadrature points
+    buffer = 102400 * 8
+    f = fn.sinpi_product(2)
+    sg = combination_project(f, LevelRule(2, 6, 2))
+    error_norm(f, sg, "semi", 0)  # the cached 1D matrices are not counted
+    tracemalloc.start()
+    try:
+        error_norm(f, sg, "semi", 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * buffer
+
+
+def _cached_arrays(spaces, qpts, alpha):
+    """Every lru-cached array that evaluating on these spaces can touch."""
+    rule = gauss_rule(qpts)
+    out = [rule.nodes, rule.weights]
+    for sp, a in zip(spaces, alpha):
+        out += [sp.knots, _gram_cached(sp, 0),
+                *(m for m in projection_matrices(sp, 0) if m is not None)]
+        out += [_derivative_transfer(sp.degree, sp.level, m)
+                for m in range(1, a + 1)]
+    return out
+
+
+def _evaluators():
+    """name -> (evaluate, spaces, coefficient arrays) of every library
+    `deriv_grid` and `eval_grid`, on the level-(3, 3) degree-2 norm grid."""
+    f = fn.sinpi_exp()
+    geom = distorted_square_geometry()
+    axes = _norm_axes((3, 3), 2, 5)[0]
+    ct = project_tensor(f, (3, 2), 2)
+    sg = combination_project(f, LevelRule(2, 3, 2))
+    alpha = (1, 1)
+    return {
+        "CoefficientTensor": (lambda: ct.deriv_grid(axes, alpha),
+                              ct.spaces(), [ct.coeffs]),
+        "CoefficientTensor-vector": (lambda: geom.tensor.deriv_grid(axes, alpha),
+                                     geom.tensor.spaces(), [geom.ctrl]),
+        "SparseGridFunction": (lambda: sg.deriv_grid(axes, alpha),
+                               [s for _, _, t in sg.terms for s in t.spaces()],
+                               [t.coeffs for _, _, t in sg.terms]),
+        "SumOfSeparable": (lambda: f.eval_grid(axes, alpha), [], []),
+        "GeometryMap": (lambda: geom.eval_grid(axes),
+                        geom.tensor.spaces(), [geom.ctrl]),
+        "PullbackFunction": (lambda: PullbackFunction(f, geom).eval_grid(axes),
+                             geom.tensor.spaces(), [geom.ctrl]),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "CoefficientTensor", "CoefficientTensor-vector", "SparseGridFunction",
+    "SumOfSeparable", "GeometryMap", "PullbackFunction"])
+def test_grid_evaluators_return_owned_arrays(name):
+    # the norms overwrite what an evaluator returns, so it must be the
+    # caller's own: writable, and aliasing nothing that outlives the call
+    evaluate, spaces, coeffs = _evaluators()[name]
+    out = evaluate()
+    assert out.flags.writeable
+    for other in [*coeffs, *_cached_arrays(spaces, 5, (1, 1)), evaluate()]:
+        assert not np.shares_memory(out, other)
