@@ -205,13 +205,16 @@ def refinement_operator(coarse, fine):
     return _refinement_matrix(coarse.degree, coarse.level)
 
 
+@lru_cache(maxsize=None)
 def prolongation(space, target_level):
-    """Composite refinement operator from `space` up to `target_level`."""
+    """Composite refinement operator from `space` up to `target_level`, shape
+    (2**target_level + degree, space.dim)."""
     if target_level < space.level:
         raise ValueError("target level must not be coarser")
     R = np.eye(space.dim)
     for lev in range(space.level, target_level):
         R = _refinement_matrix(space.degree, lev) @ R
+    R.setflags(write=False)
     return R
 
 

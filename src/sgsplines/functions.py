@@ -67,11 +67,11 @@ class SumOfSeparable:
             if len(fs) != d:
                 raise ValueError("each term needs one factor per direction")
 
-    def eval_grid(self, axes, alpha=None):
+    def eval_grid(self, axes, alpha=None, out=None):
         """Values of the alpha mixed derivative on the tensor grid given by
-        per-direction node arrays."""
+        per-direction node arrays; with ``out``, the terms are added into it
+        one by one and ``out`` is returned."""
         alpha = alpha or (0,) * self.d
-        out = None
         for c, fs in self.terms:
             term = np.array(c)
             for g, ax, a in zip(fs, axes, alpha):

@@ -202,10 +202,15 @@ class PullbackFunction:
         self.geom = geom
         self.d = geom.d
 
-    def eval_grid(self, axes, alpha=None):
+    def eval_grid(self, axes, alpha=None, out=None):
+        """Values on the tensor grid; with ``out``, added into it."""
         if alpha and any(alpha):
             raise ValueError("pullback supplies values only")
-        return self.f_phys.eval_points(self.geom.eval_grid(axes))
+        values = self.f_phys.eval_points(self.geom.eval_grid(axes))
+        if out is None:
+            return values
+        out += values
+        return out
 
 
 def pullback_error_norm(f_phys, u, geom):

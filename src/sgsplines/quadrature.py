@@ -92,8 +92,10 @@ def projection_matrices(space, r):
     (the M0 part carries the kernel-pinning moment constraints).  The cached
     arrays are read-only.
 
-    r = 0 solves the L2 normal equations with a Cholesky factor of the Gram
-    matrix.  r >= 1 minimizes ||W^1/2 (B_r c - g)|| subject to Q^T c = P^T W f,
+    r = 0 solves the L2 normal equations with a banded Cholesky factor of
+    the Gram matrix, whose bandwidth is the degree (LAPACK ``pbtrf``, which
+    unlike the dense ``potrf`` gives the same bits at every BLAS thread
+    count).  r >= 1 minimizes ||W^1/2 (B_r c - g)|| subject to Q^T c = P^T W f,
     with W the quadrature weights, B_r the r-th-derivative collocation matrix, g
     the r-th-derivative values, P the monomials of degree < r and Q = B^T W P
     their moments.  A QR of Q splits the coefficients into a constrained part Y
@@ -105,8 +107,13 @@ def projection_matrices(space, r):
     if r == 0:
         B = collocation_matrix(space, nodes, 0)
         G = gram_matrix(space, 0)
-        cho = scipy.linalg.cho_factor(G)
-        M0 = scipy.linalg.cho_solve(cho, B.T * weights[None, :])
+        p = space.degree
+        # upper band storage: row p - k holds the k-th superdiagonal
+        band = np.zeros((p + 1, space.dim))
+        for k in range(p + 1):
+            band[p - k, k:] = np.diagonal(G, k)
+        cho = scipy.linalg.cholesky_banded(band)
+        M0 = scipy.linalg.cho_solve_banded((cho, False), B.T * weights[None, :])
         return _read_only(nodes, weights, M0, None)
     # Equality-constrained least squares by the null-space method: with
     # Q = [Y Z] [R; 0], the constraint fixes the Y-part of the coefficients and

@@ -4,6 +4,18 @@ A sparse function is stored per admissible level (combination form) as the
 primary representation; the hierarchical form is materialized on demand for
 equivalence checks and inverse-inequality pencils.
 
+Every combination term's space is a subspace of the finest level's, so a
+mixed derivative of the signed sum is formed in coefficient space and
+evaluated once.  Along each direction a term is first differentiated at its
+own level (`_derivative_transfer`, into the clamped degree p - a space),
+then prolonged to the finest level in that degree, scaled and added into one
+finest-level coefficient array; one degree p - a evaluation on the grid
+follows.  The order matters: differentiating the prolonged sum amplifies
+its roundoff by the finest level's derivative transfer.  Against a
+long-double term-by-term evaluation at d=2, p=3, n=6, alpha=(3, 3), that
+order is about 2e4 times less accurate than evaluating term by term in
+float64, while differentiating first is as accurate.
+
 Every hierarchical basis has one form: a level-ordered stack of univariate
 columns, plus the tensor entries that pick one stacked column per direction
 for every tensor function of a level set (`_entries`).  Tensor columns are
@@ -33,15 +45,18 @@ import numpy as np
 import scipy.linalg
 
 from .bspline import (
+    _derivative_transfer,
+    _space,
     collocation_matrix,
     greville,
     make_space,
+    prolongation,
     refinement_operator,
     vanishing_subspace,
 )
 from .indices import build_combination_set, build_hier_set
 from .quadrature import gram_matrix
-from .tensorops import project_tensor
+from .tensorops import contract, project_tensor
 
 
 @dataclass(frozen=True)
@@ -62,19 +77,24 @@ class SparseGridFunction:
                      for i in range(self.d))
 
     def deriv_grid(self, axes, alpha=None):
-        """Weighted sum of the terms' values, accumulated in the first term's
-        array; each later term is scaled in its own array and released before
-        the next is evaluated, so at most two grid-sized arrays are alive."""
-        out = None
-        for _, c, ct in self.terms:
-            X = ct.deriv_grid(axes, alpha)
+        """Mixed derivative values of the weighted sum of the terms on the
+        tensor grid of per-direction nodes, evaluated once (module
+        docstring): one grid-sized array, the result."""
+        alpha = alpha or (0,) * self.d
+        p, finest = self.degree, self.finest_level
+        total = None
+        for level, c, ct in self.terms:
+            X = contract(ct.coeffs, [_derivative_transfer(p, l, a)
+                                     for l, a in zip(level, alpha)])
+            X = contract(X, [prolongation(_space(p - a, l), n)
+                             for l, a, n in zip(level, alpha, finest)])
             X *= c
-            if out is None:
-                out = X
+            if total is None:
+                total = X
             else:
-                out += X
-            del X
-        return out
+                total += X
+        return contract(total, [collocation_matrix(_space(p - a, n), ax, 0)
+                                for a, n, ax in zip(alpha, finest, axes)])
 
 
 def combination_project(f, rule):

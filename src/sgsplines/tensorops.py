@@ -10,8 +10,11 @@ composed without committing those directions to any finite space.
 Every `deriv_grid` and `eval_grid` returns a fresh array that the caller
 owns: it shares no memory with coefficients, cached matrices or another
 call's result.  The norms rely on that and overwrite the spline values in
-place, so besides what an evaluator holds while it runs, a norm holds at
-most two grid-sized arrays at once.
+place, and a target's `eval_grid` adds its terms into them one at a time,
+so besides what an evaluator holds while it runs, a norm holds at most two
+grid-sized arrays at once.  A sparse-grid function's `deriv_grid` forms its
+sum in coefficient space and evaluates once (`spaces`), through the same
+contraction kernel (`contract`) as a tensor member's.
 """
 
 from __future__ import annotations
@@ -59,13 +62,19 @@ class CoefficientTensor:
     def deriv_grid(self, axes, alpha=None):
         """Mixed derivative values on the tensor grid of per-direction nodes."""
         alpha = alpha or (0,) * self.d
-        out = self.coeffs
-        for sp, ax, a in zip(self.spaces(), axes, alpha):
-            E = collocation_matrix(sp, ax, a)
-            out = np.tensordot(out, E.T, axes=([0], [0]))
-        # the value axis of a vector-valued member is never contracted and
-        # now comes first
-        return np.moveaxis(out, 0, -1) if out.ndim > self.d else out
+        return contract(self.coeffs, [collocation_matrix(sp, ax, a) for sp, ax, a
+                                      in zip(self.spaces(), axes, alpha)])
+
+
+def contract(arr, mats):
+    """Apply ``mats[i]`` along axis i of ``arr`` for every i, one axis at a
+    time: the tensor-contraction kernel of grid evaluations, coefficient
+    transfers and tensor projections.  Returns a fresh array; a trailing value
+    axis beyond ``len(mats)`` is never contracted and stays last."""
+    for M in mats:
+        arr = np.tensordot(arr, M.T, axes=([0], [0]))
+    # the value axis of a vector-valued member now comes first
+    return np.moveaxis(arr, 0, -1) if arr.ndim > len(mats) else arr
 
 
 def tensor_weights(weights):
@@ -114,22 +123,18 @@ def project_direction(gs, i):
 
 
 def to_coefficients(gs):
-    """Interpolate a fully (or exactly) spline-valued sample back to tensor
-    coefficients; exact on members of the tensor space."""
-    arr = gs.values
-    for i, sp in enumerate(gs.spaces()):
-        _, _, M0, _ = projection_matrices(sp, 0)
-        arr = _apply_along(M0, arr, i)
-    return CoefficientTensor(gs.level, gs.degree, arr)
+    """Tensor coefficients of the L2 projection of a sample: the univariate
+    projector ``M0`` applied along every axis.  On directions that are
+    already projected (spline-valued) it gives back their coefficients,
+    because ``M0 E0 = I``."""
+    mats = [projection_matrices(sp, 0)[2] for sp in gs.spaces()]
+    return CoefficientTensor(gs.level, gs.degree, contract(gs.values, mats))
 
 
 def project_tensor(f, level, degree):
     """L2 projection of an analytic function onto the tensor-product spline
-    space at ``level``, one direction at a time."""
-    gs = sample(f, level, degree)
-    for i in range(gs.d):
-        gs = project_direction(gs, i)
-    return to_coefficients(gs)
+    space at ``level``, in one pass over the sample."""
+    return to_coefficients(sample(f, level, degree))
 
 
 def multi_indices(d, order, mode):
@@ -168,12 +173,15 @@ def error_norm(f, u, mode, order):
     object exposing ``finest_level``, ``degree`` and ``deriv_grid``).
 
     ``f`` may be None to measure the norm of ``u`` itself.  ``u.deriv_grid``
-    and ``f.eval_grid`` must return fresh arrays that the caller owns: the
-    difference, its square and the weighted square are formed in the spline
-    values' buffer, and the weights are built only after the subtraction, so
-    besides what the evaluators hold while they run, at most two grid-sized
-    arrays are alive at once.  The bits are those of
-    ``np.sum(W * (f - u) ** 2)``.
+    must return a fresh array that the caller owns, and ``f.eval_grid(axes,
+    alpha, out)`` must add f's values into ``out``: the spline values are
+    negated in place, the target is added into them, and the square and the
+    weighted square are formed in the same buffer; the weights are built
+    only after that.  Besides what the evaluators hold while they run (one
+    term of a `SumOfSeparable` at a time), at most two grid-sized arrays are
+    alive at once.  The bits are those of ``np.sum(W * ((-u) + f) ** 2)``,
+    with f's terms added one by one; for a single-term target that is
+    ``f - u`` exactly.
     """
     degree = u.degree
     if order > degree:
@@ -184,7 +192,8 @@ def error_norm(f, u, mode, order):
     for alpha in multi_indices(len(level), order, mode):
         diff = u.deriv_grid(axes, alpha)
         if f is not None:
-            np.subtract(f.eval_grid(axes, alpha), diff, out=diff)
+            np.negative(diff, out=diff)
+            f.eval_grid(axes, alpha, out=diff)
         total += _weighted_square_sum(diff, tensor_weights(weights))
     return float(np.sqrt(total))
 

@@ -2,11 +2,13 @@
 
 None of this runs in a study: these are independent evaluations (among them
 scattered-point evaluation of tensor and sparse splines and of geometry maps
-by dense collocation rows, and the derivative transfer built row by row), the
-paper's identities as residuals, the dense generalized sparse pencil, a
-one-pass build of the constrained increment chain, the mapped pencil and
-the grid norms with every grid-sized array held at once, a Newton inverse
-of a geometry map and a writer of the geometry file format.  Test modules
+by dense collocation rows, the derivative transfer built row by row, and
+term-by-term grid evaluation of sparse splines in float64 and in long
+double), the three-pass tensor projection, the paper's identities as
+residuals, the dense generalized sparse pencil, a one-pass build of the
+constrained increment chain, the mapped pencil and the grid norms with every
+grid-sized array held at once, a Newton inverse of a geometry map and a
+writer of the geometry file format.  Test modules
 import it as ``from oracles import`` (pytest puts ``tests/`` on the path).
 """
 
@@ -35,6 +37,7 @@ from sgsplines.tensorops import (
     project_direction,
     sample,
     tensor_weights,
+    to_coefficients,
 )
 
 _NEWTON_LATTICE = 17
@@ -71,16 +74,17 @@ def jacobian(geom, pts):
     return np.stack([eval_points(geom, pts, tuple(e)) for e in units], axis=-1)
 
 
-def derivative_transfer_rows(p, level, m):
+def derivative_transfer_rows(p, level, m, dtype=float):
     """The derivative transfer matrix of `sgsplines.bspline`, built one row
-    at a time: the reference its vectorized build must equal bit for bit."""
-    knots = make_space(p, level).knots
+    at a time: the reference its vectorized build must equal bit for bit.
+    With ``dtype=np.longdouble`` it is built in extended precision."""
+    knots = make_space(p, level).knots.astype(dtype)
     dim = 2 ** level + p
-    D = np.eye(dim)
+    D = np.eye(dim, dtype=dtype)
     for j in range(1, m + 1):
         q = p - j + 1
         tj = knots[j - 1:len(knots) - (j - 1)] if j > 1 else knots
-        Dj = np.zeros((dim - j, dim - j + 1))
+        Dj = np.zeros((dim - j, dim - j + 1), dtype=dtype)
         for i in range(dim - j):
             denom = tj[i + q + 1] - tj[i + 1]
             Dj[i, i] = -q / denom
@@ -327,30 +331,77 @@ def save_geometry(geom, path):
 
 
 # ---------------------------------------------------------------------------
-# grid norms with every grid-sized array held at once
+# sparse-grid evaluation term by term, and grid norms with every grid-sized
+# array held at once
 
 
-def _deriv_grid_all_held(u, axes, alpha=None):
-    """`deriv_grid` of a tensor member, or of a sparse-grid function summed as
-    ``out + c * X`` from 0.0 with a fresh array per step."""
-    if not isinstance(u, SparseGridFunction):
-        return u.deriv_grid(axes, alpha)
+def deriv_grid_per_term(u, axes, alpha=None):
+    """`deriv_grid` of a `SparseGridFunction` evaluated term by term on the
+    grid in float64, summed as ``out + c * X`` from 0.0: the evaluation that
+    the coefficient-space sum replaced."""
     out = 0.0
     for _, c, ct in u.terms:
         out = out + c * ct.deriv_grid(axes, alpha)
     return out
 
 
-def _eval_grid_all_held(f, axes, alpha=None):
-    """`SumOfSeparable.eval_grid` summed into a zero array."""
+def _basis_rows_longdouble(space, x):
+    """Values of every basis function of ``space`` at the points ``x`` (in
+    [0, 1)), by the Cox-de Boor recursion over all functions in
+    np.longdouble; shape (len(x), space.dim)."""
+    t = space.knots.astype(np.longdouble)
+    x = np.asarray(x, dtype=np.longdouble)[:, None]
+    N = ((t[:-1] <= x) & (x < t[1:])).astype(np.longdouble)
+    for k in range(1, space.degree + 1):
+        left, right = t[k:-1] - t[:-k - 1], t[k + 1:] - t[1:-k]
+        a = np.divide(x - t[:-k - 1], left, out=np.zeros_like(N[:, :-1]),
+                      where=left > 0)
+        b = np.divide(t[k + 1:] - x, right, out=np.zeros_like(N[:, :-1]),
+                      where=right > 0)
+        N = a * N[:, :-1] + b * N[:, 1:]
+    return N
+
+
+def deriv_grid_longdouble(u, axes, alpha=None):
+    """`deriv_grid` of a `SparseGridFunction` term by term in np.longdouble:
+    degree p - a basis rows by Cox-de Boor and the derivative transfer, both
+    in extended precision, contracted and summed in extended precision.
+    The reference for the float64 evaluations; ``axes`` must avoid the
+    point 1."""
+    alpha = alpha or (0,) * u.d
+    out = np.longdouble(0)
+    for level, c, ct in u.terms:
+        X = ct.coeffs.astype(np.longdouble)
+        for l, a, ax in zip(level, alpha, axes):
+            E = _basis_rows_longdouble(make_space(u.degree - a, l), ax)
+            if a:
+                E = E @ derivative_transfer_rows(u.degree, l, a, np.longdouble)
+            X = np.tensordot(X, E.T, axes=([0], [0]))
+        out = out + np.longdouble(c) * X
+    return out
+
+
+def project_tensor_three_pass(f, level, degree):
+    """Tensor L2 projection as `project_direction` along every axis (each
+    pass projects and evaluates back on the nodes), then `to_coefficients`:
+    the three-pass form that the single pass replaced."""
+    gs = sample(f, level, degree)
+    for i in range(gs.d):
+        gs = project_direction(gs, i)
+    return to_coefficients(gs)
+
+
+def _eval_grid_all_held(f, axes, alpha=None, start=None):
+    """`SumOfSeparable.eval_grid` with a fresh array per step, summed from
+    ``start`` (zeros by default)."""
     alpha = alpha or (0,) * f.d
     shape = tuple(len(np.atleast_1d(ax)) for ax in axes)
-    out = np.zeros(shape)
+    out = np.zeros(shape) if start is None else start
     for c, fs in f.terms:
         term = np.array(c)
         for g, ax, a in zip(fs, axes, alpha):
             term = np.multiply.outer(term, g(np.atleast_1d(ax), a))
-        out += term
+        out = out + term
     return out
 
 
@@ -368,9 +419,10 @@ def _eval_points_all_held(f, pts):
 
 
 def error_norm_all_held(f, u, mode, order):
-    """`sgsplines.tensorops.error_norm` with the weights, both value arrays,
-    the difference and its square each in a fresh array: the arithmetic
-    that the in-place norm must reproduce bit for bit."""
+    """`sgsplines.tensorops.error_norm` with the weights, the negated spline
+    values, each partial sum of the target's terms added to them, and the
+    square each in a fresh array: the arithmetic that the in-place norm must
+    reproduce bit for bit."""
     degree = u.degree
     if order > degree:
         raise ValueError(f"norm order {order} exceeds spline degree {degree}")
@@ -379,9 +431,9 @@ def error_norm_all_held(f, u, mode, order):
     W = tensor_weights(weights)
     total = 0.0
     for alpha in multi_indices(len(level), order, mode):
-        diff = _deriv_grid_all_held(u, axes, alpha)
+        diff = u.deriv_grid(axes, alpha)
         if f is not None:
-            diff = _eval_grid_all_held(f, axes, alpha) - diff
+            diff = _eval_grid_all_held(f, axes, alpha, start=-diff)
         total += float(np.sum(W * diff ** 2))
     return float(np.sqrt(total))
 
@@ -407,5 +459,5 @@ def pullback_error_norm_all_held(f_phys, u, geom):
     J = np.stack([geom.tensor.deriv_grid(axes, tuple(e)) for e in units], axis=-1)
     Wphys = tensor_weights(weights) * np.linalg.det(J)
     diff = (_eval_points_all_held(f_phys, geom.eval_grid(axes))
-            - _deriv_grid_all_held(u, axes))
+            - u.deriv_grid(axes))
     return float(np.sqrt(np.sum(Wphys * diff ** 2)))

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from test_golden import PENCILS, ROOT, _reference
+from test_golden import PENCILS, ROOT, _golden
 
 # records the setting at the moment numpy is first imported
 _PROBE = """
@@ -66,4 +66,4 @@ def test_csv_bytes_do_not_depend_on_the_spin(workload, process, kind,
          "--out", str(out)],
         capture_output=True, text=True, env=_env(timeout), timeout=300)
     assert out.exists(), proc.stderr
-    assert out.read_bytes() == _reference(workload, process)
+    assert out.read_bytes() == _golden(workload, process)

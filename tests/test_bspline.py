@@ -15,6 +15,7 @@ from sgsplines.bspline import (
     eval_basis,
     greville,
     make_space,
+    prolongation,
     refinement_operator,
     vanishing_subspace,
 )
@@ -191,6 +192,23 @@ def test_cached_arrays_are_read_only():
                 make_space(3, 4).knots):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
+
+
+def test_prolongation_is_cached_read_only_and_reproduces():
+    coarse = make_space(2, 3)
+    P = prolongation(coarse, 6)
+    assert P is prolongation(make_space(2, 3), 6)
+    assert P.shape == (2 ** 6 + 2, coarse.dim)
+    with pytest.raises(ValueError):
+        P[0, 0] = 1.0
+    steps = _refinement_matrix(2, 5) @ (_refinement_matrix(2, 4) @ _refinement_matrix(2, 3))
+    np.testing.assert_array_equal(P, steps)
+    rng = np.random.default_rng(2)
+    c, x = rng.standard_normal(coarse.dim), rng.random(64)
+    err = np.abs(eval_spline(make_space(2, 6), P @ c, x) - eval_spline(coarse, c, x))
+    assert err.max() < 1e-12
+    with pytest.raises(ValueError):
+        prolongation(make_space(2, 4), 3)
 
 
 def test_refinement_rejects_mismatch():

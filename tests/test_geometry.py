@@ -161,8 +161,8 @@ def test_pullback_norm_affine_change_of_variables():
 
     class Pull:
         d = 2
-        def eval_grid(self, axes, alpha=None):
-            return pull.eval_grid(axes, alpha)
+        def eval_grid(self, axes, alpha=None, out=None):
+            return pull.eval_grid(axes, alpha, out)
 
     e_param = error_norm(Pull(), sg, "semi", 0)
     scale = np.sqrt(abs(np.linalg.det(SHEAR)))

@@ -19,11 +19,13 @@ from sgsplines.spaces import (
     sparse_rayleigh,
     stacked_sparse_basis,
 )
-from sgsplines.tensorops import error_norm, project_tensor
+from sgsplines.tensorops import _norm_axes, error_norm, multi_indices, project_tensor
 from oracles import (
     cancellation_constant,
     constrained_chain,
     dense_rayleigh,
+    deriv_grid_longdouble,
+    deriv_grid_per_term,
     eval_points,
     eval_spline,
     lemma8_residual,
@@ -92,6 +94,25 @@ def test_eval_matches_per_level_sum():
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     by_level = sum(c * eval_points(ct, pts) for _, c, ct in sg.terms)
     assert np.abs(sg.deriv_grid(axes) - by_level).max() < 1e-14
+
+
+@pytest.mark.parametrize("d,p,n", [(2, 3, 6), (3, 2, 4), (2, 1, 8)])
+def test_sparse_deriv_grid_is_as_accurate_as_per_term(d, p, n):
+    # the coefficient-space sum against the float64 per-term evaluation, both
+    # measured against a long-double per-term evaluation, at the midpoints of
+    # every other finest cell; prolonging before differentiating fails this
+    # by factors of 1e3 to 3e4
+    u = combination_project(random_trig(d, 1), LevelRule(d, n, p))
+    axes = [ax[::2] for ax in _norm_axes(u.finest_level, p, 1)[0]]
+    for alpha in multi_indices(d, p, "mix"):
+        ref = deriv_grid_longdouble(u, axes, alpha)
+
+        def err(values):
+            return float(np.abs(values - ref).max())
+
+        assert (err(u.deriv_grid(axes, alpha))
+                <= 4 * err(deriv_grid_per_term(u, axes, alpha))
+                + 1e-14 * float(np.abs(ref).max()))
 
 
 def test_increment_indices_select_new_odd_knots():

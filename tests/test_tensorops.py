@@ -35,6 +35,7 @@ from oracles import (
     eval_points,
     function_norm_all_held,
     l2_norm,
+    project_tensor_three_pass,
     random_trig,
     spline_factor,
 )
@@ -78,6 +79,17 @@ def test_directional_projections_commute():
     assert np.abs(ca.coeffs - cb.coeffs).max() < 1e-12
     full = project_tensor(fn.sinpi_exp(), (3, 2), 2)
     assert np.abs(ca.coeffs - full.coeffs).max() < 1e-12
+
+
+@pytest.mark.parametrize("d,level,p", [(1, (6,), 3), (2, (3, 5), 2), (3, (2, 3, 2), 1)],
+                         ids=["d1", "d2", "d3"])
+def test_single_pass_projection_matches_three_passes(d, level, p):
+    # M0 E0 = I: projecting and evaluating back before the final M0 changes
+    # only roundoff
+    f = random_trig(d, seed=7)
+    one = project_tensor(f, level, p).coeffs
+    three = project_tensor_three_pass(f, level, p).coeffs
+    assert np.abs(one - three).max() <= 1e-13 * np.abs(three).max()
 
 
 def test_error_norm_zero():
@@ -191,10 +203,9 @@ def test_error_norm_matches_all_held_bits_on_random_targets(data):
     assert error_norm(f, u, mode, order) == error_norm_all_held(f, u, mode, order)
 
 
-def test_error_norm_holds_two_grid_buffers():
-    # (2^6 (p+3))^2 = 102400 quadrature points
-    buffer = 102400 * 8
-    f = fn.sinpi_product(2)
+def _error_norm_peak_buffers(f):
+    """Peak traced memory of a warm `error_norm` of a d=2 p=2 n=6 sparse-grid
+    function, in buffers of (2^6 (p+3))^2 = 102400 doubles."""
     sg = combination_project(f, LevelRule(2, 6, 2))
     error_norm(f, sg, "semi", 0)  # the cached 1D matrices are not counted
     tracemalloc.start()
@@ -203,7 +214,16 @@ def test_error_norm_holds_two_grid_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * buffer
+    return peak / (102400 * 8)
+
+
+def test_error_norm_holds_two_grid_buffers():
+    assert _error_norm_peak_buffers(fn.sinpi_product(2)) <= 2.5
+
+
+def test_error_norm_holds_two_grid_buffers_for_multi_term_targets():
+    # the target's three terms are added into the spline values one by one
+    assert _error_norm_peak_buffers(random_trig(2, 3)) <= 2.5
 
 
 def _cached_arrays(spaces, qpts, alpha):
