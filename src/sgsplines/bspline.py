@@ -12,8 +12,8 @@ Oslo algorithm (Cohen, Lyche and Riesenfeld, CGIP 14, 1980): each row of the
 refinement matrix is a product of p convex-combination steps over knot
 ratios, computed for all fine rows at once.
 
-Arrays returned by the lru caches of this module are read-only, because they
-are shared between callers and threads.
+Arrays returned by the lru caches of this package are read-only, because
+they are shared between callers and threads; `_frozen` marks them.
 """
 
 from __future__ import annotations
@@ -50,13 +50,22 @@ class SplineSpace1D:
         return 2.0 ** (-self.level)
 
 
+def _frozen(*arrays):
+    """Mark arrays that a cache shares between callers and threads
+    read-only; None entries pass through.  Returns the one array given, or
+    the tuple of them."""
+    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
 @lru_cache(maxsize=None)
 def _space(p, level):
     ncells = 2 ** level
     knots = np.concatenate([np.zeros(p + 1), np.arange(1, ncells) / ncells,
                             np.ones(p + 1)])
-    knots.setflags(write=False)
-    return SplineSpace1D(p, level, knots)
+    return SplineSpace1D(p, level, _frozen(knots))
 
 
 def make_space(p, level):
@@ -104,28 +113,28 @@ def _nonzero_basis(knots, deg, spans, x):
 @lru_cache(maxsize=None)
 def _derivative_transfer(p, level, m):
     """Matrix mapping degree-p coefficients to coefficients of the m-th
-    derivative in the degree p-m basis on the m-fold trimmed knot vector."""
-    knots = _space(p, level).knots
+    derivative in the basis of the degree p-m space on the same mesh."""
     dim = 2 ** level + p
     D = np.eye(dim)
     for j in range(1, m + 1):
         q = p - j + 1  # degree before this differentiation step
-        tj = knots[j - 1:len(knots) - (j - 1)] if j > 1 else knots
+        tj = _space(q, level).knots
         i = np.arange(dim - j)
         w = q / (tj[i + q + 1] - tj[i + 1])
         Dj = np.zeros((dim - j, dim - j + 1))
         Dj[i, i] = -w
         Dj[i, i + 1] = w
         D = Dj @ D
-    D.setflags(write=False)
-    return D
+    return _frozen(D)
 
 
 def collocation_matrix(space, x, m=0):
     """Dense matrix of m-th derivatives of all basis functions at points `x`.
 
     Shape (len(x), space.dim).  At m=0 rows are nonnegative and sum to one,
-    with at most degree+1 nonzero entries.
+    with at most degree+1 nonzero entries.  The m-th derivative of a
+    degree-p spline lies in the degree p-m space on the same mesh, so m >= 1
+    rows are that space's basis values times `_derivative_transfer`.
     """
     p = space.degree
     if not 0 <= m <= p:
@@ -133,23 +142,16 @@ def collocation_matrix(space, x, m=0):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size and (x.min() < 0.0 or x.max() > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
-    knots = space.knots
     deg = p - m
-    tk = knots[m:len(knots) - m] if m > 0 else knots
-    spans = _find_spans(tk, deg, x)
-    N = _nonzero_basis(tk, deg, spans, x)
-    dim_m = space.dim - m
-    B = np.zeros((x.size, dim_m))
+    low = _space(deg, space.level)
+    spans = _find_spans(low.knots, deg, x)
+    N = _nonzero_basis(low.knots, deg, spans, x)
+    B = np.zeros((x.size, low.dim))
     cols = spans[:, None] - deg + np.arange(deg + 1)[None, :]
     np.put_along_axis(B, cols, N, axis=1)
     if m == 0:
         return B
     return B @ _derivative_transfer(p, space.level, m)
-
-
-def eval_basis(space, x, m=0):
-    """Vector of m-th derivatives of all basis functions at a single point."""
-    return collocation_matrix(space, [x], m)[0]
 
 
 def greville(space):
@@ -188,8 +190,7 @@ def _refinement_matrix(p, coarse_level):
     R = np.zeros((m, n))
     cols = mu[:, None] - p + np.arange(p + 1)[None, :]
     np.put_along_axis(R, cols, b, axis=1)
-    R.setflags(write=False)
-    return R
+    return _frozen(R)
 
 
 def refinement_operator(coarse, fine):
@@ -214,8 +215,7 @@ def prolongation(space, target_level):
     R = np.eye(space.dim)
     for lev in range(space.level, target_level):
         R = _refinement_matrix(space.degree, lev) @ R
-    R.setflags(write=False)
-    return R
+    return _frozen(R)
 
 
 def constraint_orders(p, q):
@@ -246,8 +246,8 @@ def vanishing_subspace(space, q):
     # vanishes to order p at x=0 (likewise at x=1), so the constraints act on
     # the p outermost coefficients per side
     scale = space.h ** np.array(orders, dtype=float)
-    rows0 = np.array([eval_basis(space, 0.0, m) for m in orders]) * scale[:, None]
-    rows1 = np.array([eval_basis(space, 1.0, m) for m in orders]) * scale[:, None]
+    rows0, rows1 = (np.array([collocation_matrix(space, [x], m)[0] for m in orders])
+                    * scale[:, None] for x in (0.0, 1.0))
     null_l = scipy.linalg.null_space(rows0[:, :p])
     null_r = scipy.linalg.null_space(rows1[:, n - p:])
     if not null_l.shape[1] == null_r.shape[1] == p - nc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .bspline import _space, collocation_matrix, greville, make_space
+from .bspline import _frozen, _space, collocation_matrix, greville, make_space
 from .spaces import khatri_rao, stacked_sparse_basis
 from .tensorops import (
     CoefficientTensor,
@@ -60,8 +60,7 @@ class GeometryMap:
             raise ValueError(f"control extent {sizes[0]} incompatible with "
                              f"degree {self.degree} on a dyadic mesh")
         self.level = ncells.bit_length() - 1
-        self.ctrl = ctrl
-        self.ctrl.setflags(write=False)
+        self.ctrl = _frozen(ctrl)
         self.tensor = CoefficientTensor((self.level,) * self.d, self.degree, ctrl)
         # a clamped tensor map interpolates its corner control points by
         # construction, so only non-finite control points can spoil it
@@ -226,8 +225,7 @@ def pullback_error_norm(f_phys, u, geom):
     square are formed in the spline values' buffer.  The bits are those of
     ``np.sum((W * det J) * (f - u) ** 2)``.
     """
-    degree = u.degree
-    axes, weights = _norm_axes(u.finest_level, degree, degree + 3)
+    axes, weights = _norm_axes(u.finest_level, u.degree + 3)
     Wphys = np.linalg.det(geom.jacobian_grid(axes))
     Wphys *= tensor_weights(weights)
     fv = f_phys.eval_points(geom.eval_grid(axes))
@@ -254,7 +252,7 @@ def mapped_rayleigh(rule, q, geom):
         raise ValueError("geometry dimension does not match the level rule")
     basis = stacked_sparse_basis(rule, q)
     p, n, d = rule.p, rule.n, rule.d
-    axes, weights = _norm_axes((n,) * d, p, p + 3)
+    axes, weights = _norm_axes((n,) * d, p + 3)
     J = geom.jacobian_grid(axes)
     det = np.linalg.det(J)
     Wphys = (tensor_weights(weights) * det).ravel()

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .bspline import collocation_matrix
+from .bspline import _frozen, collocation_matrix
 
 MAX_GAUSS_POINTS = 16
 
@@ -42,25 +42,16 @@ def gauss_rule(points):
     if not 1 <= points <= MAX_GAUSS_POINTS:
         raise ValueError(f"points must be in [1, {MAX_GAUSS_POINTS}], got {points}")
     t, w = np.polynomial.legendre.leggauss(points)
-    return QuadratureRule(points, *_read_only((t + 1.0) / 2.0, w / 2.0))
+    return QuadratureRule(points, *_frozen((t + 1.0) / 2.0, w / 2.0))
 
 
-def element_grid(space, rule):
+def element_grid(level, rule):
     """Quadrature nodes and weights tiled over the 2**level mesh cells."""
-    h = space.h
-    offsets = np.arange(space.num_cells) * h
+    h = 2.0 ** -level
+    offsets = np.arange(2 ** level) * h
     nodes = (offsets[:, None] + rule.nodes[None, :] * h).ravel()
-    weights = np.tile(rule.weights * h, space.num_cells)
+    weights = np.tile(rule.weights * h, 2 ** level)
     return nodes, weights
-
-
-def _read_only(*arrays):
-    """Mark cached arrays read-only (they are shared across callers and
-    threads) and return them as a tuple; None entries pass through."""
-    for a in arrays:
-        if a is not None:
-            a.setflags(write=False)
-    return arrays
 
 
 @lru_cache(maxsize=None)
@@ -70,12 +61,10 @@ def _gram_cached(space, r):
     p = space.degree
     if r > p:
         raise ValueError(f"derivative order {r} exceeds degree {p}")
-    nodes, weights = element_grid(space, gauss_rule(p + 1))
+    nodes, weights = element_grid(space.level, gauss_rule(p + 1))
     B = collocation_matrix(space, nodes, r)
     G = B.T @ (weights[:, None] * B)
-    G = 0.5 * (G + G.T)
-    G.setflags(write=False)
-    return G
+    return _frozen(0.5 * (G + G.T))
 
 
 def gram_matrix(space, r):
@@ -103,7 +92,7 @@ def projection_matrices(space, r):
     no inverse is taken.  The (p + 3)-point rule integrates the degree-2(p - r)
     derivative products exactly, so B_r^T W B_r is the order-r Gram matrix.
     """
-    nodes, weights = element_grid(space, gauss_rule(space.degree + 3))
+    nodes, weights = element_grid(space.level, gauss_rule(space.degree + 3))
     if r == 0:
         B = collocation_matrix(space, nodes, 0)
         G = gram_matrix(space, 0)
@@ -114,7 +103,7 @@ def projection_matrices(space, r):
             band[p - k, k:] = np.diagonal(G, k)
         cho = scipy.linalg.cholesky_banded(band)
         M0 = scipy.linalg.cho_solve_banded((cho, False), B.T * weights[None, :])
-        return _read_only(nodes, weights, M0, None)
+        return _frozen(nodes, weights, M0, None)
     # Equality-constrained least squares by the null-space method: with
     # Q = [Y Z] [R; 0], the constraint fixes the Y-part of the coefficients and
     # the Z-part solves an unconstrained problem through a QR of A Z.
@@ -129,7 +118,7 @@ def projection_matrices(space, r):
     Vz = scipy.linalg.solve_triangular(Rz, Qz.T)
     Mr = Z @ (Vz * sw[None, :])
     M0 = (Y - Z @ (Vz @ (A @ Y))) @ U
-    return _read_only(nodes, weights, M0, Mr)
+    return _frozen(nodes, weights, M0, Mr)
 
 
 def project_1d(space, f, r=0):

@@ -46,6 +46,7 @@ import scipy.linalg
 
 from .bspline import (
     _derivative_transfer,
+    _frozen,
     _space,
     collocation_matrix,
     greville,
@@ -259,8 +260,7 @@ def _constrained_chain(p, q, lam, n):
     """
     T = vanishing_subspace(make_space(p, n), q)
     if n == lam:
-        T.setflags(write=False)
-        return T
+        return _frozen(T)
     R = refinement_operator(make_space(p, n - 1), make_space(p, n))
     acc = R @ _constrained_chain(p, q, lam, n - 1)
     Qacc, _ = np.linalg.qr(acc)
@@ -270,8 +270,7 @@ def _constrained_chain(p, q, lam, n):
     if np.linalg.matrix_rank(V) != V.shape[1]:
         raise RuntimeError(f"constrained increment selection rank-deficient "
                            f"at p={p}, q={q}, level={n}")
-    V.setflags(write=False)
-    return V
+    return _frozen(V)
 
 
 # one lock per chain (p, q, lam): `lru_cache` does not make a second caller

@@ -47,7 +47,7 @@ from .indices import (
     lemma3_oracle,
     sparse_dimension,
 )
-from .quadrature import project_1d
+from .quadrature import MAX_GAUSS_POINTS, project_1d
 from .spaces import (
     combination_project,
     dimension_rank,
@@ -148,8 +148,9 @@ def parse_config(path, overrides=()):
 
 
 def validate_config(cfg):
-    """Raise `ConfigError` for an inconsistent config; return the geometry of
-    a mapped study (None for the other kinds)."""
+    """Raise `ConfigError` for an inconsistent config; return the study's
+    target function and the geometry of a mapped study (None for the kinds
+    without one), which the runner then uses."""
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown study kind '{cfg.kind}'")
     if cfg.timing not in ("on", "off"):
@@ -162,9 +163,15 @@ def validate_config(cfg):
         cfg.kind == "inverse-inequality" and cfg.variant == "mapped")
     fits_rate = mapped or cfg.kind in ("univariate-convergence",
                                        "sparse-convergence")
+    # Gauss points per cell: the projections and norms take p + 3, the
+    # Gram matrices of the pencils p + 1
+    extra = 3 if fits_rate else 1 if cfg.kind == "inverse-inequality" else None
     for p in cfg.p:
         if p < 0:
             raise ConfigError("degrees must be nonnegative")
+        if extra is not None and p + extra > MAX_GAUSS_POINTS:
+            raise ConfigError(f"degree {p} needs a {p + extra}-point Gauss rule, "
+                              f"above the limit of {MAX_GAUSS_POINTS} points")
         lam = lambda_eff(p)
         if cfg.kind in ("sparse-convergence", "mapped-convergence",
                         "equivalence", "dimensions", "inverse-inequality"):
@@ -184,17 +191,20 @@ def validate_config(cfg):
                     raise ConfigError(f"inverse inequality needs q <= p, "
                                       f"got q={q}, p={p}")
     if cfg.kind == "inverse-inequality":
+        if any(q < 1 for q in cfg.q):
+            raise ConfigError("inverse inequality needs q >= 1: at q=0 it "
+                              "bounds the L2 norm by itself")
         if cfg.variant not in ("univariate", "sparse", "mapped"):
             raise ConfigError("variant must be univariate, sparse, or mapped")
         if cfg.variant == "mapped" and set(cfg.q) != {1}:
             raise ConfigError("the mapped variant measures the first-order "
                               "physical seminorm; set q=1")
+    f = geom = None
     try:
         if cfg.kind in ("univariate-convergence", "sparse-convergence",
                         "mapped-convergence"):
             f = fn.target_function(cfg.target, 1 if cfg.kind == "univariate-convergence"
                                    else cfg.d)
-        geom = None
         if mapped:
             name = cfg.geometry or "distorted-square"
             geom = (load_geometry(name) if os.path.exists(name)
@@ -203,13 +213,7 @@ def validate_config(cfg):
         raise ConfigError(str(exc)) from exc
     if geom is not None and geom.d != cfg.d:
         raise ConfigError(f"the geometry is {geom.d}-dimensional, but d={cfg.d}")
-    if cfg.kind == "univariate-convergence":
-        for p in cfg.p:
-            if function_norm(f, 1, "semi", p + 1) == 0:
-                raise ConfigError(f"target '{cfg.target}' has a zero H^{p + 1} "
-                                  f"seminorm, so the bound for degree {p} is 0 "
-                                  f"and no rate can be fitted")
-    return geom
+    return f, geom
 
 
 @dataclass(frozen=True)
@@ -376,7 +380,7 @@ def _fitted(cfg, groups, row, fit, floor=0.0):
     return out
 
 
-def _study_identities(cfg, geom):
+def _study_identities(cfg, f, geom):
     def lemma1(d):
         dev = lemma1_deviation(d)
         return [Row(cfg.kind, d, "", "", value=dev, bound=0, passed=dev == 0,
@@ -410,7 +414,7 @@ def _study_identities(cfg, geom):
             + _grid(cfg, lemmas3_4, range(2, cfg.d_max + 1), cfg.p))
 
 
-def _study_dimensions(cfg, geom):
+def _study_dimensions(cfg, f, geom):
     d = cfg.d
 
     def row(p, n):
@@ -427,10 +431,14 @@ def _study_dimensions(cfg, geom):
     return _grid(cfg, row, cfg.p, cfg.n)
 
 
-def _study_univariate(cfg, geom):
-    f = fn.target_function(cfg.target, 1)
+def _study_univariate(cfg, f, geom):
     r = cfg.r
     seminorms = {p: function_norm(f, 1, "semi", p + 1) for p in cfg.p}
+    for p, seminorm in seminorms.items():
+        if seminorm == 0:
+            raise ConfigError(f"target '{cfg.target}' has a zero H^{p + 1} "
+                              f"seminorm, so the bound for degree {p} is 0 "
+                              f"and no rate can be fitted")
 
     def row(p, n):
         q = p + 1
@@ -453,9 +461,8 @@ def _study_univariate(cfg, geom):
     return _fitted(cfg, [(p,) for p in cfg.p], row, fit, floor)
 
 
-def _study_sparse(cfg, geom):
+def _study_sparse(cfg, f, geom):
     d = cfg.d
-    f = fn.target_function(cfg.target, d)
     mixnorms = {p: function_norm(f, d, "mix", p + 1) for p in cfg.p}
 
     def row(p, n):
@@ -476,9 +483,8 @@ def _study_sparse(cfg, geom):
     return _fitted(cfg, [(p,) for p in cfg.p], row, fit, floor)
 
 
-def _study_mapped(cfg, geom):
+def _study_mapped(cfg, f_phys, geom):
     d = cfg.d
-    f_phys = fn.target_function(cfg.target, d)
     pull = PullbackFunction(f_phys, geom)
 
     def row(p, n):
@@ -496,7 +502,7 @@ def _study_mapped(cfg, geom):
     return _fitted(cfg, [(p,) for p in cfg.p], row, fit, floor)
 
 
-def _study_equivalence(cfg, geom):
+def _study_equivalence(cfg, f, geom):
     d = cfg.d
 
     def row(p, n):
@@ -514,9 +520,9 @@ def _study_equivalence(cfg, geom):
     return _grid(cfg, row, cfg.p, cfg.n)
 
 
-def _study_inverse(cfg, geom):
+def _study_inverse(cfg, f, geom):
     if cfg.variant == "mapped":
-        return _study_inverse_mapped(cfg, geom)
+        return _study_inverse_mapped(cfg, f, geom)
     # the univariate pencil is the d = 1 sparse pencil of the q-th seminorm
     if cfg.variant == "univariate":
         d, mode, source = 1, "mix-semi", "L12"
@@ -536,7 +542,7 @@ def _study_inverse(cfg, geom):
     return _grid(cfg, row, cfg.p, cfg.q, cfg.n)
 
 
-def _study_inverse_mapped(cfg, geom):
+def _study_inverse_mapped(cfg, f, geom):
     d = cfg.d
 
     def row(p, q, n):
@@ -558,8 +564,10 @@ def _study_inverse_mapped(cfg, geom):
 _Kind = namedtuple("_Kind", "note run defaults")
 
 # The one place where a study kind is declared: the note printed by `study
-# list-kinds` and atop its `study gen-config` template, the runner, and the
-# StudyConfig values that differ from the dataclass defaults.
+# list-kinds` and atop its `study gen-config` template, the runner (called
+# with the config and the target and geometry that `validate_config`
+# resolved), and the StudyConfig values that differ from the dataclass
+# defaults.
 _KINDS = {
     "univariate-convergence": _Kind(
         "L2 projection error vs the univariate bound", _study_univariate,
@@ -594,8 +602,7 @@ def run_study(cfg):
     The report is deterministic given the config.  ``seed`` is accepted and
     unused: no study kind makes random draws; the benchmark sets it.
     """
-    geom = validate_config(cfg)
-    rows = _KINDS[cfg.kind].run(cfg, geom)
+    rows = _KINDS[cfg.kind].run(cfg, *validate_config(cfg))
     report = StudyReport(cfg, _sorted_rows(rows))
     if cfg.out:
         report.to_csv(cfg.out)

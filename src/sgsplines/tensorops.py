@@ -2,10 +2,12 @@
 
 Members of a tensor-product spline space are evaluated only on tensor grids,
 by one collocation matrix per direction (`CoefficientTensor.deriv_grid`).
-Directional L2 projections are applied one axis at a time (the univariate
-projectors commute).  While only some directions are projected, the others
-are kept as sampled data on the tensor Gauss grid, so operators can be
-composed without committing those directions to any finite space.
+The studies project a sampled function onto a tensor-product space in one
+pass, the univariate projector applied along every axis
+(`to_coefficients`).  Only the reference oracles compose partial
+projections: `project_direction` projects one axis of a `GridSample` and
+keeps the others as sampled data on the tensor Gauss grid.  Every
+contraction, whole or partial, goes through one kernel (`contract`).
 
 Every `deriv_grid` and `eval_grid` returns a fresh array that the caller
 owns: it shares no memory with coefficients, cached matrices or another
@@ -14,7 +16,7 @@ place, and a target's `eval_grid` adds its terms into them one at a time,
 so besides what an evaluator holds while it runs, a norm holds at most two
 grid-sized arrays at once.  A sparse-grid function's `deriv_grid` forms its
 sum in coefficient space and evaluates once (`spaces`), through the same
-contraction kernel (`contract`) as a tensor member's.
+contraction kernel as a tensor member's.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .bspline import _space, collocation_matrix, make_space
+from .bspline import _space, collocation_matrix
 from .quadrature import element_grid, gauss_rule, projection_matrices
 
 
@@ -69,21 +71,19 @@ class CoefficientTensor:
 def contract(arr, mats):
     """Apply ``mats[i]`` along axis i of ``arr`` for every i, one axis at a
     time: the tensor-contraction kernel of grid evaluations, coefficient
-    transfers and tensor projections.  Returns a fresh array; a trailing value
-    axis beyond ``len(mats)`` is never contracted and stays last."""
+    transfers and tensor projections.  An axis whose matrix is None is left
+    as it is.  Returns a fresh array unless every matrix is None; a trailing
+    value axis beyond ``len(mats)`` is never contracted and stays last."""
     for M in mats:
-        arr = np.tensordot(arr, M.T, axes=([0], [0]))
+        # each step moves the axis it has handled to the end
+        arr = (np.moveaxis(arr, 0, -1) if M is None
+               else np.tensordot(arr, M.T, axes=([0], [0])))
     # the value axis of a vector-valued member now comes first
     return np.moveaxis(arr, 0, -1) if arr.ndim > len(mats) else arr
 
 
 def tensor_weights(weights):
     return reduce(np.multiply.outer, weights)
-
-
-def _apply_along(M, arr, axis):
-    out = np.tensordot(M, arr, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
 
 
 @dataclass(frozen=True)
@@ -102,24 +102,27 @@ class GridSample:
         return len(self.level)
 
     def spaces(self):
-        return [make_space(self.degree, l) for l in self.level]
+        return [_space(self.degree, l) for l in self.level]
 
 
 def sample(f, level, degree):
     """Sample an analytic function on the tensor Gauss grid of the given
     level, whose degree + 3 points per cell are those of
     `projection_matrices`."""
-    axes, weights = _norm_axes(level, degree, degree + 3)
+    axes, weights = _norm_axes(level, degree + 3)
     return GridSample(tuple(level), degree, axes, weights, f.eval_grid(axes))
 
 
 def project_direction(gs, i):
-    """Apply the univariate L2 projector along axis i of a sample."""
+    """Apply the univariate L2 projector along axis i of a sample: its
+    coefficients, evaluated back on the nodes."""
     sp = gs.spaces()[i]
     nodes, _, M0, _ = projection_matrices(sp, 0)
-    coeff = _apply_along(M0, gs.values, i)
-    values = _apply_along(collocation_matrix(sp, nodes, 0), coeff, i)
-    return replace(gs, values=values)
+    mats = [None] * gs.d
+    mats[i] = M0
+    coeff = contract(gs.values, mats)
+    mats[i] = collocation_matrix(sp, nodes, 0)
+    return replace(gs, values=contract(coeff, mats))
 
 
 def to_coefficients(gs):
@@ -152,10 +155,9 @@ def multi_indices(d, order, mode):
     raise ValueError(f"unknown norm mode '{mode}'")
 
 
-def _norm_axes(level, degree, qpts):
+def _norm_axes(level, qpts):
     """Per-direction Gauss nodes and weights tiled over the cells of each level."""
-    spaces = [make_space(degree, l) for l in level]
-    grids = [element_grid(sp, gauss_rule(qpts)) for sp in spaces]
+    grids = [element_grid(l, gauss_rule(qpts)) for l in level]
     return tuple(g[0] for g in grids), tuple(g[1] for g in grids)
 
 
@@ -187,7 +189,7 @@ def error_norm(f, u, mode, order):
     if order > degree:
         raise ValueError(f"norm order {order} exceeds spline degree {degree}")
     level = u.finest_level
-    axes, weights = _norm_axes(level, degree, degree + 3)
+    axes, weights = _norm_axes(level, degree + 3)
     total = 0.0
     for alpha in multi_indices(len(level), order, mode):
         diff = u.deriv_grid(axes, alpha)
@@ -202,7 +204,7 @@ def function_norm(f, d, mode, order):
     """Sobolev norm of an analytic function by 6-point Gauss quadrature on a
     fixed fine dyadic grid (level 6 for d <= 2, level 4 for d = 3)."""
     level = 6 if d <= 2 else 4
-    axes, weights = _norm_axes((level,) * d, 1, 6)
+    axes, weights = _norm_axes((level,) * d, 6)
     # the grid is fixed and small, so the weights are built once
     W = tensor_weights(weights)
     total = 0.0

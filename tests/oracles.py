@@ -261,7 +261,7 @@ def mapped_rayleigh_reference(rule, q, geom):
     grid-sized buffers."""
     basis = stacked_sparse_basis(rule, q)
     p, n, d = rule.p, rule.n, rule.d
-    axes, weights = _norm_axes((n,) * d, p, p + 3)
+    axes, weights = _norm_axes((n,) * d, p + 3)
     J = geom.jacobian_grid(axes)
     det = np.linalg.det(J)
     Wphys = (tensor_weights(weights) * det).ravel()
@@ -427,7 +427,7 @@ def error_norm_all_held(f, u, mode, order):
     if order > degree:
         raise ValueError(f"norm order {order} exceeds spline degree {degree}")
     level = u.finest_level
-    axes, weights = _norm_axes(level, degree, degree + 3)
+    axes, weights = _norm_axes(level, degree + 3)
     W = tensor_weights(weights)
     total = 0.0
     for alpha in multi_indices(len(level), order, mode):
@@ -441,7 +441,7 @@ def error_norm_all_held(f, u, mode, order):
 def function_norm_all_held(f, d, mode, order):
     """`sgsplines.tensorops.function_norm` with fresh arrays throughout."""
     level = 6 if d <= 2 else 4
-    axes, weights = _norm_axes((level,) * d, 1, 6)
+    axes, weights = _norm_axes((level,) * d, 6)
     W = tensor_weights(weights)
     total = 0.0
     for alpha in multi_indices(d, order, mode):
@@ -454,7 +454,7 @@ def pullback_error_norm_all_held(f_phys, u, geom):
     """`sgsplines.geometry.pullback_error_norm` with the Jacobian stacked from
     its columns and fresh arrays throughout."""
     degree = u.degree
-    axes, weights = _norm_axes(u.finest_level, degree, degree + 3)
+    axes, weights = _norm_axes(u.finest_level, degree + 3)
     units = np.eye(geom.d, dtype=int)
     J = np.stack([geom.tensor.deriv_grid(axes, tuple(e)) for e in units], axis=-1)
     Wphys = tensor_weights(weights) * np.linalg.det(J)

@@ -129,7 +129,7 @@ def test_seminorm_projection_minimizes_seminorm():
     # the r = 1 projection cannot be beaten in |.|_{H^1} by the L2 projection
     f = fn.sin_2pi()
     space = make_space(3, 3)
-    nodes, weights = element_grid(space, gauss_rule(8))
+    nodes, weights = element_grid(space.level, gauss_rule(8))
 
     def h1_err(coeffs):
         diff = f(nodes, 1) - eval_spline(space, coeffs, nodes, 1)

@@ -103,7 +103,7 @@ def test_sparse_deriv_grid_is_as_accurate_as_per_term(d, p, n):
     # every other finest cell; prolonging before differentiating fails this
     # by factors of 1e3 to 3e4
     u = combination_project(random_trig(d, 1), LevelRule(d, n, p))
-    axes = [ax[::2] for ax in _norm_axes(u.finest_level, p, 1)[0]]
+    axes = [ax[::2] for ax in _norm_axes(u.finest_level, 1)[0]]
     for alpha in multi_indices(d, p, "mix"):
         ref = deriv_grid_longdouble(u, axes, alpha)
 
@@ -372,7 +372,9 @@ def test_chain_rank_certificate_fires(rank_one_short):
 
 
 def test_cached_chain_arrays_are_read_only():
-    # shared by every caller and every study thread
-    V = _constrained_chain(3, 1, lambda_eff(3), 5)
-    with pytest.raises(ValueError):
-        V[0, 0] = 1.0
+    # shared by every caller and every study thread: the base level's
+    # vanishing basis and the refined chains above it
+    for n in (lambda_eff(3), 5):
+        V = _constrained_chain(3, 1, lambda_eff(3), n)
+        with pytest.raises(ValueError):
+            V[0, 0] = 1.0

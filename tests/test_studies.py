@@ -8,9 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sgsplines import functions as fn
 from sgsplines import studies
 from sgsplines.cli import main as cli_main
 from sgsplines.geometry import builtin_geometry
+from sgsplines.quadrature import MAX_GAUSS_POINTS
 from sgsplines.studies import (
     CSV_COLUMNS,
     ConfigError,
@@ -230,12 +232,23 @@ def _bad_geometry(tmp_path, name, lines):
     ("univariate-convergence", ["r=-1"]),
     ("inverse-inequality", ["q=-1"]),
     ("univariate-convergence", ["p=0", "target=one"]),
+    ("inverse-inequality", ["q=0"]),
+    # degrees whose Gauss rule would pass the quadrature limit
+    ("univariate-convergence", ["p=14", "n=5..6"]),
+    ("sparse-convergence", ["p=14", "n=5..6"]),
+    ("mapped-convergence", ["p=14", "n=5..6"]),
+    ("inverse-inequality", ["variant=mapped", "p=14", "q=1", "n=5..6"]),
+    ("inverse-inequality", ["variant=univariate", "p=16", "q=1", "n=5"]),
+    ("inverse-inequality", ["variant=sparse", "d=1", "p=16", "q=1", "n=5"]),
 ], ids=["unknown-target", "target-dimension", "unknown-geometry",
         "few-control-points", "degree-without-value", "zero-dims",
         "negative-degree", "zero-degree", "d0",
         "univariate-one-level", "sparse-one-level", "repeated-level",
         "mapped-pencil-one-level", "pencil-geometry-dimension",
-        "geometry-dimension", "negative-r", "negative-q", "zero-seminorm-bound"])
+        "geometry-dimension", "negative-r", "negative-q", "zero-seminorm-bound",
+        "zero-order-inverse", "univariate-degree-14", "sparse-degree-14",
+        "mapped-degree-14", "mapped-pencil-degree-14", "univariate-pencil-degree-16",
+        "sparse-pencil-degree-16"])
 def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
     geometries = {
         "few": _bad_geometry(tmp_path, "few.geo",
@@ -264,6 +277,10 @@ def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
     # the message names a geometry file's bad degree
     if any("degree" in item for item in overrides):
         assert "degree" in err
+    # so does the message refusing a degree above the quadrature limit, with
+    # the limit
+    if any(item in ("p=14", "p=16") for item in overrides):
+        assert "degree 1" in err and f"limit of {MAX_GAUSS_POINTS}" in err
 
 
 def test_mapped_study_builds_one_geometry(tmp_path, monkeypatch):
@@ -278,6 +295,23 @@ def test_mapped_study_builds_one_geometry(tmp_path, monkeypatch):
     cfg.write_text("kind=mapped-convergence\np=2\nn=3,4\n")
     cli_main(["run", str(cfg)])
     assert built == ["distorted-square"]
+
+
+@pytest.mark.parametrize("kind", ["univariate-convergence", "sparse-convergence",
+                                  "mapped-convergence"])
+def test_study_builds_one_target(tmp_path, monkeypatch, kind):
+    built = []
+    target_function = fn.target_function
+
+    def counting(name, d):
+        built.append(name)
+        return target_function(name, d)
+
+    monkeypatch.setattr(fn, "target_function", counting)
+    cfg = tmp_path / "target.cfg"
+    cfg.write_text(f"kind={kind}\np=2\nn=3,4\n")
+    assert cli_main(["run", str(cfg)]) == 0
+    assert len(built) == 1
 
 
 def test_sparse_convergence_passes_in_three_dimensions(tmp_path, capsys):

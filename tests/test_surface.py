@@ -1,5 +1,6 @@
 """The package surface: the names it exports, the names its modules import,
-and the README's examples, which must run.
+the one function that owns each shared rule, and the README's examples,
+which must run.
 
 The project configures no linter, so unused imports are found by an AST walk
 here, in the package modules and in the test modules alike.
@@ -65,3 +66,35 @@ def test_unused_import_check_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def call_owners(source, name):
+    """The innermost enclosing function (None at module level) of every call
+    of a function or method named ``name`` in ``source``."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "attr", None), getattr(child.func, "id", None)):
+                owners.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(ast.parse(source), None)
+    return owners
+
+
+def test_call_owner_check_finds_the_enclosing_function():
+    source = ("import numpy as np\nnp.ones(1)\ndef f():\n    def g():\n"
+              "        return np.ones(2)\n    return ones(g())\n")
+    assert call_owners(source, "ones") == [None, "g", "f"]
+
+
+@pytest.mark.parametrize("name,owner", [
+    ("setflags", ("bspline", "_frozen")),  # every cached array is frozen there
+    ("tensordot", ("tensorops", "contract")),  # the one contraction kernel
+], ids=["setflags", "tensordot"])
+def test_each_rule_has_one_owner(name, owner):
+    src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
+    sites = [(path.stem, o) for path in src for o in call_owners(path.read_text(), name)]
+    assert sites == [owner]

@@ -109,8 +109,7 @@ def test_error_norm_rejects_large_order():
 def test_mixed_seminorm_factorizes_for_separable_function():
     # univariate quadrature oracle: per-factor integrals of derivatives
     f = fn.sinpi_exp()
-    space = make_space(1, 6)
-    nodes, weights = element_grid(space, gauss_rule(6))
+    nodes, weights = element_grid(6, gauss_rule(6))
 
     def uni(g, m):
         return np.sum(weights * g(nodes, m) ** 2)
@@ -243,7 +242,7 @@ def _evaluators():
     `deriv_grid` and `eval_grid`, on the level-(3, 3) degree-2 norm grid."""
     f = fn.sinpi_exp()
     geom = distorted_square_geometry()
-    axes = _norm_axes((3, 3), 2, 5)[0]
+    axes = _norm_axes((3, 3), 5)[0]
     ct = project_tensor(f, (3, 2), 2)
     sg = combination_project(f, LevelRule(2, 3, 2))
     alpha = (1, 1)
