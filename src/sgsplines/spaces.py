@@ -37,7 +37,6 @@ eigenvalue is computed.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -194,9 +193,9 @@ def _combination_collocation(rule):
 def equivalence_report(rule):
     """Compare the combination-technique and hierarchical spans.
 
-    Returns a dict with both dimensions, the brute-force collocation rank of
-    the stacked combination bases, and the maximum relative least-squares
-    residual of either basis fitted in the other.
+    Returns a dict with both dimensions, ``dim_L`` being the brute-force
+    collocation rank of the stacked combination bases, and the maximum
+    relative least-squares residual of either basis fitted in the other.
     """
     V, lstack, rank = _combination_collocation(rule)
     sels = hier_basis(rule)
@@ -216,7 +215,6 @@ def equivalence_report(rule):
     return {
         "dim_L": rank,
         "dim_H": dim_h,
-        "rank": rank,
         "cross_residual_max": float(max(res_h_in_l, res_l_in_h)),
     }
 
@@ -273,17 +271,10 @@ def _constrained_chain(p, q, lam, n):
     return _frozen(V)
 
 
-# one lock per chain (p, q, lam): `lru_cache` does not make a second caller
-# wait, so without it two pool threads that miss the cache at once both build
-# the same levels; chains of different keys still build in parallel
-_chain_locks = {}
-
-
 def stacked_sparse_basis(rule, q):
     """Assemble the q-vanishing hierarchical sparse basis in stacked form."""
     p, lam, n = rule.p, rule.lam, rule.n
-    with _chain_locks.setdefault((p, q, lam), threading.Lock()):
-        V = _constrained_chain(p, q, lam, n)
+    V = _constrained_chain(p, q, lam, n)
     # level l > lam adds 2**(l-1) functions; the base level holds the rest
     sizes = {lev: 2 ** (lev - 1) for lev in range(lam + 1, n + 1)}
     sizes = {lam: V.shape[1] - sum(sizes.values()), **sizes}

@@ -153,6 +153,13 @@ def validate_config(cfg):
     without one), which the runner then uses."""
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown study kind '{cfg.kind}'")
+    for key, default in _KINDS[cfg.kind].defaults.items():
+        if isinstance(default, tuple) and not getattr(cfg, key):
+            raise ConfigError(f"key '{key}' lists no values; a range lo..hi "
+                              f"needs lo <= hi")
+    if cfg.kind == "identities" and cfg.d_max < 2:
+        raise ConfigError(f"key 'd_max' is {cfg.d_max}, but the L3 and L4 rows "
+                          f"check d = 2..d_max, so it must be at least 2")
     if cfg.timing not in ("on", "off"):
         raise ConfigError("timing must be 'on' or 'off'")
     if cfg.d < 1:
@@ -173,6 +180,10 @@ def validate_config(cfg):
             raise ConfigError(f"degree {p} needs a {p + extra}-point Gauss rule, "
                               f"above the limit of {MAX_GAUSS_POINTS} points")
         lam = lambda_eff(p)
+        if cfg.kind == "identities" and cfg.n_max < lam:
+            raise ConfigError(f"key 'n_max' is {cfg.n_max}, below the minimum "
+                              f"level {lam} of degree {p}, so its L3 and L4 "
+                              f"rows would check no level")
         if cfg.kind in ("sparse-convergence", "mapped-convergence",
                         "equivalence", "dimensions", "inverse-inequality"):
             low = [n for n in cfg.n if n < lam]
@@ -296,17 +307,10 @@ def fit_rate(pairs, log_power=0):
 
 
 def _run_tasks(tasks, timing):
-    """Run row-producing callables, possibly in parallel; order-independent."""
-    workers = os.environ.get("STUDY_THREADS")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    else:
-        try:
-            workers = int(workers)
-        except ValueError:
-            raise ConfigError(f"STUDY_THREADS must be an integer, "
-                              f"got {workers!r}") from None
-    workers = max(1, min(workers, len(tasks) or 1))
+    """Run row-producing callables one after another on one worker thread,
+    so that OpenBLAS's threads are the program's only parallelism.  The
+    benchmark's tracer (`perfbench/spans.py`) times each task through this
+    module's `ThreadPoolExecutor`."""
 
     def timed(task):
         t0 = time.perf_counter()
@@ -316,11 +320,8 @@ def _run_tasks(tasks, timing):
             rows = [replace(r, seconds=dt / max(1, len(rows))) for r in rows]
         return rows
 
-    if workers == 1:
-        chunks = [timed(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(timed, tasks))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        chunks = list(pool.map(timed, tasks))
     return [row for chunk in chunks for row in chunk]
 
 
@@ -343,8 +344,8 @@ def _sorted_rows(rows):
 
 
 def _grid(cfg, row, *axes):
-    """The rows of ``row(*args)`` for every combination of the axes, one pool
-    task per combination, all in one batch."""
+    """The rows of ``row(*args)`` for every combination of the axes, one task
+    per combination, all in one batch."""
     return _run_tasks([partial(row, *args) for args in product(*axes)],
                       cfg.timing)
 

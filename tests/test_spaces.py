@@ -168,7 +168,7 @@ def test_equivalence_of_constructions(p, n):
     rule = LevelRule(2, n, p)
     rep = equivalence_report(rule)
     formula = sparse_dimension(2, n, p)[0]
-    assert rep["dim_L"] == rep["dim_H"] == rep["rank"] == formula
+    assert rep["dim_L"] == rep["dim_H"] == formula
     assert rep["cross_residual_max"] < 1e-9
 
 

@@ -1,8 +1,5 @@
 """Study runner: rate fitting, config parsing, CSV output, CLI contract."""
 
-import os
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -158,26 +155,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_thread_cap_respected(tmp_path):
-    cfg = tmp_path / "t.cfg"
-    cfg.write_text("kind=dimensions\nn=3,4\nrank_max=2\n")
-    env = dict(os.environ, STUDY_THREADS="1", PYTHONPATH="src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "sgsplines.cli", "run", str(cfg)],
-        capture_output=True, text=True, env=env, cwd=os.path.dirname(os.path.dirname(__file__)) or ".")
-    assert proc.returncode == 0, proc.stderr
-
-
-@pytest.mark.parametrize("value", ["abc", "1.5", ""])
-def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, value):
-    cfg = tmp_path / "t.cfg"
-    cfg.write_text("kind=dimensions\nn=3\nrank_max=2\n")
-    monkeypatch.setenv("STUDY_THREADS", value)
-    assert cli_main(["run", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "STUDY_THREADS" in err
-
-
 def test_mapped_study_reads_geometry_file(tmp_path, capsys):
     from oracles import save_geometry
     from sgsplines.geometry import distorted_square_geometry
@@ -240,6 +217,12 @@ def _bad_geometry(tmp_path, name, lines):
     ("inverse-inequality", ["variant=mapped", "p=14", "q=1", "n=5..6"]),
     ("inverse-inequality", ["variant=univariate", "p=16", "q=1", "n=5"]),
     ("inverse-inequality", ["variant=sparse", "d=1", "p=16", "q=1", "n=5"]),
+    # empty ranges, and identities bounds that leave nothing to check
+    ("equivalence", ["n=5..3"]),
+    ("sparse-convergence", ["p=3..2"]),
+    ("inverse-inequality", ["q=2..1"]),
+    ("identities", ["n_max=2"]),
+    ("identities", ["d_max=1"]),
 ], ids=["unknown-target", "target-dimension", "unknown-geometry",
         "few-control-points", "degree-without-value", "zero-dims",
         "negative-degree", "zero-degree", "d0",
@@ -248,7 +231,9 @@ def _bad_geometry(tmp_path, name, lines):
         "geometry-dimension", "negative-r", "negative-q", "zero-seminorm-bound",
         "zero-order-inverse", "univariate-degree-14", "sparse-degree-14",
         "mapped-degree-14", "mapped-pencil-degree-14", "univariate-pencil-degree-16",
-        "sparse-pencil-degree-16"])
+        "sparse-pencil-degree-16", "empty-levels", "empty-degrees",
+        "empty-orders", "identities-level-below-minimum",
+        "identities-no-dimension"])
 def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
     geometries = {
         "few": _bad_geometry(tmp_path, "few.geo",
@@ -281,6 +266,13 @@ def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
     # the limit
     if any(item in ("p=14", "p=16") for item in overrides):
         assert "degree 1" in err and f"limit of {MAX_GAUSS_POINTS}" in err
+    # and the message refusing an empty range or a vacuous identities bound
+    # names the key
+    for item in overrides:
+        key, value = item.split("=", 1)
+        lo, _, hi = value.partition("..")
+        if key in ("n_max", "d_max") or hi and int(lo) > int(hi):
+            assert f"'{key}'" in err
 
 
 def test_mapped_study_builds_one_geometry(tmp_path, monkeypatch):
@@ -354,28 +346,11 @@ def test_fit_leaves_out_levels_below_the_floor():
     assert rows[-1].value == 1e-17 and rows[-1].bound == 5e-3
 
 
-def test_csv_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
-    # the chain cache is shared by the pool threads; it starts empty each run
-    from sgsplines.spaces import _constrained_chain
-    cfg = tmp_path / "pencil.cfg"
-    cfg.write_text("kind=inverse-inequality\n")
-    outs = []
-    for threads in ("1", "2"):
-        _constrained_chain.cache_clear()
-        monkeypatch.setenv("STUDY_THREADS", threads)
-        out = tmp_path / f"threads-{threads}.csv"
-        code = cli_main(["run", str(cfg), "--set", "variant=sparse",
-                         "--set", "n=3..5", "--out", str(out)])
-        assert code in (0, 1)  # 1: the by-design red at p = q = 2
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-    assert len(outs[0].splitlines()) == 1 + 2 * 2 * 3
-
-
 def test_each_chain_level_is_built_once_across_pool_threads(tmp_path,
                                                             monkeypatch):
-    # a sleep in every level build widens the window in which two pool
-    # threads could both miss the chain cache for the same level
+    # the chain cache extends each chain by one level, so every (degree,
+    # level, q) is built once per study; a sleep in every level build would
+    # widen the window in which two overlapping tasks both miss the cache
     import time
 
     from sgsplines import spaces
@@ -389,7 +364,6 @@ def test_each_chain_level_is_built_once_across_pool_threads(tmp_path,
         return build(space, q)
 
     monkeypatch.setattr(spaces, "vanishing_subspace", slow_build)
-    monkeypatch.setenv("STUDY_THREADS", "2")
     cfg = tmp_path / "refine.cfg"
     cfg.write_text("kind=inverse-inequality\n")
     spaces._constrained_chain.cache_clear()

@@ -68,16 +68,26 @@ def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def call_owners(source, name):
-    """The innermost enclosing function (None at module level) of every call
-    of a function or method named ``name`` in ``source``."""
+def use_owners(source, name):
+    """The innermost enclosing function (None at module level) of every use
+    of ``name`` in ``source``: a name or attribute ``name`` that is called,
+    read or written, or an import of ``name`` or from it."""
     owners = []
+
+    def names(node):
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        if isinstance(node, ast.Import):
+            return [part for a in node.names for part in a.name.split(".")]
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").split(".") + [a.name for a in node.names]
+        return []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "attr", None), getattr(child.func, "id", None)):
-                owners.append(owner)
+            owners.extend(owner for n in names(child) if n == name)
             visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
 
     visit(ast.parse(source), None)
@@ -85,16 +95,25 @@ def call_owners(source, name):
 
 
 def test_call_owner_check_finds_the_enclosing_function():
-    source = ("import numpy as np\nnp.ones(1)\ndef f():\n    def g():\n"
-              "        return np.ones(2)\n    return ones(g())\n")
-    assert call_owners(source, "ones") == [None, "g", "f"]
+    source = ("import numpy as np\nfrom numpy import ones\nnp.ones(1)\n"
+              "def f():\n    def g():\n        return np.ones\n"
+              "    return ones(g()(2))\n")
+    assert use_owners(source, "ones") == [None, None, "g", "f"]
 
 
-@pytest.mark.parametrize("name,owner", [
-    ("setflags", ("bspline", "_frozen")),  # every cached array is frozen there
-    ("tensordot", ("tensorops", "contract")),  # the one contraction kernel
-], ids=["setflags", "tensordot"])
-def test_each_rule_has_one_owner(name, owner):
+@pytest.mark.parametrize("name,owners", [
+    # every cached array is frozen there
+    ("setflags", [("bspline", "_frozen")]),
+    # the one contraction kernel
+    ("tensordot", [("tensorops", "contract")]),
+    # study rows run on one worker, so BLAS holds the only other threads
+    ("ThreadPoolExecutor", [("studies", None), ("studies", "_run_tasks")]),
+    # the one environment setting, made before numpy loads
+    ("environ", [("__init__", None)]),
+    ("threading", []),
+], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
+        "threading"])
+def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
-    sites = [(path.stem, o) for path in src for o in call_owners(path.read_text(), name)]
-    assert sites == [owner]
+    sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]
+    assert sites == owners
