@@ -23,12 +23,13 @@ files differ from it in their last printed digits, and
 columns, which the benchmark reference wrote before the d=3 ``c10`` constant
 became positive.
 
-The three norm kinds' default CSVs and two pencil CSVs are also checked at
-``OPENBLAS_NUM_THREADS=1``: their bytes do not depend on the BLAS thread
-count.  Two goldens still do.  ``equivalence`` prints the roundoff residuals
-of ``gelsd`` and the SVD.  ``grid-norms/sparse-d2`` prints 9.3865065633e-10
-at p=2, n=9 and 9.38650656331e-10 at one thread, because the dense Gram
-assembly of level 9 rounds differently there.
+The three norm kinds' default CSVs and the three pencil CSVs are also
+checked at ``OPENBLAS_NUM_THREADS=1``: their bytes do not depend on the BLAS
+thread count, whether a pencil's top eigenvalue comes from the dense ``eigh``
+or from Lanczos.  Two goldens still do.  ``equivalence`` prints the roundoff
+residuals of ``gelsd`` and the SVD.  ``grid-norms/sparse-d2`` prints
+9.3865065633e-10 at p=2, n=9 and 9.38650656331e-10 at one thread, because the
+dense Gram assembly of level 9 rounds differently there.
 """
 
 import os
@@ -117,9 +118,8 @@ def test_grid_norms_workload_csv_matches_reference(workload, process, kind,
     assert _run(kind, overrides, tmp_path) == _golden(workload, process)
 
 
-@pytest.mark.parametrize("workload,process,kind,overrides",
-                         [c for c in PENCILS if c[1] in ("sparse-d1", "mapped")],
-                         ids=["refine-1d/sparse-d1", "pencils/mapped"])
+@pytest.mark.parametrize("workload,process,kind,overrides", PENCILS,
+                         ids=[f"{w}/{p}" for w, p, _, _ in PENCILS])
 def test_pencil_csv_unchanged_by_single_blas_thread(workload, process, kind,
                                                     overrides, tmp_path):
     assert (_run_single_blas_thread(kind, overrides, tmp_path)

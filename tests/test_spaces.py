@@ -9,6 +9,7 @@ from sgsplines import functions as fn
 from sgsplines.bspline import collocation_matrix, greville, make_space
 from sgsplines.indices import LevelRule, build_hier_set, lambda_eff, sparse_dimension
 from sgsplines.spaces import (
+    _DENSE_EIGH_MAX_ORDER,
     _constrained_chain,
     _entries,
     _orthonormal_grams,
@@ -311,13 +312,26 @@ def test_univariate_pencil_is_one_dimensional_sparse_pencil(p, q):
 
 @pytest.mark.parametrize("d,p,q,n,mode", [
     (2, 2, 1, 5, "mix"), (2, 2, 2, 5, "mix"), (2, 3, 2, 5, "mix"),
-    (3, 1, 1, 4, "mix"), (2, 2, 1, 5, "mix-semi"), (1, 3, 2, 8, "mix-semi")])
+    (3, 1, 1, 4, "mix"), (2, 2, 1, 5, "mix-semi"), (1, 3, 2, 8, "mix-semi"),
+    (2, 2, 2, 6, "mix"), (2, 3, 1, 6, "mix-semi")])
 def test_standard_pencil_matches_dense_generalized_pencil(d, p, q, n, mode):
-    # orthonormalized increments keep the sparse span and make B = I
+    # orthonormalized increments keep the sparse span and make B = I; the
+    # orders run from 257 to 1028, on both sides of the Lanczos crossover
     rule = LevelRule(d, n, p)
     val = sparse_rayleigh(rule, q, mode)
     ref = dense_rayleigh(rule, q, mode)
     assert abs(val - ref) <= 1e-10 * ref
+
+
+def test_lanczos_pencil_does_not_depend_on_earlier_pencils():
+    # ARPACK's default start vector is drawn from a generator that every
+    # solve advances; the fixed start vector keeps the bits of each pencil
+    rule, other = LevelRule(2, 6, 2), LevelRule(2, 6, 3)
+    assert stacked_sparse_basis(rule, 2).size > _DENSE_EIGH_MAX_ORDER
+    assert stacked_sparse_basis(other, 1).size > _DENSE_EIGH_MAX_ORDER
+    first = sparse_rayleigh(rule, 2)
+    sparse_rayleigh(other, 1)
+    assert sparse_rayleigh(rule, 2) == first
 
 
 def test_orthonormalized_increments_have_identity_gram():

@@ -111,8 +111,12 @@ def test_call_owner_check_finds_the_enclosing_function():
     # the one environment setting, made before numpy loads
     ("environ", [("__init__", None)]),
     ("threading", []),
+    # the one top-eigenvalue routine (its deferred import and its call), and
+    # the dense generalized eigh of the mapped pencil
+    ("eigsh", [("spaces", "_top_eigenvalue"), ("spaces", "_top_eigenvalue")]),
+    ("eigh", [("geometry", "mapped_rayleigh"), ("spaces", "_top_eigenvalue")]),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
-        "threading"])
+        "threading", "eigsh", "scipy.linalg.eigh"])
 def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
     sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]
