@@ -25,6 +25,12 @@ functions anchored at the new odd knots, certified independent by a rank
 check.  The q-vanishing chain (`_constrained_chain`) is stacked in level-n
 coefficients and grows by one refinement per level.
 
+The span equality of the two constructions is checked by brute force in
+level-(n, ..., n) tensor coefficients, an isomorphic image of the finest
+tensor space: every basis function of both is one stacked column, one thin
+SVD per stack gives its rank and span, and each stack's columns are
+projected onto the other's span.
+
 The inverse-inequality pencil over the q-vanishing sparse space is solved in
 standard form.  The stacked 1D increments are orthonormalized in L2 by the
 Cholesky factor of their Gram matrix, which is lower triangular in level
@@ -34,15 +40,16 @@ sparse space, with the identity as L2 Gram matrix.  The norm matrix is a
 Hadamard product over directions of 1D Gram matrices, and only its top
 eigenvalue is computed, by `_top_eigenvalue`.  Up to order 512 that is a
 dense `eigh`, which still tridiagonalizes the whole matrix at O(N^3) cost.
-Above it, implicitly restarted Lanczos (ARPACK's `eigsh`) needs only
-matrix-vector products.  The cut was measured: at d = 2 most pencils above
-order 300 converge in 49 to 97 products and Lanczos is faster, three to ten
-times at order 2000; at d = 1, q = 1 the top eigenvalues cluster, the pencils
-need 177 products at order 256 and over 350 at order 512, and the dense
-solve stays faster.  Lanczos starts from a fixed vector, because ARPACK's
-default start is random and the digits would then depend on the pencils
-solved before in the process.  Its module is imported on first use, which
-keeps it out of the `study` processes that never build such a pencil.
+Above it, at d >= 2, implicitly restarted Lanczos (ARPACK's `eigsh`) needs
+only matrix-vector products.  The cut was measured: at d = 2 most pencils
+above order 300 converge in 49 to 97 products and Lanczos is faster, three
+to ten times at order 2000; at d = 1, q = 1 the top eigenvalues cluster,
+the pencils need 177 products at order 256 and 353 to 785 above 512, and
+the dense solve is faster at every order, so d = 1 pencils stay dense.
+Lanczos starts from a fixed vector, because ARPACK's default start is random
+and the digits would then depend on the pencils solved before in the
+process.  Its module is imported on first use, which keeps it out of the
+`study` processes that never build such a pencil.
 """
 
 from __future__ import annotations
@@ -58,7 +65,6 @@ from .bspline import (
     _frozen,
     _space,
     collocation_matrix,
-    greville,
     make_space,
     prolongation,
     refinement_operator,
@@ -184,48 +190,51 @@ def khatri_rao(mats, cols):
 SVD_TOL = 1e-8
 
 
-def _combination_collocation(rule):
-    """Univariate collocation matrices of every level on the Greville points
-    of level n+1 (unisolvent for every level <= n), the stacked combination
-    bases on their tensor grid, and the numerical rank of that stack: the
-    number of singular values above `SVD_TOL` times the largest."""
-    pts = greville(make_space(rule.p, rule.n + 1))
-    V = {lev: collocation_matrix(make_space(rule.p, lev), pts, 0)
+def _span(stack, basis=True):
+    """Rank of ``stack`` (the singular values above `SVD_TOL` times the
+    largest) by one thin SVD and, with ``basis``, an orthonormal basis of
+    its column span."""
+    out = scipy.linalg.svd(stack, full_matrices=False, compute_uv=basis)
+    svals = out[1] if basis else out
+    rank = int(np.sum(svals > SVD_TOL * svals[0]))
+    return rank, out[0][:, :rank] if basis else None
+
+
+def _combination_stack(rule):
+    """Level-n coefficients of every univariate level lam..n (its
+    prolongation), and every basis function of every combination level
+    stacked in level-(n, ..., n) tensor coefficients."""
+    P = {lev: prolongation(make_space(rule.p, lev), rule.n)
          for lev in range(rule.lam, rule.n + 1)}
     cs = build_combination_set(rule.d, rule.n, rule.p)
-    entries = _entries({lev: M.shape[1] for lev, M in V.items()},
+    entries = _entries({lev: M.shape[1] for lev, M in P.items()},
                        [lvl for lvl, _ in cs.levels])
-    lstack = khatri_rao([np.hstack(list(V.values()))] * rule.d, entries.T)
-    svals = scipy.linalg.svd(lstack, compute_uv=False)
-    return V, lstack, int(np.sum(svals > SVD_TOL * svals[0]))
+    return P, khatri_rao([np.hstack(list(P.values()))] * rule.d, entries.T)
 
 
 def equivalence_report(rule):
-    """Compare the combination-technique and hierarchical spans.
-
-    Returns a dict with both dimensions, ``dim_L`` being the brute-force
-    collocation rank of the stacked combination bases, and the maximum
-    relative least-squares residual of either basis fitted in the other.
-    """
-    V, lstack, rank = _combination_collocation(rule)
+    """Compare the combination-technique and hierarchical spans by brute
+    force (module docstring): both dimensions, each the rank of its stack,
+    and the maximum relative residual of any column of either stack
+    projected orthogonally onto the span of the other."""
+    P, lstack = _combination_stack(rule)
     sels = hier_basis(rule)
-    odd = np.hstack([V[lev][:, sel] for lev, sel in sels.items()])
+    odd = np.hstack([P[lev][:, sel] for lev, sel in sels.items()])
     entries = _entries({lev: len(sel) for lev, sel in sels.items()},
                        build_hier_set(rule.d, rule.n, rule.p))
     hstack = khatri_rao([odd] * rule.d, entries.T)
-    dim_h = hstack.shape[1]
+    dim_l, Ql = _span(lstack)
+    dim_h, Qh = _span(hstack)
 
-    def rel_residuals(A, B):
-        sol, *_ = scipy.linalg.lstsq(A, B, lapack_driver="gelsd")
-        res = np.linalg.norm(A @ sol - B, axis=0)
-        return res / np.linalg.norm(B, axis=0)
+    def rel_residual(Q, B):
+        res = np.linalg.norm(B - Q @ (Q.T @ B), axis=0)
+        return (res / np.linalg.norm(B, axis=0)).max()
 
-    res_h_in_l = rel_residuals(lstack, hstack).max()
-    res_l_in_h = rel_residuals(hstack, lstack).max()
     return {
-        "dim_L": rank,
+        "dim_L": dim_l,
         "dim_H": dim_h,
-        "cross_residual_max": float(max(res_h_in_l, res_l_in_h)),
+        "cross_residual_max": float(max(rel_residual(Ql, hstack),
+                                        rel_residual(Qh, lstack))),
     }
 
 
@@ -319,10 +328,11 @@ def _hadamard(H, entries):
 _DENSE_EIGH_MAX_ORDER = 512
 
 
-def _top_eigenvalue(A):
-    """Largest eigenvalue of the symmetric matrix A, which it may overwrite."""
+def _top_eigenvalue(A, d):
+    """Largest eigenvalue of the symmetric matrix A of a d-variate pencil,
+    which it may overwrite (module docstring)."""
     N = A.shape[0]
-    if N <= _DENSE_EIGH_MAX_ORDER:
+    if d == 1 or N <= _DENSE_EIGH_MAX_ORDER:
         return scipy.linalg.eigh(A, eigvals_only=True, overwrite_a=True,
                                  subset_by_index=[N - 1, N - 1])[0]
     # imported here: at module level it costs every `study` process 25 to
@@ -343,7 +353,7 @@ def sparse_rayleigh(rule, q, mode="mix"):
     max_i a_i <= q: the Hadamard product over directions of
     H = sum_{a <= q} G_a.  The 'mix-semi' seminorm (max_i a_i = q) subtracts
     the Hadamard product of sum_{a < q} G_a.  The top eigenvalue comes from a
-    dense `eigh` up to order 512 and from Lanczos above it (module docstring).
+    dense `eigh` or from Lanczos (module docstring).
     """
     if mode not in ("mix", "mix-semi"):
         raise ValueError(f"unknown norm mode '{mode}'")
@@ -352,10 +362,10 @@ def sparse_rayleigh(rule, q, mode="mix"):
     A = _hadamard(sum(G), basis.entries)
     if mode == "mix-semi":
         A -= _hadamard(sum(G[:q], np.zeros_like(G[0])), basis.entries)
-    return float(np.sqrt(_top_eigenvalue(A)))
+    return float(np.sqrt(_top_eigenvalue(A, rule.d)))
 
 
 def dimension_rank(rule):
-    """Brute-force dimension of the combination span: collocation rank of all
-    stacked level bases on the unisolvent fine grid."""
-    return _combination_collocation(rule)[2]
+    """Brute-force dimension of the combination span: the rank of all stacked
+    level bases in level-(n, ..., n) tensor coefficients."""
+    return _span(_combination_stack(rule)[1], basis=False)[0]

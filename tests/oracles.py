@@ -6,10 +6,11 @@ by dense collocation rows, the derivative transfer built row by row, and
 term-by-term grid evaluation of sparse splines in float64 and in long
 double), the three-pass tensor projection, the paper's identities as
 residuals, the dense generalized sparse pencil, a one-pass build of the
-constrained increment chain, the mapped pencil and the grid norms with every
-grid-sized array held at once, a Newton inverse of a geometry map and a
-writer of the geometry file format.  Test modules
-import it as ``from oracles import`` (pytest puts ``tests/`` on the path).
+constrained increment chain, the span equality of the combination and
+hierarchical constructions on collocation rows, the mapped pencil and the
+grid norms with every grid-sized array held at once, a Newton inverse of a
+geometry map and a writer of the geometry file format.  Test modules import
+it as ``from oracles import`` (pytest puts ``tests/`` on the path).
 """
 
 import itertools
@@ -22,15 +23,28 @@ import scipy.linalg
 
 from sgsplines.bspline import (
     collocation_matrix,
+    greville,
     make_space,
     refinement_operator,
     vanishing_subspace,
 )
 from sgsplines.functions import SumOfSeparable, TrigFactor
 from sgsplines.geometry import GeometryMap
-from sgsplines.indices import _levels_with_sum, build_combination_set, cbinom
+from sgsplines.indices import (
+    _levels_with_sum,
+    build_combination_set,
+    build_hier_set,
+    cbinom,
+)
 from sgsplines.quadrature import gram_matrix
-from sgsplines.spaces import SparseGridFunction, khatri_rao, stacked_sparse_basis
+from sgsplines.spaces import (
+    SVD_TOL,
+    SparseGridFunction,
+    _entries,
+    hier_basis,
+    khatri_rao,
+    stacked_sparse_basis,
+)
 from sgsplines.tensorops import (
     _norm_axes,
     multi_indices,
@@ -205,6 +219,45 @@ def lemma8_residual(rule, values=None, seed=0):
     those of ``random_values(seed)``."""
     lhs, rhs = lemma8_sides(rule, values or random_values(seed))
     return abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# span equality of the combination and hierarchical constructions
+
+
+def collocation_equivalence(rule):
+    """`sgsplines.spaces.equivalence_report` on collocation rows: every basis
+    function of both constructions is evaluated at the Greville points of
+    level n+1 (unisolvent for every level <= n) in every direction.
+    ``dim_L`` is the rank of the combination stack by the `SVD_TOL` rule,
+    ``dim_H`` the number of hierarchical columns, and the residual the
+    largest relative least-squares (``gelsd``) residual of either stack's
+    columns fitted in the other."""
+    pts = greville(make_space(rule.p, rule.n + 1))
+    V = {lev: collocation_matrix(make_space(rule.p, lev), pts, 0)
+         for lev in range(rule.lam, rule.n + 1)}
+    cs = build_combination_set(rule.d, rule.n, rule.p)
+    entries = _entries({lev: M.shape[1] for lev, M in V.items()},
+                       [lvl for lvl, _ in cs.levels])
+    lstack = khatri_rao([np.hstack(list(V.values()))] * rule.d, entries.T)
+    svals = scipy.linalg.svd(lstack, compute_uv=False)
+    sels = hier_basis(rule)
+    odd = np.hstack([V[lev][:, sel] for lev, sel in sels.items()])
+    entries = _entries({lev: len(sel) for lev, sel in sels.items()},
+                       build_hier_set(rule.d, rule.n, rule.p))
+    hstack = khatri_rao([odd] * rule.d, entries.T)
+
+    def rel_residuals(A, B):
+        sol, *_ = scipy.linalg.lstsq(A, B, lapack_driver="gelsd")
+        return (np.linalg.norm(A @ sol - B, axis=0)
+                / np.linalg.norm(B, axis=0))
+
+    return {
+        "dim_L": int(np.sum(svals > SVD_TOL * svals[0])),
+        "dim_H": hstack.shape[1],
+        "cross_residual_max": float(max(rel_residuals(lstack, hstack).max(),
+                                        rel_residuals(hstack, lstack).max())),
+    }
 
 
 # ---------------------------------------------------------------------------

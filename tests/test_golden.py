@@ -15,9 +15,13 @@ overrides listed below:
     PYTHONPATH=src python -m sgsplines.cli run <cfg> --set <override> ... \\
         --set timing=off --out tests/golden/<workload>/<process>.csv
 
-Seven of them, the ``dimensions``, ``equivalence``, ``identities`` and
-``inverse-inequality`` defaults and the three pencil files, are
-byte-identical to the benchmark's `perfbench/reference/`.  The norm kinds'
+Six of them, the ``dimensions``, ``identities`` and ``inverse-inequality``
+defaults and the three pencil files, are byte-identical to the benchmark's
+`perfbench/reference/`.  The ``equivalence`` file differs from it in its
+eight ``residual`` rows, each below 1e-14 absolute: they were rewritten
+when the check moved from least-squares fits on collocation rows to
+orthogonal projections on level-n coefficient rows, and its ``dims`` rows
+kept their bytes.  The norm kinds'
 files differ from it in their last printed digits, and
 ``grid-norms/sparse-d3`` also in its ``bound``, ``ratio`` and ``pass``
 columns, which the benchmark reference wrote before the d=3 ``c10`` constant
@@ -27,7 +31,9 @@ The three norm kinds' default CSVs and the three pencil CSVs are also
 checked at ``OPENBLAS_NUM_THREADS=1``: their bytes do not depend on the BLAS
 thread count, whether a pencil's top eigenvalue comes from the dense ``eigh``
 or from Lanczos.  Two goldens still do.  ``equivalence`` prints the roundoff
-residuals of ``gelsd`` and the SVD.  ``grid-norms/sparse-d2`` prints
+residuals of the orthogonal projections onto SVD bases, and four of its
+eight differ at one thread (p=2, n=5 prints 8.16428576978e-15 at the
+default count and 7.37252190023e-15 at one).  ``grid-norms/sparse-d2`` prints
 9.3865065633e-10 at p=2, n=9 and 9.38650656331e-10 at one thread, because the
 dense Gram assembly of level 9 rounds differently there.
 """

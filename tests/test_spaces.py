@@ -1,11 +1,13 @@
 """Sparse-grid constructions: combination form, increments, identities."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sgsplines import functions as fn
+from sgsplines import spaces
 from sgsplines.bspline import collocation_matrix, greville, make_space
 from sgsplines.indices import LevelRule, build_hier_set, lambda_eff, sparse_dimension
 from sgsplines.spaces import (
@@ -23,6 +25,7 @@ from sgsplines.spaces import (
 from sgsplines.tensorops import _norm_axes, error_norm, multi_indices, project_tensor
 from oracles import (
     cancellation_constant,
+    collocation_equivalence,
     constrained_chain,
     dense_rayleigh,
     deriv_grid_longdouble,
@@ -183,6 +186,64 @@ def test_dimension_rank_matches_formula():
     assert dimension_rank(LevelRule(2, 3, 1)) == 49
 
 
+@pytest.mark.parametrize("d,p,n", [
+    (1, 1, 3), (1, 2, 3), (1, 3, 3),
+    (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (2, 2, 3), (2, 2, 4),
+    (3, 1, 3)])
+def test_equivalence_matches_collocation_oracle(d, p, n):
+    # the coefficient rows come from `prolongation`; the oracle evaluates
+    # every basis function on a unisolvent grid instead
+    rule = LevelRule(d, n, p)
+    rep, ref = equivalence_report(rule), collocation_equivalence(rule)
+    assert (rep["dim_L"], rep["dim_H"]) == (ref["dim_L"], ref["dim_H"])
+    assert rep["cross_residual_max"] < 1e-12
+    assert ref["cross_residual_max"] < 1e-12
+    assert dimension_rank(rule) == ref["dim_L"]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_equivalence_fails_on_a_repeated_increment(monkeypatch, d):
+    # the top level selects one of its functions twice and drops another:
+    # the hierarchical stack loses that function (at d = 1 one dimension,
+    # at d = 2 one per tensor partner) and no longer spans the combination
+    # space, and the brute-force check says so
+    rule = LevelRule(d, 4, 2)
+    plain = hier_basis
+
+    def repeated(rule):
+        sels = plain(rule)
+        top = sels[rule.n].copy()
+        top[1] = top[0]
+        return {**sels, rule.n: top}
+
+    monkeypatch.setattr(spaces, "hier_basis", repeated)
+    rep = equivalence_report(rule)
+    formula = sparse_dimension(d, 4, 2)[0]
+    assert rep["dim_L"] == formula
+    assert rep["dim_H"] < formula
+    assert d > 1 or rep["dim_H"] == formula - 1
+    assert rep["cross_residual_max"] > 1e-9
+
+
+def _traced_peak(call, *args):
+    call(*args)  # the cached 1D operators are not counted
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_equivalence_and_dimension_rank_peaks():
+    # at d=2, p=2, n=5 the coefficient stacks have 34^2 = 1156 rows; the
+    # collocation rows of level n+1 had 66^2 = 4356 and peaked at 167 and
+    # 76 MB
+    rule = LevelRule(2, 5, 2)
+    assert _traced_peak(equivalence_report, rule) <= 80e6
+    assert _traced_peak(dimension_rank, rule) <= 36e6
+
+
 def test_telescopic_identity_on_member():
     rng = np.random.default_rng(2)
     sx, sy = make_space(2, 3), make_space(2, 2)
@@ -332,6 +393,22 @@ def test_lanczos_pencil_does_not_depend_on_earlier_pencils():
     first = sparse_rayleigh(rule, 2)
     sparse_rayleigh(other, 1)
     assert sparse_rayleigh(rule, 2) == first
+
+
+def test_univariate_pencils_above_the_cut_are_solved_dense(monkeypatch):
+    # at d = 1 the top eigenvalues cluster and Lanczos is slower than the
+    # dense solve at every order measured, so no d = 1 pencil may reach it
+    import scipy.sparse.linalg
+
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("a d = 1 pencil took Lanczos")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
+    rule = LevelRule(1, 10, 1)
+    assert stacked_sparse_basis(rule, 1).size == 1025 > _DENSE_EIGH_MAX_ORDER
+    val = sparse_rayleigh(rule, 1, "mix-semi")
+    ref = dense_rayleigh(rule, 1, "mix-semi")
+    assert abs(val - ref) <= 1e-10 * ref
 
 
 def test_orthonormalized_increments_have_identity_gram():
