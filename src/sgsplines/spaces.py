@@ -36,20 +36,28 @@ standard form.  The stacked 1D increments are orthonormalized in L2 by the
 Cholesky factor of their Gram matrix, which is lower triangular in level
 order, so every level prefix keeps its span.  The hierarchy set is downward
 closed, so the tensor products of the orthonormal functions span the same
-sparse space, with the identity as L2 Gram matrix.  The norm matrix is a
-Hadamard product over directions of 1D Gram matrices, and only its top
-eigenvalue is computed, by `_top_eigenvalue`.  Up to order 512 that is a
-dense `eigh`, which still tridiagonalizes the whole matrix at O(N^3) cost.
-Above it, at d >= 2, implicitly restarted Lanczos (ARPACK's `eigsh`) needs
-only matrix-vector products.  The cut was measured: at d = 2 most pencils
-above order 300 converge in 49 to 97 products and Lanczos is faster, three
-to ten times at order 2000; at d = 1, q = 1 the top eigenvalues cluster,
-the pencils need 177 products at order 256 and 353 to 785 above 512, and
-the dense solve is faster at every order, so d = 1 pencils stay dense.
-Lanczos starts from a fixed vector, because ARPACK's default start is random
-and the digits would then depend on the pencils solved before in the
-process.  Its module is imported on first use, which keeps it out of the
-`study` processes that never build such a pencil.
+sparse space, with the identity as L2 Gram matrix.  The norm matrix is the
+tensor product over directions of one 1D matrix H, restricted to the sparse
+entries.  It is applied, never gathered, by the unidirectional principle
+(Balder and Zenger, SISC 17, 1996; Bungartz and Griebel, Acta Numerica 13,
+2004): fixing all but one direction of an entry leaves a fiber, a prefix of
+the level-ordered stacked columns (`_fibers`), on which H acts by its
+leading block, and splitting H by level keeps every intermediate of the
+direction-by-direction product on the entry set (`_hadamard_operator`).  A
+product costs O(N M), with M the 1D chain size, and O(N) memory.
+
+Only the top eigenvalue is computed, by `_top_eigenvalue`.  Up to order 512
+that is a dense `eigh` at O(N^3) cost, of the operator applied to the
+identity (at d = 2 the gathered matrix bit for bit).  Above it, at d >= 2,
+implicitly restarted Lanczos (ARPACK's `eigsh`) needs only products.  At
+d = 1, q = 1 the top eigenvalues cluster, and the dense solve of H itself is
+faster at every order measured, up to 1025, so d = 1 pencils stay dense.
+At d = 2 and 3 the crossover lies near order 300 (up to 600 for p = q = 1
+pencils, which need the most products); moving the cut would move printed
+digits, so it stays at 512.  Lanczos starts from a fixed vector, because
+ARPACK's default start is random and the digits would then depend on the
+pencils solved before in the process.  Its module is imported on first use,
+which keeps it out of the `study` processes that never build such a pencil.
 """
 
 from __future__ import annotations
@@ -249,18 +257,25 @@ class StackedSparseBasis:
 
     `V` is the univariate chain of `_constrained_chain`: one column per
     increment function in level-n coefficients, in level order (directions
-    share it).  `entries` lists the per-direction stacked column indices of
-    each tensor basis function.
+    share it).  `sizes` maps each level lam..n, in that order, to its number
+    of columns of `V`.  `entries` lists the per-direction stacked column
+    indices of each tensor basis function.
     """
 
     rule: object
     q: int
     V: np.ndarray = field(repr=False)
+    sizes: dict
     entries: np.ndarray = field(repr=False)
 
     @property
     def size(self):
         return self.entries.shape[0]
+
+    @property
+    def levels(self):
+        """The level of every column of `V`."""
+        return np.repeat(list(self.sizes), list(self.sizes.values()))
 
 
 @lru_cache(maxsize=None)
@@ -293,12 +308,13 @@ def _constrained_chain(p, q, lam, n):
 def stacked_sparse_basis(rule, q):
     """Assemble the q-vanishing hierarchical sparse basis in stacked form."""
     p, lam, n = rule.p, rule.lam, rule.n
-    V = _constrained_chain(p, q, lam, n)
-    # level l > lam adds 2**(l-1) functions; the base level holds the rest
-    sizes = {lev: 2 ** (lev - 1) for lev in range(lam + 1, n + 1)}
-    sizes = {lam: V.shape[1] - sum(sizes.values()), **sizes}
+    # a level's increment is what its chain adds to the cached chain below
+    widths = [_constrained_chain(p, q, lam, lev).shape[1]
+              for lev in range(lam, n + 1)]
+    sizes = dict(zip(range(lam, n + 1), np.diff([0, *widths]).tolist()))
     entries = _entries(sizes, build_hier_set(rule.d, n, p))
-    return StackedSparseBasis(rule, q, V, entries)
+    return StackedSparseBasis(rule, q, _constrained_chain(p, q, lam, n),
+                              sizes, entries)
 
 
 def _orthonormal_grams(basis):
@@ -316,31 +332,89 @@ def _orthonormal_grams(basis):
     return out
 
 
-def _hadamard(H, entries):
-    """Matrix of prod_i H[e_i, f_i] over all pairs (e, f) of tensor entries."""
-    A = H[np.ix_(entries[:, 0], entries[:, 0])]
-    for ix in entries.T[1:]:
-        A *= H[np.ix_(ix, ix)]
-    return A
+def _fibers(entries):
+    """The fibers of the entry set along each direction, grouped by length.
+
+    Fixing every stacked column index but the i-th leaves a fiber along
+    direction i.  On a downward closed level set stacked in level order its
+    k-th entry holds stacked column k, so each fiber is a prefix 0..l-1 of
+    the stacked columns.  Direction i gets one (fibers, l) array of entry
+    positions per length l, in order of increasing l; a fiber that is not a
+    prefix raises RuntimeError.
+    """
+    N, d = entries.shape
+    out = []
+    for i in range(d):
+        rest = np.delete(entries, i, axis=1)
+        order = np.lexsort((entries[:, i], *rest.T[::-1]))
+        key = rest[order]
+        new = np.r_[True, (key[1:] != key[:-1]).any(axis=1)]
+        starts = np.flatnonzero(new)
+        if not np.array_equal(entries[order, i],
+                              np.arange(N) - starts[np.cumsum(new) - 1]):
+            raise RuntimeError(f"a fiber along direction {i} is not a prefix "
+                               f"of the stacked columns: the entry set is not "
+                               f"downward closed in level order")
+        lengths = np.diff(np.r_[starts, N])
+        out.append([order[starts[lengths == l][:, None] + np.arange(l)]
+                    for l in np.unique(lengths)])
+    return out
+
+
+def _along(M, groups, X):
+    """M applied along one direction to the rows of X: each fiber of
+    `groups` (`_fibers`) by the leading block of M of its length."""
+    out = np.empty_like(X)
+    for ix in groups:
+        l = ix.shape[1]
+        out[:, ix] = (X[:, ix].reshape(-1, l) @ M[:l, :l].T).reshape(
+            X.shape[0], *ix.shape)
+    return out
+
+
+def _hadamard_operator(H, levels, fibers):
+    """The function X -> A X, on (N, K) arrays, of A[e, f] = prod_i H[e_i, f_i]
+    over the entry set of `fibers`, with `levels` the level of each stacked
+    column: op_k(x) = L_k op_{k-1}(x) + op_{k-1}(U_k x) for the product over
+    the first k directions, where L keeps H's input levels at or below the
+    output level and U those above, and op_1 is H along direction 0 (module
+    docstring)."""
+    lower = levels[:, None] >= levels[None, :]
+    L, U = np.where(lower, H, 0.0), np.where(lower, 0.0, H)
+
+    def product(X, k):
+        if k == 1:
+            return _along(H, fibers[0], X)
+        return (_along(L, fibers[k - 1], product(X, k - 1))
+                + product(_along(U, fibers[k - 1], X), k - 1))
+
+    def apply(X):
+        # the product acts on rows: it forms (A X)^T = X^T A^T
+        rows = X.reshape(len(X), -1).T
+        return product(rows, len(fibers)).T.reshape(X.shape)
+
+    return apply
 
 
 # Largest order whose top eigenvalue comes from a dense eigh (module docstring)
 _DENSE_EIGH_MAX_ORDER = 512
 
 
-def _top_eigenvalue(A, d):
-    """Largest eigenvalue of the symmetric matrix A of a d-variate pencil,
-    which it may overwrite (module docstring)."""
-    N = A.shape[0]
-    if d == 1 or N <= _DENSE_EIGH_MAX_ORDER:
+def _top_eigenvalue(A, N):
+    """Largest eigenvalue of a symmetric matrix of order N, given as the
+    matrix, which it may overwrite, or as a function X -> A X on (N, K)
+    arrays (module docstring)."""
+    if not callable(A) or N <= _DENSE_EIGH_MAX_ORDER:
+        A = A(np.eye(N)) if callable(A) else A
         return scipy.linalg.eigh(A, eigvals_only=True, overwrite_a=True,
                                  subset_by_index=[N - 1, N - 1])[0]
     # imported here: at module level it costs every `study` process 25 to
     # 30 ms and 2.3 MB, and most never build a pencil of this order
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import LinearOperator, eigsh
     # a fixed start: ARPACK's default one is drawn from a generator that
     # every earlier solve in the process has advanced
-    return eigsh(A, k=1, which="LA", v0=np.ones(N), ncv=32, tol=0,
+    return eigsh(LinearOperator((N, N), matvec=A, dtype=float), k=1,
+                 which="LA", v0=np.ones(N), ncv=32, tol=0,
                  return_eigenvectors=False)[0]
 
 
@@ -350,19 +424,27 @@ def sparse_rayleigh(rule, q, mode="mix"):
 
     A standard symmetric eigenproblem in the orthonormalized basis (module
     docstring).  The mixed norm sums prod_i G_{a_i} over every a with
-    max_i a_i <= q: the Hadamard product over directions of
-    H = sum_{a <= q} G_a.  The 'mix-semi' seminorm (max_i a_i = q) subtracts
-    the Hadamard product of sum_{a < q} G_a.  The top eigenvalue comes from a
-    dense `eigh` or from Lanczos (module docstring).
+    max_i a_i <= q: the tensor product over directions of
+    H = sum_{a <= q} G_a, restricted to the sparse entries.  The 'mix-semi'
+    seminorm (max_i a_i = q) subtracts the same product of sum_{a < q} G_a.
+    At d = 1 the matrix is H itself; at d >= 2 it is applied direction by
+    direction (module docstring).
     """
     if mode not in ("mix", "mix-semi"):
         raise ValueError(f"unknown norm mode '{mode}'")
     basis = stacked_sparse_basis(rule, q)
     G = _orthonormal_grams(basis)
-    A = _hadamard(sum(G), basis.entries)
-    if mode == "mix-semi":
-        A -= _hadamard(sum(G[:q], np.zeros_like(G[0])), basis.entries)
-    return float(np.sqrt(_top_eigenvalue(A, rule.d)))
+    H = sum(G)
+    low = sum(G[:q], np.zeros_like(G[0])) if mode == "mix-semi" else None
+    if rule.d == 1:
+        A = H if low is None else H - low
+    else:
+        fibers = _fibers(basis.entries)
+        A = _hadamard_operator(H, basis.levels, fibers)
+        if low is not None:
+            full, lower = A, _hadamard_operator(low, basis.levels, fibers)
+            A = lambda X: full(X) - lower(X)  # noqa: E731
+    return float(np.sqrt(_top_eigenvalue(A, basis.size)))
 
 
 def dimension_rank(rule):

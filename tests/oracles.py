@@ -5,11 +5,12 @@ scattered-point evaluation of tensor and sparse splines and of geometry maps
 by dense collocation rows, the derivative transfer built row by row, and
 term-by-term grid evaluation of sparse splines in float64 and in long
 double), the three-pass tensor projection, the paper's identities as
-residuals, the dense generalized sparse pencil, a one-pass build of the
-constrained increment chain, the span equality of the combination and
-hierarchical constructions on collocation rows, the mapped pencil and the
-grid norms with every grid-sized array held at once, a Newton inverse of a
-geometry map and a writer of the geometry file format.  Test modules import
+residuals, the dense generalized sparse pencil and its gathered Hadamard
+norm matrix, a one-pass build of the constrained increment chain, the span
+equality of the combination and hierarchical constructions on collocation
+rows, the mapped pencil and the grid norms with every grid-sized array held
+at once, a Newton inverse of a geometry map and a writer of the geometry
+file format.  Test modules import
 it as ``from oracles import`` (pytest puts ``tests/`` on the path).
 """
 
@@ -284,6 +285,16 @@ def constrained_chain(p, q, lam, n):
         acc = np.hstack([acc, W])
         increments.append(W)
     return acc, increments
+
+
+def hadamard(H, entries):
+    """Matrix of prod_i H[e_i, f_i] over all pairs (e, f) of tensor entries,
+    gathered whole: the N x N norm matrix that the sparse pencil applies
+    direction by direction without forming it."""
+    A = H[np.ix_(entries[:, 0], entries[:, 0])]
+    for ix in entries.T[1:]:
+        A *= H[np.ix_(ix, ix)]
+    return A
 
 
 def dense_rayleigh(rule, q, mode="mix"):

@@ -1,10 +1,15 @@
 """Sparse-grid constructions: combination form, increments, identities."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgsplines import functions as fn
 from sgsplines import spaces
@@ -14,6 +19,8 @@ from sgsplines.spaces import (
     _DENSE_EIGH_MAX_ORDER,
     _constrained_chain,
     _entries,
+    _fibers,
+    _hadamard_operator,
     _orthonormal_grams,
     combination_project,
     dimension_rank,
@@ -32,6 +39,7 @@ from oracles import (
     deriv_grid_per_term,
     eval_points,
     eval_spline,
+    hadamard,
     lemma8_residual,
     lemma8_sides,
     random_trig,
@@ -307,6 +315,9 @@ def test_stacked_sparse_basis_dimension():
                   for li in lvl]
         expect += int(np.prod(counts))
     assert b1.size == expect
+    # every level above the base adds 2**(l-1) columns of the chain
+    assert b1.sizes == {2: 2 ** 2 + 2 - 2, 3: 4, 4: 8}
+    assert sum(b1.sizes.values()) == b1.V.shape[1]
 
 
 def test_constrained_spans_agree_between_constructions():
@@ -409,6 +420,103 @@ def test_univariate_pencils_above_the_cut_are_solved_dense(monkeypatch):
     val = sparse_rayleigh(rule, 1, "mix-semi")
     ref = dense_rayleigh(rule, 1, "mix-semi")
     assert abs(val - ref) <= 1e-10 * ref
+
+
+def _operator(basis, H):
+    return _hadamard_operator(H, basis.levels, _fibers(basis.entries))
+
+
+def _assert_operator_matches_oracle(basis, H, exact):
+    A = hadamard(H, basis.entries)
+    B = _operator(basis, H)(np.eye(basis.size))
+    if exact:
+        assert np.array_equal(B, A)
+    else:
+        # products of three or more factors round in another order
+        assert np.abs(B - A).max() <= 1e-14 * np.abs(A).max()
+    x = np.random.default_rng(basis.size).standard_normal(basis.size)
+    y = _operator(basis, H)(x)
+    assert y.shape == x.shape
+    assert np.abs(y - A @ x).max() <= 1e-14 * (np.abs(A) @ np.abs(x)).max()
+
+
+# every pencil of the `pencils` workload (inverse-inequality sparse, d=2,
+# p=2,3, q=1,2, n=3..7) up to the dense cut, where the printed digits come
+# from eigh of the applied identity
+PENCIL_CASES = [(p, q, n) for p in (2, 3) for q in (1, 2) for n in range(3, 8)
+                if stacked_sparse_basis(LevelRule(2, n, p), q).size
+                <= _DENSE_EIGH_MAX_ORDER]
+
+
+@pytest.mark.parametrize("p,q,n", PENCIL_CASES)
+def test_applied_identity_is_the_gathered_hadamard_matrix(p, q, n):
+    # at d = 2 every entry is one product of two factors, and the applied
+    # identity adds only zeros to it, so both pencil matrices agree bit for
+    # bit, the 'mix-semi' difference included
+    basis = stacked_sparse_basis(LevelRule(2, n, p), q)
+    G = _orthonormal_grams(basis)
+    for H in (sum(G), sum(G[:q])):
+        _assert_operator_matches_oracle(basis, H, exact=True)
+
+
+@pytest.mark.parametrize("d,p,q,n", [(3, 1, 1, 4), (3, 2, 1, 4), (3, 3, 2, 4),
+                                     (4, 1, 1, 3), (4, 2, 1, 3)])
+def test_operator_matches_hadamard_oracle_above_two_directions(d, p, q, n):
+    basis = stacked_sparse_basis(LevelRule(d, n, p), q)
+    _assert_operator_matches_oracle(basis, sum(_orthonormal_grams(basis)),
+                                    exact=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_operator_matches_hadamard_oracle_for_random_symmetric_h(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    p = data.draw(st.integers(1, 3), label="p")
+    lam = lambda_eff(p)
+    n = data.draw(st.integers(lam, lam + (4, 3, 2, 1)[d - 1]), label="n")
+    q = data.draw(st.integers(1, p), label="q")
+    basis = stacked_sparse_basis(LevelRule(d, n, p), q)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
+    M = basis.V.shape[1]
+    H = rng.standard_normal((M, M))
+    _assert_operator_matches_oracle(basis, H + H.T, exact=d <= 2)
+
+
+def test_operator_rejects_an_entry_set_that_is_not_downward_closed():
+    entries = stacked_sparse_basis(LevelRule(2, 4, 2), 1).entries
+    assert (entries[0] == 0).all()
+    with pytest.raises(RuntimeError, match="not a prefix"):
+        _fibers(np.delete(entries, 0, axis=0))
+
+
+def test_sparse_pencil_peak_stays_far_below_the_gathered_matrix():
+    # order 4096, above the dense cut: the gathered matrix alone was 134 MB
+    rule = LevelRule(2, 8, 2)
+    assert stacked_sparse_basis(rule, 1).size == 4096
+    assert _traced_peak(sparse_rayleigh, rule, 1) < 32e6
+
+
+_LANCZOS_PROBE = """
+import sys
+import sgsplines.cli
+from sgsplines.indices import LevelRule
+from sgsplines.spaces import sparse_rayleigh
+sparse_rayleigh(LevelRule(1, 10, 1), 1, "mix-semi")
+print("scipy.sparse.linalg" in sys.modules)
+sparse_rayleigh(LevelRule(2, 6, 2), 2)
+print("scipy.sparse.linalg" in sys.modules)
+"""
+
+
+def test_lanczos_module_loads_only_for_a_pencil_that_takes_it():
+    # a d = 1 pencil above the cut stays dense; a d = 2 one of order 1028
+    # takes Lanczos, and its module loads then
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))), "src"))
+    proc = subprocess.run([sys.executable, "-c", _LANCZOS_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_orthonormalized_increments_have_identity_gram():

@@ -114,14 +114,19 @@ def test_call_owner_check_finds_the_enclosing_function():
     # the one top-eigenvalue routine (its deferred import and its call), and
     # the dense generalized eigh of the mapped pencil
     ("eigsh", [("spaces", "_top_eigenvalue"), ("spaces", "_top_eigenvalue")]),
+    ("LinearOperator", [("spaces", "_top_eigenvalue"),
+                        ("spaces", "_top_eigenvalue")]),
     ("eigh", [("geometry", "mapped_rayleigh"), ("spaces", "_top_eigenvalue")]),
+    # the sparse pencil applies its norm matrix on the entry set and never
+    # gathers it
+    ("ix_", []),
     # the one rank and span rule of the equivalence and dimension oracles;
     # their residuals are orthogonal projections, not least-squares solves
     ("svd", [("spaces", "_span")]),
     ("lstsq", []),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
-        "threading", "eigsh", "scipy.linalg.eigh", "scipy.linalg.svd",
-        "lstsq"])
+        "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
+        "scipy.linalg.svd", "lstsq"])
 def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
     sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]
