@@ -11,10 +11,9 @@ quadrature with Jacobian weights.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .bspline import _frozen, _space, collocation_matrix, greville, make_space
-from .spaces import khatri_rao, stacked_sparse_basis
+from .spaces import _top_eigenvalue, khatri_rao, stacked_sparse_basis
 from .tensorops import (
     CoefficientTensor,
     _norm_axes,
@@ -228,7 +227,7 @@ def pullback_error_norm(f_phys, u, geom):
     axes, weights = _norm_axes(u.finest_level, u.degree + 3)
     Wphys = np.linalg.det(geom.jacobian_grid(axes))
     Wphys *= tensor_weights(weights)
-    fv = f_phys.eval_points(geom.eval_grid(axes))
+    fv = PullbackFunction(f_phys, geom).eval_grid(axes)
     diff = u.deriv_grid(axes)
     np.subtract(fv, diff, out=diff)
     return float(np.sqrt(_weighted_square_sum(diff, Wphys)))
@@ -238,15 +237,13 @@ def mapped_rayleigh(rule, q, geom):
     """Largest physical H^1-seminorm vs L2 Rayleigh quotient over the mapped
     q-vanishing sparse basis, by quadrature-assembled Gram matrices.
 
-    At most two grid x N value matrices are alive at once (grid = quadrature
-    points, N = basis size): U and its weighted copy for B, then for each
+    Each Gram matrix is X^T X, formed by SYRK, of a grid x N value matrix X
+    (grid = quadrature points, N = basis size) scaled in place by
+    sqrt(W det J), so no weighted copy is made: U for B, then for each
     physical direction i the gradient G_i = sum_j Jinv[:, j, i] * dU/du_j,
-    accumulated in place one parameter direction at a time, and its weighted
-    copy.  Each Gram product keeps the form ``M.T @ (Wphys * M)`` with the
-    same operands and order, and the sum over j runs in the same order, so
-    A, B and the eigenvalue are bit-for-bit those of holding every matrix at
-    once.  SYRK, sqrt(W) scaling or row-blocked products would change the
-    last digits.
+    accumulated in place one parameter direction at a time.  At most two
+    such matrices are alive at once, and A, B and the eigenvalue
+    (`spaces._top_eigenvalue`) are bit-for-bit those of holding all at once.
     """
     if geom.d != rule.d:
         raise ValueError("geometry dimension does not match the level rule")
@@ -255,7 +252,7 @@ def mapped_rayleigh(rule, q, geom):
     axes, weights = _norm_axes((n,) * d, p + 3)
     J = geom.jacobian_grid(axes)
     det = np.linalg.det(J)
-    Wphys = (tensor_weights(weights) * det).ravel()
+    root_w = np.sqrt(tensor_weights(weights) * det).reshape(-1, 1)
     Jinv = np.linalg.inv(J).reshape(-1, d, d)
 
     space_n = make_space(p, n)
@@ -263,7 +260,8 @@ def mapped_rayleigh(rule, q, geom):
     E1 = collocation_matrix(space_n, axes[0], 1) @ basis.V
     cols = basis.entries.T
     U = khatri_rao([E0] * d, cols)
-    B = U.T @ (Wphys[:, None] * U)
+    U *= root_w
+    B = U.T @ U
     del U
 
     def scaled_gradient(j, i):
@@ -277,6 +275,6 @@ def mapped_rayleigh(rule, q, geom):
         Gi = scaled_gradient(0, i)
         for j in range(1, d):
             Gi += scaled_gradient(j, i)
-        A += Gi.T @ (Wphys[:, None] * Gi)
-    lam_max = scipy.linalg.eigh(A, B, eigvals_only=True)[-1]
-    return float(np.sqrt(lam_max))
+        Gi *= root_w
+        A += Gi.T @ Gi
+    return float(np.sqrt(_top_eigenvalue(A, basis.size, B)))

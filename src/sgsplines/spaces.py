@@ -46,18 +46,20 @@ leading block, and splitting H by level keeps every intermediate of the
 direction-by-direction product on the entry set (`_hadamard_operator`).  A
 product costs O(N M), with M the 1D chain size, and O(N) memory.
 
-Only the top eigenvalue is computed, by `_top_eigenvalue`.  Up to order 512
-that is a dense `eigh` at O(N^3) cost, of the operator applied to the
-identity (at d = 2 the gathered matrix bit for bit).  Above it, at d >= 2,
-implicitly restarted Lanczos (ARPACK's `eigsh`) needs only products.  At
-d = 1, q = 1 the top eigenvalues cluster, and the dense solve of H itself is
-faster at every order measured, up to 1025, so d = 1 pencils stay dense.
-At d = 2 and 3 the crossover lies near order 300 (up to 600 for p = q = 1
-pencils, which need the most products); moving the cut would move printed
-digits, so it stays at 512.  Lanczos starts from a fixed vector, because
-ARPACK's default start is random and the digits would then depend on the
-pencils solved before in the process.  Its module is imported on first use,
-which keeps it out of the `study` processes that never build such a pencil.
+Only the top eigenvalue is computed, by `_top_eigenvalue`, the one routine
+of every pencil.  For the mapped pencil (`geometry.mapped_rayleigh`), a
+matrix pair, and for operators up to order 512, that is a dense `eigh` at
+O(N^3) cost, of the operator applied to the identity (at d = 2 the gathered
+matrix bit for bit).  Above it, at d >= 2, implicitly restarted Lanczos
+(ARPACK's `eigsh`) needs only products.  At d = 1, q = 1 the top
+eigenvalues cluster, and the dense solve of H itself is faster at every
+order measured, up to 1025, so d = 1 pencils stay dense.  At d = 2 and 3
+the crossover lies near order 300 (up to 600 for p = q = 1 pencils, which
+need the most products); moving the cut would move printed digits, so it
+stays at 512.  Lanczos starts from a fixed vector, because ARPACK's default
+start is random and the digits would then depend on the pencils solved
+before in the process.  Its module is imported on first use, which keeps it
+out of the `study` processes that never build such a pencil.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from .bspline import (
     refinement_operator,
     vanishing_subspace,
 )
-from .indices import build_combination_set, build_hier_set
+from .indices import build_combination_set, build_hier_set, increment_dim
 from .quadrature import gram_matrix
 from .tensorops import contract, project_tensor
 
@@ -134,6 +136,19 @@ def combination_project(f, rule):
 # hierarchical increments
 
 
+SVD_TOL = 1e-8
+
+
+def _span(stack, basis=True):
+    """Rank of ``stack`` (the singular values above `SVD_TOL` times the
+    largest) by one thin SVD and, with ``basis``, an orthonormal basis of
+    its column span.  Every rank decision of the package is made here."""
+    out = scipy.linalg.svd(stack, full_matrices=False, compute_uv=basis)
+    svals = out[1] if basis else out
+    rank = int(np.sum(svals > SVD_TOL * svals[0]))
+    return rank, out[0][:, :rank] if basis else None
+
+
 def hier_basis(rule):
     """Univariate basis indices of the plain hierarchical increments, as
     {level: indices} for the levels lam..n in order.
@@ -142,8 +157,8 @@ def hier_basis(rule):
     anchored at the new odd knots (anchor = middle knot of the support).
     Function i has its anchor at knot index k = i + (p+2)//2; the interior
     knot k = p+j sits at j / 2**level, which is new at this level iff j is odd.
-    Every level is rank-certified: the refined coarser space plus the selected
-    functions span it.
+    Every level is rank-certified (`_span`): the refined coarser space plus
+    the selected functions span it.
     """
     p, lam = rule.p, rule.lam
     mid = (p + 2) // 2
@@ -152,11 +167,12 @@ def hier_basis(rule):
         coarse, fine = make_space(p, level - 1), make_space(p, level)
         # anchors k = p+1, p+3, ..., p + 2**level - 1
         sel = np.arange(p + 1 - mid, p + fine.num_cells - mid, 2)
-        if len(sel) != 2 ** (level - 1):
+        expected = increment_dim(p, level, lam)
+        if len(sel) != expected:
             raise RuntimeError(f"increment selection at p={p}, level={level} "
-                               f"found {len(sel)} functions, expected {2 ** (level - 1)}")
+                               f"found {len(sel)} functions, expected {expected}")
         M = np.hstack([refinement_operator(coarse, fine), np.eye(fine.dim)[:, sel]])
-        if np.linalg.matrix_rank(M) != fine.dim:
+        if _span(M, basis=False)[0] != fine.dim:
             raise RuntimeError(f"increment selection not independent at "
                                f"p={p}, level={level}")
         sels[level] = sel
@@ -193,19 +209,6 @@ def khatri_rao(mats, cols):
     for M, c in zip(mats[1:], cols[1:]):
         out = (out[:, None, :] * M[None, :, c]).reshape(-1, len(c))
     return out
-
-
-SVD_TOL = 1e-8
-
-
-def _span(stack, basis=True):
-    """Rank of ``stack`` (the singular values above `SVD_TOL` times the
-    largest) by one thin SVD and, with ``basis``, an orthonormal basis of
-    its column span."""
-    out = scipy.linalg.svd(stack, full_matrices=False, compute_uv=basis)
-    svals = out[1] if basis else out
-    rank = int(np.sum(svals > SVD_TOL * svals[0]))
-    return rank, out[0][:, :rank] if basis else None
 
 
 def _combination_stack(rule):
@@ -287,8 +290,11 @@ def _constrained_chain(p, q, lam, n):
     The chain of level n is the cached chain of level n-1 refined by one
     level, followed by the new increment: the q-vanishing level-n functions
     that a pivoted QR picks as most independent of the refined span, checked
-    by a rank test.  The matrix is read-only, because the cache shares it
-    between callers and threads.
+    by `_span`.  The matrix is read-only, because the cache shares it
+    between callers and threads.  Stacked by the odd-anchor rule of
+    `hier_basis` instead, the q = p pencils would differ from the direct
+    level-n pencil by 2.1e-9 (p = 2, n = 9), 1.6e-7 (p = 3, n = 10) and
+    4.5e-3 (p = 4, n = 10); this chain stays within 6e-14.
     """
     T = vanishing_subspace(make_space(p, n), q)
     if n == lam:
@@ -298,8 +304,8 @@ def _constrained_chain(p, q, lam, n):
     Qacc, _ = np.linalg.qr(acc)
     Z = T - Qacc @ (Qacc.T @ T)
     _, _, piv = scipy.linalg.qr(Z, pivoting=True)
-    V = np.hstack([acc, T[:, np.sort(piv[:2 ** (n - 1)])]])
-    if np.linalg.matrix_rank(V) != V.shape[1]:
+    V = np.hstack([acc, T[:, np.sort(piv[:increment_dim(p, n, lam)])]])
+    if _span(V, basis=False)[0] != V.shape[1]:
         raise RuntimeError(f"constrained increment selection rank-deficient "
                            f"at p={p}, q={q}, level={n}")
     return _frozen(V)
@@ -400,13 +406,13 @@ def _hadamard_operator(H, levels, fibers):
 _DENSE_EIGH_MAX_ORDER = 512
 
 
-def _top_eigenvalue(A, N):
-    """Largest eigenvalue of a symmetric matrix of order N, given as the
-    matrix, which it may overwrite, or as a function X -> A X on (N, K)
-    arrays (module docstring)."""
+def _top_eigenvalue(A, N, B=None):
+    """Largest eigenvalue of the symmetric pencil (A, B) of order N, B
+    positive definite (None: the identity).  A is a matrix, which it may
+    overwrite, or, without B, a function X -> A X on (N, K) arrays."""
     if not callable(A) or N <= _DENSE_EIGH_MAX_ORDER:
         A = A(np.eye(N)) if callable(A) else A
-        return scipy.linalg.eigh(A, eigvals_only=True, overwrite_a=True,
+        return scipy.linalg.eigh(A, B, eigvals_only=True, overwrite_a=True,
                                  subset_by_index=[N - 1, N - 1])[0]
     # imported here: at module level it costs every `study` process 25 to
     # 30 ms and 2.3 MB, and most never build a pencil of this order
@@ -419,31 +425,23 @@ def _top_eigenvalue(A, N):
 
 
 def sparse_rayleigh(rule, q, mode="mix"):
-    """Largest Rayleigh quotient of the mixed H^q norm (or 'mix-semi'
-    seminorm) against L2 over the q-vanishing sparse space.
+    """Largest Rayleigh quotient of the mixed H^q norm (or, at d = 1, the
+    'mix-semi' seminorm) against L2 over the q-vanishing sparse space.
 
-    A standard symmetric eigenproblem in the orthonormalized basis (module
+    A standard symmetric eigenproblem in the orthonormalized basis, whose
+    matrix is the tensor product over directions of one 1D matrix H (module
     docstring).  The mixed norm sums prod_i G_{a_i} over every a with
-    max_i a_i <= q: the tensor product over directions of
-    H = sum_{a <= q} G_a, restricted to the sparse entries.  The 'mix-semi'
-    seminorm (max_i a_i = q) subtracts the same product of sum_{a < q} G_a.
-    At d = 1 the matrix is H itself; at d >= 2 it is applied direction by
-    direction (module docstring).
+    max_i a_i <= q, so H = sum_{a <= q} G_a; for the seminorm H = G_q.
     """
     if mode not in ("mix", "mix-semi"):
         raise ValueError(f"unknown norm mode '{mode}'")
+    if mode == "mix-semi" and rule.d != 1:
+        raise ValueError(f"the 'mix-semi' pencil is univariate, not d={rule.d}")
     basis = stacked_sparse_basis(rule, q)
     G = _orthonormal_grams(basis)
-    H = sum(G)
-    low = sum(G[:q], np.zeros_like(G[0])) if mode == "mix-semi" else None
-    if rule.d == 1:
-        A = H if low is None else H - low
-    else:
-        fibers = _fibers(basis.entries)
-        A = _hadamard_operator(H, basis.levels, fibers)
-        if low is not None:
-            full, lower = A, _hadamard_operator(low, basis.levels, fibers)
-            A = lambda X: full(X) - lower(X)  # noqa: E731
+    H = G[q] if mode == "mix-semi" else sum(G)
+    A = H if rule.d == 1 else _hadamard_operator(H, basis.levels,
+                                                  _fibers(basis.entries))
     return float(np.sqrt(_top_eigenvalue(A, basis.size)))
 
 

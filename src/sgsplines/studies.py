@@ -164,6 +164,9 @@ def validate_config(cfg):
         raise ConfigError("timing must be 'on' or 'off'")
     if cfg.d < 1:
         raise ConfigError(f"dimension d must be at least 1, got {cfg.d}")
+    if cfg.kind == "sparse-convergence" and cfg.d == 1:
+        raise ConfigError("sparse-convergence needs d >= 2, or its bound is 0; "
+                          "at d=1 run univariate-convergence")
     if cfg.r < 0 or any(q < 0 for q in cfg.q):
         raise ConfigError("derivative orders r and q must be nonnegative")
     mapped = cfg.kind == "mapped-convergence" or (
@@ -243,7 +246,7 @@ class Row:
     source: str = ""
     seconds: float = 0.0
 
-    def csv_cells(self, timing):
+    def csv_cells(self):
         def num(x):
             if x is None or x == "":
                 return ""
@@ -253,11 +256,10 @@ class Row:
                 return str(int(x))
             return f"{float(x):.12g}"
 
-        secs = f"{self.seconds:.3f}" if timing == "on" else "0.000"
         return (self.kind, num(self.d), num(self.p), num(self.n), self.level,
                 num(self.r), num(self.q), num(self.value), num(self.bound),
                 num(self.ratio), "true" if self.passed else "false",
-                self.source, secs)
+                self.source, f"{self.seconds:.3f}")
 
 
 @dataclass
@@ -273,7 +275,7 @@ class StudyReport:
         with open(path, "w") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for row in self.rows:
-                fh.write(",".join(row.csv_cells(self.config.timing)) + "\n")
+                fh.write(",".join(row.csv_cells()) + "\n")
 
     def summary_lines(self):
         out = []

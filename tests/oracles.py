@@ -9,9 +9,9 @@ residuals, the dense generalized sparse pencil and its gathered Hadamard
 norm matrix, a one-pass build of the constrained increment chain, the span
 equality of the combination and hierarchical constructions on collocation
 rows, the mapped pencil and the grid norms with every grid-sized array held
-at once, a Newton inverse of a geometry map and a writer of the geometry
-file format.  Test modules import
-it as ``from oracles import`` (pytest puts ``tests/`` on the path).
+at once, the mapped pencil in its earlier generalized form, a Newton inverse
+of a geometry map and a writer of the geometry file format.  Test modules
+import it as ``from oracles import`` (pytest puts ``tests/`` on the path).
 """
 
 import itertools
@@ -42,6 +42,7 @@ from sgsplines.spaces import (
     SVD_TOL,
     SparseGridFunction,
     _entries,
+    _top_eigenvalue,
     hier_basis,
     khatri_rao,
     stacked_sparse_basis,
@@ -318,11 +319,10 @@ def dense_rayleigh(rule, q, mode="mix"):
 # geometry maps
 
 
-def mapped_rayleigh_reference(rule, q, geom):
-    """The mapped pencil with U and all d parameter gradients held at once,
-    and each physical gradient summed by a generator: the arithmetic that
-    `sgsplines.geometry.mapped_rayleigh` must reproduce bit for bit in two
-    grid-sized buffers."""
+def _mapped_value_matrices(rule, q, geom):
+    """The mapped pencil's weights W det J, its value matrix U and its d
+    physical gradients, each summed over the parameter gradients by a
+    generator, all held at once."""
     basis = stacked_sparse_basis(rule, q)
     p, n, d = rule.p, rule.n, rule.d
     axes, weights = _norm_axes((n,) * d, p + 3)
@@ -338,13 +338,36 @@ def mapped_rayleigh_reference(rule, q, geom):
     grads_param = [khatri_rao([E1 if i == j else E0 for i in range(d)],
                               basis.entries.T)
                    for j in range(d)]
-    B = U.T @ (Wphys[:, None] * U)
+    grads = [sum(Jinv[:, j, i][:, None] * grads_param[j] for j in range(d))
+             for i in range(d)]
+    return Wphys, U, grads
+
+
+def mapped_rayleigh_reference(rule, q, geom):
+    """The mapped pencil with U and all d physical gradients held at once:
+    the arithmetic that `sgsplines.geometry.mapped_rayleigh` must reproduce
+    bit for bit in two grid-sized buffers.  Each value matrix is scaled by
+    sqrt(W det J), its Gram matrix is X^T X, and the top eigenvalue comes
+    from the package's one eigenvalue routine."""
+    Wphys, U, grads = _mapped_value_matrices(rule, q, geom)
+    root_w = np.sqrt(Wphys)[:, None]
+    X = U * root_w
+    B = X.T @ X
     A = np.zeros_like(B)
-    for i in range(d):
-        Gi = sum(Jinv[:, j, i][:, None] * grads_param[j] for j in range(d))
-        A += Gi.T @ (Wphys[:, None] * Gi)
-    lam_max = scipy.linalg.eigh(A, B, eigvals_only=True)[-1]
-    return float(np.sqrt(lam_max))
+    for Gi in grads:
+        X = Gi * root_w
+        A += X.T @ X
+    return float(np.sqrt(_top_eigenvalue(A, len(B), B)))
+
+
+def mapped_rayleigh_generalized(rule, q, geom):
+    """The mapped pencil in an independent formulation: Gram matrices
+    M^T (W M) with the weighted copy, and the whole generalized spectrum
+    of eigh(A, B)."""
+    Wphys, U, grads = _mapped_value_matrices(rule, q, geom)
+    B = U.T @ (Wphys[:, None] * U)
+    A = sum(Gi.T @ (Wphys[:, None] * Gi) for Gi in grads)
+    return float(np.sqrt(scipy.linalg.eigh(A, B, eigvals_only=True)[-1]))
 
 
 def inverse(geom, x, tol=1e-12, maxiter=50):

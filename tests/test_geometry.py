@@ -24,6 +24,7 @@ from oracles import (
     eval_points,
     inverse,
     jacobian,
+    mapped_rayleigh_generalized,
     mapped_rayleigh_reference,
     pullback_error_norm_all_held,
     random_trig,
@@ -213,15 +214,28 @@ def test_mapped_rayleigh_growth():
 
 
 # d = 3 runs the in-place sum over j >= 1 twice per direction, d = 1 not at all
-@pytest.mark.parametrize("d,n,p,q,geom", [
+MAPPED_PENCILS = pytest.mark.parametrize("d,n,p,q,geom", [
     (2, 4, 2, 1, distorted_square_geometry()),
     (2, 4, 3, 2, shear_geometry()),
     (3, 3, 1, 1, identity_geometry(3, 1)),
     (1, 5, 2, 1, identity_geometry(1, 1)),
 ], ids=["d2-distorted", "d2-shear", "d3-identity", "d1-identity"])
+
+
+@MAPPED_PENCILS
 def test_mapped_rayleigh_matches_reference_bits(d, n, p, q, geom):
     rule = LevelRule(d, n, p)
     assert mapped_rayleigh(rule, q, geom) == mapped_rayleigh_reference(rule, q, geom)
+
+
+@MAPPED_PENCILS
+def test_mapped_rayleigh_matches_generalized_pencil(d, n, p, q, geom):
+    # X^T X of sqrt(W det J)-scaled value matrices and the top eigenvalue
+    # alone, against M^T (W M) and the whole generalized spectrum
+    rule = LevelRule(d, n, p)
+    val = mapped_rayleigh(rule, q, geom)
+    ref = mapped_rayleigh_generalized(rule, q, geom)
+    assert abs(val - ref) <= 1e-12 * ref
 
 
 def test_mapped_rayleigh_holds_two_grid_buffers():

@@ -372,7 +372,8 @@ def test_univariate_pencil_is_one_dimensional_sparse_pencil(p, q):
     from sgsplines.bspline import vanishing_subspace
     from sgsplines.quadrature import gram_matrix
 
-    for n in (lambda_eff(p) + 1, 6):
+    # up to n = 9: at n = 10 the two drift apart by 5.2e-12 (p = 4, q = 1)
+    for n in (lambda_eff(p) + 1, 6, 9):
         space = make_space(p, n)
         sub = vanishing_subspace(space, q)
         A = sub.T @ gram_matrix(space, q) @ sub
@@ -384,8 +385,7 @@ def test_univariate_pencil_is_one_dimensional_sparse_pencil(p, q):
 
 @pytest.mark.parametrize("d,p,q,n,mode", [
     (2, 2, 1, 5, "mix"), (2, 2, 2, 5, "mix"), (2, 3, 2, 5, "mix"),
-    (3, 1, 1, 4, "mix"), (2, 2, 1, 5, "mix-semi"), (1, 3, 2, 8, "mix-semi"),
-    (2, 2, 2, 6, "mix"), (2, 3, 1, 6, "mix-semi")])
+    (3, 1, 1, 4, "mix"), (1, 3, 2, 8, "mix-semi"), (2, 2, 2, 6, "mix")])
 def test_standard_pencil_matches_dense_generalized_pencil(d, p, q, n, mode):
     # orthonormalized increments keep the sparse span and make B = I; the
     # orders run from 257 to 1028, on both sides of the Lanczos crossover
@@ -393,6 +393,13 @@ def test_standard_pencil_matches_dense_generalized_pencil(d, p, q, n, mode):
     val = sparse_rayleigh(rule, q, mode)
     ref = dense_rayleigh(rule, q, mode)
     assert abs(val - ref) <= 1e-10 * ref
+
+
+def test_seminorm_pencil_is_univariate_only():
+    # its d >= 2 form would be a difference of two Hadamard products, which
+    # no study asks for
+    with pytest.raises(ValueError, match="univariate"):
+        sparse_rayleigh(LevelRule(2, 5, 2), 1, "mix-semi")
 
 
 def test_lanczos_pencil_does_not_depend_on_earlier_pencils():
@@ -451,11 +458,11 @@ PENCIL_CASES = [(p, q, n) for p in (2, 3) for q in (1, 2) for n in range(3, 8)
 @pytest.mark.parametrize("p,q,n", PENCIL_CASES)
 def test_applied_identity_is_the_gathered_hadamard_matrix(p, q, n):
     # at d = 2 every entry is one product of two factors, and the applied
-    # identity adds only zeros to it, so both pencil matrices agree bit for
-    # bit, the 'mix-semi' difference included
+    # identity adds only zeros to it, so both agree bit for bit: for the
+    # norm matrix and for one Gram matrix alone
     basis = stacked_sparse_basis(LevelRule(2, n, p), q)
     G = _orthonormal_grams(basis)
-    for H in (sum(G), sum(G[:q])):
+    for H in (sum(G), G[q]):
         _assert_operator_matches_oracle(basis, H, exact=True)
 
 
@@ -553,8 +560,13 @@ def test_chain_extension_matches_one_pass_build():
 def rank_one_short(monkeypatch):
     """Every rank certificate in `sgsplines.spaces` sees one less than the
     true rank; no chain built meanwhile stays cached."""
-    rank = np.linalg.matrix_rank
-    monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: rank(M) - 1)
+    span = spaces._span
+
+    def short(stack, basis=True):
+        rank, Q = span(stack, basis)
+        return rank - 1, Q
+
+    monkeypatch.setattr(spaces, "_span", short)
     _constrained_chain.cache_clear()
     yield
     _constrained_chain.cache_clear()

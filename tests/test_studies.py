@@ -200,6 +200,8 @@ def _bad_geometry(tmp_path, name, lines):
     ("mapped-convergence", ["geometry={negdegree}"]),
     ("mapped-convergence", ["geometry={zerodegree}"]),
     ("sparse-convergence", ["d=0"]),
+    # its bound's layer sum is empty at d = 1, so every bound reads 0
+    ("sparse-convergence", ["d=1", "p=1", "n=3..5"]),
     ("univariate-convergence", ["n=5"]),
     ("sparse-convergence", ["n=5"]),
     ("mapped-convergence", ["n=4,4"]),
@@ -225,7 +227,7 @@ def _bad_geometry(tmp_path, name, lines):
     ("identities", ["d_max=1"]),
 ], ids=["unknown-target", "target-dimension", "unknown-geometry",
         "few-control-points", "degree-without-value", "zero-dims",
-        "negative-degree", "zero-degree", "d0",
+        "negative-degree", "zero-degree", "d0", "sparse-one-dimension",
         "univariate-one-level", "sparse-one-level", "repeated-level",
         "mapped-pencil-one-level", "pencil-geometry-dimension",
         "geometry-dimension", "negative-r", "negative-q", "zero-seminorm-bound",
@@ -266,6 +268,10 @@ def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
     # the limit
     if any(item in ("p=14", "p=16") for item in overrides):
         assert "degree 1" in err and f"limit of {MAX_GAUSS_POINTS}" in err
+    # the message refusing a one-dimensional sparse study names the kind to
+    # run instead
+    if kind == "sparse-convergence" and "d=1" in overrides:
+        assert "univariate-convergence" in err
     # and the message refusing an empty range or a vacuous identities bound
     # names the key
     for item in overrides:

@@ -111,22 +111,24 @@ def test_call_owner_check_finds_the_enclosing_function():
     # the one environment setting, made before numpy loads
     ("environ", [("__init__", None)]),
     ("threading", []),
-    # the one top-eigenvalue routine (its deferred import and its call), and
-    # the dense generalized eigh of the mapped pencil
+    # the one top-eigenvalue routine of every pencil, sparse and mapped (its
+    # deferred import and its call)
     ("eigsh", [("spaces", "_top_eigenvalue"), ("spaces", "_top_eigenvalue")]),
     ("LinearOperator", [("spaces", "_top_eigenvalue"),
                         ("spaces", "_top_eigenvalue")]),
-    ("eigh", [("geometry", "mapped_rayleigh"), ("spaces", "_top_eigenvalue")]),
+    ("eigh", [("spaces", "_top_eigenvalue")]),
     # the sparse pencil applies its norm matrix on the entry set and never
     # gathers it
     ("ix_", []),
-    # the one rank and span rule of the equivalence and dimension oracles;
-    # their residuals are orthogonal projections, not least-squares solves
+    # the one rank and span rule of the equivalence and dimension oracles
+    # and of the increment certificates; the oracles' residuals are
+    # orthogonal projections, not least-squares solves
     ("svd", [("spaces", "_span")]),
+    ("matrix_rank", []),
     ("lstsq", []),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
         "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
-        "scipy.linalg.svd", "lstsq"])
+        "scipy.linalg.svd", "matrix_rank", "lstsq"])
 def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
     sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]
