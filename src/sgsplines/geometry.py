@@ -6,6 +6,17 @@ Jacobian determinant.  It is evaluated, like every spline member, only on
 tensor grids (`CoefficientTensor.deriv_grid`).  The physical-domain L2 norm
 and the mapped inverse-inequality pencil are computed by parameter-space
 quadrature with Jacobian weights.
+
+Each Gram matrix of the mapped pencil is a sum over the quadrature grid of a
+grid array times a product of one row and one column factor per direction.
+It is assembled by sum factorization (Antolin, Buffa, Calabro, Martinelli
+and Sangalli, CMAME 285, 2015), one direction at a time, the last first,
+over the pairs of the suffix set: the entries projected onto the directions
+not yet contracted.  The hierarchy set is downward closed, so each level
+block of a suffix set is the product of that level's stacked columns and a
+set of shorter suffixes, and each step is one GEMM per pair of level blocks.
+With g points per direction, the peak is O(N^2 + max_k g^k |suffixes_k|^2)
+doubles; no grid x N value matrix is formed.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bspline import _frozen, _space, collocation_matrix, greville, make_space
-from .spaces import _top_eigenvalue, khatri_rao, stacked_sparse_basis
+from .spaces import _top_eigenvalue, stacked_sparse_basis
 from .tensorops import (
     CoefficientTensor,
     _norm_axes,
@@ -233,17 +244,71 @@ def pullback_error_norm(f_phys, u, geom):
     return float(np.sqrt(_weighted_square_sum(diff, Wphys)))
 
 
+def _factorized_gram(entries, levels):
+    """The function (K, factors) -> out of
+
+        out[e, f] = sum_x K(x) prod_i a_i[x_i, e_i] b_i[x_i, f_i]
+
+    over the rows e, f of `entries`, by sum factorization (module
+    docstring).  K is an array on the tensor grid, `factors` one pair
+    (a_i, b_i) of (points, stacked columns) matrices per direction, and
+    `levels` the level of each stacked column, which are in level order.
+    F, the sum over the grid directions contracted so far for every pair of
+    the sorted suffix set, is held with the grid direction contracted next
+    last.  A suffix set whose level blocks are not products raises
+    RuntimeError.
+    """
+    N, d = entries.shape
+    plan = []
+    tail = np.zeros(N, dtype=np.intp)  # each entry's suffix past k, as a position
+    for k in reversed(range(d)):
+        width = tail.max() + 1
+        keys, tail = np.unique(entries[:, k] * width + tail, return_inverse=True)
+        col, pos = np.divmod(keys, width)
+        blocks = []
+        for l in np.unique(levels[col]):
+            rows = np.flatnonzero(levels[col] == l)
+            cols, tails = np.unique(col[rows]), np.unique(pos[rows])
+            if len(rows) != len(cols) * len(tails):
+                raise RuntimeError(f"the suffixes past direction {k} of level "
+                                   f"{l} are not a product of its columns and "
+                                   f"a suffix set: the entry set is not "
+                                   f"downward closed")
+            blocks.append((rows[0], cols, tails))
+        plan.append((len(keys), blocks))
+
+    def gram(K, factors):
+        F = K.reshape(-1, 1, 1, K.shape[-1])
+        for k, (size, blocks) in zip(reversed(range(d)), plan):
+            a, b = factors[k]
+            h = K.shape[k - 1] if k else 1  # the grid direction contracted next
+            out = np.empty((len(F) // h, size, size, h))
+            for r, cl, tl in blocks:
+                for c, cm, tm in blocks:
+                    P = (a[:, cl, None] * b[:, None, cm]).reshape(len(a), -1)
+                    Y = F[:, tl[:, None], tm].reshape(-1, len(a)) @ P
+                    out[:, r:r + cl.size * tl.size, c:c + cm.size * tm.size] = (
+                        Y.reshape(-1, h, tl.size, tm.size, cl.size, cm.size)
+                        .transpose(0, 4, 2, 5, 3, 1)
+                        .reshape(-1, cl.size * tl.size, cm.size * tm.size, h))
+            F = out
+        return F[0, tail[:, None], tail, 0]
+
+    return gram
+
+
 def mapped_rayleigh(rule, q, geom):
     """Largest physical H^1-seminorm vs L2 Rayleigh quotient over the mapped
     q-vanishing sparse basis, by quadrature-assembled Gram matrices.
 
-    Each Gram matrix is X^T X, formed by SYRK, of a grid x N value matrix X
-    (grid = quadrature points, N = basis size) scaled in place by
-    sqrt(W det J), so no weighted copy is made: U for B, then for each
-    physical direction i the gradient G_i = sum_j Jinv[:, j, i] * dU/du_j,
-    accumulated in place one parameter direction at a time.  At most two
-    such matrices are alive at once, and A, B and the eigenvalue
-    (`spaces._top_eigenvalue`) are bit-for-bit those of holding all at once.
+    Both Gram matrices are sums over the level-n quadrature grid of
+    K(x) prod_i a_i[x_i, e_i] b_i[x_i, f_i], assembled by sum factorization
+    (`_factorized_gram`): B with K = W det J / 2 and value factors in every
+    direction; A as the sum over j <= k of the terms with
+    K = W det J (J^-1 J^-T)_jk, halved at j = k, and derivative factors in
+    directions j (row) and k (column).  Each sum is C, and the Gram matrix
+    C + C^T, which is exactly symmetric.  No grid x N value matrix is
+    formed.  The top eigenvalue comes from `spaces._top_eigenvalue`.
     """
     if geom.d != rule.d:
         raise ValueError("geometry dimension does not match the level rule")
@@ -251,30 +316,21 @@ def mapped_rayleigh(rule, q, geom):
     p, n, d = rule.p, rule.n, rule.d
     axes, weights = _norm_axes((n,) * d, p + 3)
     J = geom.jacobian_grid(axes)
-    det = np.linalg.det(J)
-    root_w = np.sqrt(tensor_weights(weights) * det).reshape(-1, 1)
-    Jinv = np.linalg.inv(J).reshape(-1, d, d)
+    half = tensor_weights(weights) * np.linalg.det(J) / 2
+    Jinv = np.linalg.inv(J)
+    metric = Jinv @ np.swapaxes(Jinv, -1, -2)
+    del J, Jinv
 
     space_n = make_space(p, n)
     E0 = collocation_matrix(space_n, axes[0], 0) @ basis.V
     E1 = collocation_matrix(space_n, axes[0], 1) @ basis.V
-    cols = basis.entries.T
-    U = khatri_rao([E0] * d, cols)
-    U *= root_w
-    B = U.T @ U
-    del U
-
-    def scaled_gradient(j, i):
-        """Jinv[:, j, i] * dU/du_j, in one fresh grid x N buffer."""
-        G = khatri_rao([E1 if k == j else E0 for k in range(d)], cols)
-        G *= Jinv[:, j, i][:, None]
-        return G
-
-    A = np.zeros_like(B)
-    for i in range(d):
-        Gi = scaled_gradient(0, i)
-        for j in range(1, d):
-            Gi += scaled_gradient(j, i)
-        Gi *= root_w
-        A += Gi.T @ Gi
-    return float(np.sqrt(_top_eigenvalue(A, basis.size, B)))
+    gram = _factorized_gram(basis.entries, basis.levels)
+    C = gram(half, [(E0, E0)] * d)
+    B = C + C.T
+    C = np.zeros_like(B)
+    for j in range(d):
+        for k in range(j, d):
+            K = half * metric[..., j, k] * (1 if j == k else 2)
+            C += gram(K, [(E1 if i == j else E0, E1 if i == k else E0)
+                          for i in range(d)])
+    return float(np.sqrt(_top_eigenvalue(C + C.T, basis.size, B)))

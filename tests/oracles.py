@@ -8,10 +8,11 @@ double), the three-pass tensor projection, the paper's identities as
 residuals, the dense generalized sparse pencil and its gathered Hadamard
 norm matrix, a one-pass build of the constrained increment chain, the span
 equality of the combination and hierarchical constructions on collocation
-rows, the mapped pencil and the grid norms with every grid-sized array held
-at once, the mapped pencil in its earlier generalized form, a Newton inverse
-of a geometry map and a writer of the geometry file format.  Test modules
-import it as ``from oracles import`` (pytest puts ``tests/`` on the path).
+rows, the grid norms with every grid-sized array held at once, the mapped
+pencil by grid x N value matrices, slab by slab, as X^T X and in its
+earlier generalized form, a Newton inverse of a geometry map and a writer of
+the geometry file format.  Test modules import it as ``from oracles
+import`` (pytest puts ``tests/`` on the path).
 """
 
 import itertools
@@ -319,44 +320,53 @@ def dense_rayleigh(rule, q, mode="mix"):
 # geometry maps
 
 
-def _mapped_value_matrices(rule, q, geom):
+def _mapped_value_slabs(rule, q, geom):
     """The mapped pencil's weights W det J, its value matrix U and its d
     physical gradients, each summed over the parameter gradients by a
-    generator, all held at once."""
+    generator, all held at once on one slab of the quadrature grid (one
+    point of the first direction) at a time: the grid x N route."""
     basis = stacked_sparse_basis(rule, q)
     p, n, d = rule.p, rule.n, rule.d
     axes, weights = _norm_axes((n,) * d, p + 3)
-    J = geom.jacobian_grid(axes)
-    det = np.linalg.det(J)
-    Wphys = (tensor_weights(weights) * det).ravel()
-    Jinv = np.linalg.inv(J).reshape(-1, d, d)
-
+    W = tensor_weights(weights)
     space_n = make_space(p, n)
     E0 = collocation_matrix(space_n, axes[0], 0) @ basis.V
     E1 = collocation_matrix(space_n, axes[0], 1) @ basis.V
-    U = khatri_rao([E0] * d, basis.entries.T)
-    grads_param = [khatri_rao([E1 if i == j else E0 for i in range(d)],
-                              basis.entries.T)
-                   for j in range(d)]
-    grads = [sum(Jinv[:, j, i][:, None] * grads_param[j] for j in range(d))
-             for i in range(d)]
-    return Wphys, U, grads
+    for x in range(len(axes[0])):
+        J = geom.jacobian_grid((axes[0][x:x + 1],) + axes[1:])
+        Wphys = (W[x] * np.linalg.det(J)).ravel()
+        Jinv = np.linalg.inv(J).reshape(-1, d, d)
+
+        def values(j=None):
+            mats = [E1 if i == j else E0 for i in range(d)]
+            return khatri_rao([mats[0][x:x + 1]] + mats[1:], basis.entries.T)
+
+        U = values()
+        grads_param = [values(j) for j in range(d)]
+        grads = [sum(Jinv[:, j, i][:, None] * grads_param[j] for j in range(d))
+                 for i in range(d)]
+        yield Wphys, U, grads
+
+
+def mapped_grams_reference(rule, q, geom):
+    """The mapped pencil's Gram matrices (A, B) by the grid x N route: each
+    value matrix scaled by sqrt(W det J), and its Gram matrix X^T X, summed
+    over the slabs of `_mapped_value_slabs`."""
+    A = B = 0.0
+    for Wphys, U, grads in _mapped_value_slabs(rule, q, geom):
+        root_w = np.sqrt(Wphys)[:, None]
+        X = U * root_w
+        B = B + X.T @ X
+        for Gi in grads:
+            X = Gi * root_w
+            A = A + X.T @ X
+    return A, B
 
 
 def mapped_rayleigh_reference(rule, q, geom):
-    """The mapped pencil with U and all d physical gradients held at once:
-    the arithmetic that `sgsplines.geometry.mapped_rayleigh` must reproduce
-    bit for bit in two grid-sized buffers.  Each value matrix is scaled by
-    sqrt(W det J), its Gram matrix is X^T X, and the top eigenvalue comes
-    from the package's one eigenvalue routine."""
-    Wphys, U, grads = _mapped_value_matrices(rule, q, geom)
-    root_w = np.sqrt(Wphys)[:, None]
-    X = U * root_w
-    B = X.T @ X
-    A = np.zeros_like(B)
-    for Gi in grads:
-        X = Gi * root_w
-        A += X.T @ X
+    """The mapped pencil of `mapped_grams_reference`, whose top eigenvalue
+    comes from the package's one eigenvalue routine."""
+    A, B = mapped_grams_reference(rule, q, geom)
     return float(np.sqrt(_top_eigenvalue(A, len(B), B)))
 
 
@@ -364,9 +374,10 @@ def mapped_rayleigh_generalized(rule, q, geom):
     """The mapped pencil in an independent formulation: Gram matrices
     M^T (W M) with the weighted copy, and the whole generalized spectrum
     of eigh(A, B)."""
-    Wphys, U, grads = _mapped_value_matrices(rule, q, geom)
-    B = U.T @ (Wphys[:, None] * U)
-    A = sum(Gi.T @ (Wphys[:, None] * Gi) for Gi in grads)
+    A = B = 0.0
+    for Wphys, U, grads in _mapped_value_slabs(rule, q, geom):
+        B = B + U.T @ (Wphys[:, None] * U)
+        A = A + sum(Gi.T @ (Wphys[:, None] * Gi) for Gi in grads)
     return float(np.sqrt(scipy.linalg.eigh(A, B, eigvals_only=True)[-1]))
 
 

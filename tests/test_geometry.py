@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from sgsplines import functions as fn
+from sgsplines import geometry
 from sgsplines.geometry import (
     GeometryMap,
     PullbackFunction,
+    _factorized_gram,
     builtin_geometry,
     distorted_square_geometry,
     identity_geometry,
@@ -18,12 +20,18 @@ from sgsplines.geometry import (
     shear_geometry,
 )
 from sgsplines.indices import LevelRule
-from sgsplines.spaces import combination_project
+from sgsplines.spaces import (
+    _top_eigenvalue,
+    combination_project,
+    khatri_rao,
+    stacked_sparse_basis,
+)
 from sgsplines.tensorops import error_norm
 from oracles import (
     eval_points,
     inverse,
     jacobian,
+    mapped_grams_reference,
     mapped_rayleigh_generalized,
     mapped_rayleigh_reference,
     pullback_error_norm_all_held,
@@ -213,19 +221,44 @@ def test_mapped_rayleigh_growth():
     assert slope <= 1.05
 
 
-# d = 3 runs the in-place sum over j >= 1 twice per direction, d = 1 not at all
+def distorted_cube_geometry():
+    """Quadratic map of the unit cube with the centre control point moved:
+    the faces stay planar, the parametrization does not."""
+    g = np.array([0.0, 0.5, 1.0])
+    ctrl = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1)
+    ctrl[1, 1, 1] += (0.12, 0.08, -0.10)
+    return GeometryMap(2, ctrl)
+
+
+# d = 3 sums six metric terms, three of them off the diagonal, and d = 1 one
 MAPPED_PENCILS = pytest.mark.parametrize("d,n,p,q,geom", [
     (2, 4, 2, 1, distorted_square_geometry()),
     (2, 4, 3, 2, shear_geometry()),
     (3, 3, 1, 1, identity_geometry(3, 1)),
+    (3, 3, 2, 1, distorted_cube_geometry()),
     (1, 5, 2, 1, identity_geometry(1, 1)),
-], ids=["d2-distorted", "d2-shear", "d3-identity", "d1-identity"])
+], ids=["d2-distorted", "d2-shear", "d3-identity", "d3-cube", "d1-identity"])
 
 
 @MAPPED_PENCILS
-def test_mapped_rayleigh_matches_reference_bits(d, n, p, q, geom):
+def test_mapped_rayleigh_matches_reference_grams(d, n, p, q, geom, monkeypatch):
+    # the sum-factorized A and B against X^T X of the grid x N value matrices
+    pencils = []
+
+    def record(A, N, B):
+        pencils.append((A.copy(), B.copy()))
+        return _top_eigenvalue(A, N, B)
+
+    monkeypatch.setattr(geometry, "_top_eigenvalue", record)
     rule = LevelRule(d, n, p)
-    assert mapped_rayleigh(rule, q, geom) == mapped_rayleigh_reference(rule, q, geom)
+    val = mapped_rayleigh(rule, q, geom)
+    (A, B), = pencils
+    A_ref, B_ref = mapped_grams_reference(rule, q, geom)
+    for M, ref in ((A, A_ref), (B, B_ref)):
+        assert np.array_equal(M, M.T)
+        assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
+    ref = mapped_rayleigh_reference(rule, q, geom)
+    assert abs(val - ref) <= 1e-12 * ref
 
 
 @MAPPED_PENCILS
@@ -238,10 +271,33 @@ def test_mapped_rayleigh_matches_generalized_pencil(d, n, p, q, geom):
     assert abs(val - ref) <= 1e-12 * ref
 
 
-def test_mapped_rayleigh_holds_two_grid_buffers():
-    # (2^4 (p+3))^2 = 6400 quadrature points by N = 128 basis functions
-    buffer = 6400 * 128 * 8
-    rule, geom = LevelRule(2, 4, 2), distorted_square_geometry()
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_factorized_gram_matches_khatri_rao_products(d):
+    # unequal grids per direction and unrelated row and column factors
+    basis = stacked_sparse_basis(LevelRule(d, 3, 1), 1)
+    M, rng = basis.V.shape[1], np.random.default_rng(d)
+    K = rng.random((3, 4, 5)[:d])
+    factors = [(rng.standard_normal((g, M)), rng.standard_normal((g, M)))
+               for g in K.shape]
+    out = _factorized_gram(basis.entries, basis.levels)(K, factors)
+    cols = basis.entries.T
+    a, b = (khatri_rao([f[s] for f in factors], cols) for s in (0, 1))
+    ref = a.T @ (K.reshape(-1, 1) * b)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_factorized_gram_rejects_an_entry_set_that_is_not_downward_closed():
+    basis = stacked_sparse_basis(LevelRule(2, 4, 2), 1)
+    entries = basis.entries[1:]  # entry (0, 0) removed
+    assert not (entries == 0).all(axis=1).any()
+    with pytest.raises(RuntimeError, match="not downward closed"):
+        _factorized_gram(entries, basis.levels)
+
+
+def test_mapped_rayleigh_builds_no_grid_by_basis_matrix():
+    # (2^6 (p+3))^2 = 102400 quadrature points by N = 768 basis functions:
+    # one value matrix would take 629 MB
+    rule, geom = LevelRule(2, 6, 2), distorted_square_geometry()
     mapped_rayleigh(rule, 1, geom)  # the cached basis is not counted
     tracemalloc.start()
     try:
@@ -249,7 +305,7 @@ def test_mapped_rayleigh_holds_two_grid_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * buffer
+    assert peak < 100e6
 
 
 @pytest.mark.parametrize("d,n,p,geom", [

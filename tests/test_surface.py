@@ -126,9 +126,13 @@ def test_call_owner_check_finds_the_enclosing_function():
     ("svd", [("spaces", "_span")]),
     ("matrix_rank", []),
     ("lstsq", []),
+    # Khatri-Rao columns only in the equivalence and dimension stacks: the
+    # mapped pencil is sum-factorized and forms no grid x N value matrix
+    ("khatri_rao", [("spaces", "_combination_stack"),
+                    ("spaces", "equivalence_report")]),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
         "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
-        "scipy.linalg.svd", "matrix_rank", "lstsq"])
+        "scipy.linalg.svd", "matrix_rank", "lstsq", "khatri_rao"])
 def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
     sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]
