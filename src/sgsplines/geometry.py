@@ -169,14 +169,23 @@ def load_geometry(path):
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad control point line "
                                      f"{line!r}") from exc
+                if dims is not None and len(points[-1]) != len(dims):
+                    raise ValueError(f"{path}:{lineno}: a control point needs "
+                                     f"{len(dims)} coordinates, got {line!r}")
                 continue
             key, *rest = line.split()
-            if key in ("degree", "dims") and not rest:
-                raise ValueError(f"{path}:{lineno}: key {key!r} needs a value")
+            if key in ("degree", "dims"):
+                if not rest:
+                    raise ValueError(f"{path}:{lineno}: key {key!r} needs a value")
+                try:
+                    values = [int(tok) for tok in rest]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: key {key!r} needs "
+                                     f"integers, got {line!r}") from exc
             if key == "degree":
-                degree = int(rest[0])
+                degree = values[0]
             elif key == "dims":
-                dims = [int(tok) for tok in rest]
+                dims = values
                 if min(dims) < 1:
                     raise ValueError(f"{path}:{lineno}: every 'dims' entry "
                                      f"must be at least 1")
@@ -186,15 +195,11 @@ def load_geometry(path):
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     if degree is None or dims is None:
         raise ValueError(f"{path}: missing required keys 'degree' and 'dims'")
-    d = len(dims)
     expect = int(np.prod(dims))
     if len(points) != expect:
         raise ValueError(f"{path}: expected {expect} control points, "
                          f"got {len(points)}")
-    ctrl = np.array(points, dtype=float)
-    if ctrl.shape[1] != d:
-        raise ValueError(f"{path}: control points must have {d} coordinates")
-    return GeometryMap(degree, ctrl.reshape(tuple(dims) + (d,)))
+    return GeometryMap(degree, np.reshape(points, (*dims, len(dims))))
 
 
 # ---------------------------------------------------------------------------

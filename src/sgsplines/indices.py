@@ -6,6 +6,10 @@ h * degree < 1 (strictly), which the univariate approximation theory needs;
 for degrees that are powers of two the logarithm lands on an integer that
 violates strictness, so the threshold rounds up past it.
 
+`build_hier_set` is the one enumeration of levels, by sum, then
+lexicographic; `build_combination_set` takes its top d sums from the top
+down in that order, the order of every combination sum and stack.
+
 All identity oracles run in exact integer arithmetic.  Binomials appearing
 inside the identities use the generalized (signed polynomial) convention
 ``C(x, m) = x(x-1)...(x-m+1)/m!`` for possibly negative upper index; binomials
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations, groupby
 
 
 def lambda_eff(p):
@@ -25,20 +30,12 @@ def lambda_eff(p):
     integer lam with 2**lam > p."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    if p <= 1:
-        return 1
-    lam = 1
-    while 2 ** lam <= p:
-        lam += 1
-    return lam
+    return max(1, int(p).bit_length())
 
 
 def gbinom(x, m):
     """Generalized binomial coefficient of integer x over m >= 0 (exact)."""
-    num = 1
-    for j in range(m):
-        num *= x - j
-    return num // math.factorial(m)
+    return math.prod(range(x, x - m, -1)) // math.factorial(m)
 
 
 def cbinom(x, m):
@@ -66,18 +63,6 @@ class LevelRule:
                 f"{self.lam} for degree {self.p}")
 
 
-def _levels_with_sum(d, total, lam):
-    """All d-tuples with entries >= lam summing to `total`, lexicographic."""
-    if total < d * lam:
-        return []
-    if d == 1:
-        return [(total,)]
-    out = []
-    for a in range(lam, total - lam * (d - 1) + 1):
-        out.extend((a,) + rest for rest in _levels_with_sum(d - 1, total - a, lam))
-    return out
-
-
 @dataclass(frozen=True)
 class CombinationSet:
     """Admissible levels of the combination technique with their integer
@@ -91,19 +76,6 @@ class CombinationSet:
         return sum(c for _, c in self.levels)
 
 
-@lru_cache(maxsize=None)
-def build_combination_set(d, n, p):
-    rule = LevelRule(d, n, p)
-    layers = []
-    levels = []
-    for l in range(d):
-        layer = tuple(_levels_with_sum(d, n + (d - 1) * rule.lam - l, rule.lam))
-        layers.append(layer)
-        c = (-1) ** l * math.comb(d - 1, l)
-        levels.extend((lvl, c) for lvl in layer)
-    return CombinationSet(rule, tuple(layers), tuple(levels))
-
-
 def layer_cardinality(d, n, p, l):
     """Closed-form size of layer l (counted in the coefficient-sum proof)."""
     return cbinom(n + d - 1 - lambda_eff(p) - l, d - 1)
@@ -112,12 +84,28 @@ def layer_cardinality(d, n, p, l):
 @lru_cache(maxsize=None)
 def build_hier_set(d, n, p):
     """Levels of the hierarchical construction: |level|_1 <= n + (d-1)*lam
-    with every component >= lam, as a tuple in order of increasing sum."""
+    with every component >= lam, by sum, then lexicographic.  A level of sum
+    d*lam + s is read off d-1 bars among s+d-1 slots, which `combinations`
+    yields in lexicographic order."""
+    lam = LevelRule(d, n, p).lam
+    return tuple(
+        tuple(lam + b - a - 1 for a, b in zip((-1, *bars), (*bars, s + d - 1)))
+        for s in range(n - lam + 1)
+        for bars in combinations(range(s + d - 1), d - 1))
+
+
+@lru_cache(maxsize=None)
+def build_combination_set(d, n, p):
+    """Layer l: the hierarchy set's members of sum n + (d-1)*lam - l, in its
+    order, with coefficient (-1)^l * C(d-1, l); `levels` runs through the
+    layers from the top down."""
     rule = LevelRule(d, n, p)
-    levels = []
-    for total in range(d * rule.lam, n + (d - 1) * rule.lam + 1):
-        levels.extend(_levels_with_sum(d, total, rule.lam))
-    return tuple(levels)
+    top = n + (d - 1) * rule.lam
+    by_sum = {s: tuple(g) for s, g in groupby(build_hier_set(d, n, p), key=sum)}
+    layers = tuple(by_sum.get(top - l, ()) for l in range(d))
+    levels = tuple((lvl, (-1) ** l * math.comb(d - 1, l))
+                   for l, layer in enumerate(layers) for lvl in layer)
+    return CombinationSet(rule, layers, levels)
 
 
 def lemma1_deviation(d):

@@ -154,9 +154,12 @@ def validate_config(cfg):
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown study kind '{cfg.kind}'")
     for key, default in _KINDS[cfg.kind].defaults.items():
-        if isinstance(default, tuple) and not getattr(cfg, key):
+        values = getattr(cfg, key)
+        if isinstance(default, tuple) and not values:
             raise ConfigError(f"key '{key}' lists no values; a range lo..hi "
                               f"needs lo <= hi")
+        if isinstance(default, tuple) and len(set(values)) != len(values):
+            raise ConfigError(f"key '{key}' repeats a value in {values}")
     if cfg.kind == "identities" and cfg.d_max < 2:
         raise ConfigError(f"key 'd_max' is {cfg.d_max}, but the L3 and L4 rows "
                           f"check d = 2..d_max, so it must be at least 2")
@@ -194,7 +197,7 @@ def validate_config(cfg):
                 raise ConfigError(f"levels {low} below the admissible minimum "
                                   f"{lam} for degree {p}")
         kept = [n for n in cfg.n if n >= lam]
-        if fits_rate and (len(kept) < 2 or len(set(kept)) != len(kept)):
+        if fits_rate and len(kept) < 2:
             raise ConfigError(f"a rate fit needs at least two distinct levels "
                               f">= {lam} for degree {p}, got {kept}")
         if cfg.kind == "univariate-convergence" and cfg.r > p:

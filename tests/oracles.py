@@ -4,15 +4,16 @@ None of this runs in a study: these are independent evaluations (among them
 scattered-point evaluation of tensor and sparse splines and of geometry maps
 by dense collocation rows, the derivative transfer built row by row, and
 term-by-term grid evaluation of sparse splines in float64 and in long
-double), the three-pass tensor projection, the paper's identities as
-residuals, the dense generalized sparse pencil and its gathered Hadamard
-norm matrix, a one-pass build of the constrained increment chain, the span
-equality of the combination and hierarchical constructions on collocation
-rows, the grid norms with every grid-sized array held at once, the mapped
-pencil by grid x N value matrices, slab by slab, as X^T X and in its
-earlier generalized form, a Newton inverse of a geometry map and a writer of
-the geometry file format.  Test modules import it as ``from oracles
-import`` (pytest puts ``tests/`` on the path).
+double), the recursive enumerator of level sets, the three-pass tensor
+projection, the paper's identities as residuals, the dense generalized
+sparse pencil and its gathered Hadamard norm matrix, a one-pass build of
+the constrained increment chain, the span equality of the combination and
+hierarchical constructions on collocation rows, the grid norms with every
+grid-sized array held at once, the mapped pencil by grid x N value
+matrices, slab by slab, as X^T X and in its earlier generalized form, a
+Newton inverse of a geometry map and a writer of the geometry file format.
+Test modules import it as ``from oracles import`` (pytest puts ``tests/``
+on the path).
 """
 
 import itertools
@@ -33,7 +34,6 @@ from sgsplines.bspline import (
 from sgsplines.functions import SumOfSeparable, TrigFactor
 from sgsplines.geometry import GeometryMap
 from sgsplines.indices import (
-    _levels_with_sum,
     build_combination_set,
     build_hier_set,
     cbinom,
@@ -162,6 +162,35 @@ def telescopic_residual(f, level, degree):
                 part = complement_direction(part, i)
             rhs = rhs + (-1) ** (k - 1) * part.values
     return float(np.abs(lhs - rhs).max())
+
+
+def _levels_with_sum(d, total, lam):
+    """All d-tuples with entries >= lam summing to `total`, lexicographic."""
+    if total < d * lam:
+        return []
+    if d == 1:
+        return [(total,)]
+    out = []
+    for a in range(lam, total - lam * (d - 1) + 1):
+        out.extend((a,) + rest for rest in _levels_with_sum(d - 1, total - a, lam))
+    return out
+
+
+def hier_set_reference(d, n, lam):
+    """The hierarchy set by sum, each sum's levels in `_levels_with_sum`
+    order."""
+    return tuple(lvl for total in range(d * lam, n + (d - 1) * lam + 1)
+                 for lvl in _levels_with_sum(d, total, lam))
+
+
+def combination_set_reference(d, n, lam):
+    """The combination technique's layers, top sum first, and its
+    (level, coefficient) pairs in layer order."""
+    layers = tuple(tuple(_levels_with_sum(d, n + (d - 1) * lam - l, lam))
+                   for l in range(d))
+    levels = tuple((lvl, (-1) ** l * math.comb(d - 1, l))
+                   for l, layer in enumerate(layers) for lvl in layer)
+    return layers, levels
 
 
 def cancellation_constant(d, k, l):

@@ -19,6 +19,7 @@ from sgsplines.indices import (
     lemma3_oracle,
     sparse_dimension,
 )
+from oracles import combination_set_reference, hier_set_reference
 
 
 def test_lambda_eff_values():
@@ -103,6 +104,18 @@ def test_hier_set_examples():
     assert len(build_hier_set(3, 4, 1)) == 20
     for d, n, p in [(2, 6, 1), (3, 5, 2), (4, 6, 3)]:
         assert len(build_hier_set(d, n, p)) == math.comb(n - lambda_eff(p) + d, d)
+
+
+def test_level_sets_match_the_recursive_enumerator():
+    # members, order, layers and coefficients: the combination sums and the
+    # equivalence stacks take their terms in this order
+    for d in range(1, 7):
+        for p in range(5):
+            lam = lambda_eff(p)
+            for n in range(lam, 11):
+                assert build_hier_set(d, n, p) == hier_set_reference(d, n, lam)
+                cs = build_combination_set(d, n, p)
+                assert (cs.layers, cs.levels) == combination_set_reference(d, n, lam)
 
 
 def test_lemma1_small_cases_and_grid():

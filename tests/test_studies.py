@@ -225,6 +225,12 @@ def _bad_geometry(tmp_path, name, lines):
     ("inverse-inequality", ["q=2..1"]),
     ("identities", ["n_max=2"]),
     ("identities", ["d_max=1"]),
+    # repeated list values, which would repeat rows
+    ("dimensions", ["n=3,3", "p=1,1"]),
+    ("identities", ["p=2,2"]),
+    # geometry files with a non-integer key value or a short control point
+    ("mapped-convergence", ["geometry={badint}"]),
+    ("mapped-convergence", ["geometry={ragged}"]),
 ], ids=["unknown-target", "target-dimension", "unknown-geometry",
         "few-control-points", "degree-without-value", "zero-dims",
         "negative-degree", "zero-degree", "d0", "sparse-one-dimension",
@@ -235,7 +241,8 @@ def _bad_geometry(tmp_path, name, lines):
         "mapped-degree-14", "mapped-pencil-degree-14", "univariate-pencil-degree-16",
         "sparse-pencil-degree-16", "empty-levels", "empty-degrees",
         "empty-orders", "identities-level-below-minimum",
-        "identities-no-dimension"])
+        "identities-no-dimension", "repeated-dimensions", "repeated-degree",
+        "non-integer-dims", "ragged-control-points"])
 def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
     geometries = {
         "few": _bad_geometry(tmp_path, "few.geo",
@@ -252,6 +259,11 @@ def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
         "zerodegree": _bad_geometry(tmp_path, "zerodeg.geo",
                                     ["degree 0", "dims 2 2", "control_points",
                                      "0 0", "0 1", "1 0", "1 1"]),
+        "badint": _bad_geometry(tmp_path, "badint.geo",
+                                ["degree 1", "dims 2 x", "control_points"]),
+        "ragged": _bad_geometry(tmp_path, "ragged.geo",
+                                ["degree 1", "dims 2 2", "control_points",
+                                 "0 0", "0 1", "1", "1 1"]),
     }
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"kind={kind}\n")
@@ -279,6 +291,14 @@ def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
         lo, _, hi = value.partition("..")
         if key in ("n_max", "d_max") or hi and int(lo) > int(hi):
             assert f"'{key}'" in err
+    # so does the message refusing a repeated value, for one of the keys
+    repeated = [key for key, value in (item.split("=", 1) for item in overrides)
+                if len(set(value.split(","))) <= value.count(",")]
+    assert not repeated or any(f"'{key}'" in err for key in repeated)
+    # and the message refusing a geometry file names the file and the line
+    for name, lineno in (("badint", 2), ("ragged", 6)):
+        if f"geometry={{{name}}}" in overrides:
+            assert f"{name}.geo:{lineno}: " in err
 
 
 def test_mapped_study_builds_one_geometry(tmp_path, monkeypatch):

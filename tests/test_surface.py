@@ -130,9 +130,14 @@ def test_call_owner_check_finds_the_enclosing_function():
     # mapped pencil is sum-factorized and forms no grid x N value matrix
     ("khatri_rao", [("spaces", "_combination_stack"),
                     ("spaces", "equivalence_report")]),
+    # the one enumeration of levels: the combination set is read from the
+    # hierarchy set, and the recursive enumerator lives on only in the tests
+    ("combinations", [("indices", None), ("indices", "build_hier_set")]),
+    ("_levels_with_sum", []),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
         "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
-        "scipy.linalg.svd", "matrix_rank", "lstsq", "khatri_rao"])
+        "scipy.linalg.svd", "matrix_rank", "lstsq", "khatri_rao",
+        "itertools.combinations", "_levels_with_sum"])
 def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
     sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]
