@@ -6,9 +6,10 @@ h * degree < 1 (strictly), which the univariate approximation theory needs;
 for degrees that are powers of two the logarithm lands on an integer that
 violates strictness, so the threshold rounds up past it.
 
-`build_hier_set` is the one enumeration of levels, by sum, then
-lexicographic; `build_combination_set` takes its top d sums from the top
-down in that order, the order of every combination sum and stack.
+`_levels_of_sum` is the one enumeration of levels, lexicographic within one
+sum.  `build_hier_set` concatenates it from the lowest sum up;
+`build_combination_set` takes its top d sums from the top down.  That order
+is the order of every combination sum and stack.
 
 All identity oracles run in exact integer arithmetic.  Binomials appearing
 inside the identities use the generalized (signed polynomial) convention
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import combinations
 
 
 def lambda_eff(p):
@@ -30,12 +31,20 @@ def lambda_eff(p):
     integer lam with 2**lam > p."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    return max(1, int(p).bit_length())
+    if p <= 1:
+        return 1
+    lam = 1
+    while 2 ** lam <= p:
+        lam += 1
+    return lam
 
 
 def gbinom(x, m):
     """Generalized binomial coefficient of integer x over m >= 0 (exact)."""
-    return math.prod(range(x, x - m, -1)) // math.factorial(m)
+    num = 1
+    for j in range(m):
+        num *= x - j
+    return num // math.factorial(m)
 
 
 def cbinom(x, m):
@@ -81,30 +90,32 @@ def layer_cardinality(d, n, p, l):
     return cbinom(n + d - 1 - lambda_eff(p) - l, d - 1)
 
 
+def _levels_of_sum(d, s, lam):
+    """The d-tuples with entries >= lam and sum d*lam + s, lexicographic: each
+    is read off d-1 bars among s+d-1 slots, which `combinations` yields in
+    lexicographic order.  Each tuple is made from a list, at its exact size."""
+    return [tuple([lam + b - a - 1 for a, b in zip((-1, *bars), (*bars, s + d - 1))])
+            for bars in combinations(range(s + d - 1), d - 1)]
+
+
 @lru_cache(maxsize=None)
 def build_hier_set(d, n, p):
     """Levels of the hierarchical construction: |level|_1 <= n + (d-1)*lam
-    with every component >= lam, by sum, then lexicographic.  A level of sum
-    d*lam + s is read off d-1 bars among s+d-1 slots, which `combinations`
-    yields in lexicographic order."""
+    with every component >= lam, by sum, then lexicographic."""
     lam = LevelRule(d, n, p).lam
-    return tuple(
-        tuple(lam + b - a - 1 for a, b in zip((-1, *bars), (*bars, s + d - 1)))
-        for s in range(n - lam + 1)
-        for bars in combinations(range(s + d - 1), d - 1))
+    return tuple(lvl for s in range(n - lam + 1) for lvl in _levels_of_sum(d, s, lam))
 
 
 @lru_cache(maxsize=None)
 def build_combination_set(d, n, p):
-    """Layer l: the hierarchy set's members of sum n + (d-1)*lam - l, in its
+    """Layer l: the levels of sum n + (d-1)*lam - l, in the hierarchy set's
     order, with coefficient (-1)^l * C(d-1, l); `levels` runs through the
     layers from the top down."""
     rule = LevelRule(d, n, p)
-    top = n + (d - 1) * rule.lam
-    by_sum = {s: tuple(g) for s, g in groupby(build_hier_set(d, n, p), key=sum)}
-    layers = tuple(by_sum.get(top - l, ()) for l in range(d))
-    levels = tuple((lvl, (-1) ** l * math.comb(d - 1, l))
-                   for l, layer in enumerate(layers) for lvl in layer)
+    layers = tuple(tuple(_levels_of_sum(d, n - rule.lam - l, rule.lam))
+                   for l in range(d))
+    coefficients = [(-1) ** l * math.comb(d - 1, l) for l in range(d)]
+    levels = tuple((lvl, c) for c, layer in zip(coefficients, layers) for lvl in layer)
     return CombinationSet(rule, layers, levels)
 
 

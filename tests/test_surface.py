@@ -130,9 +130,9 @@ def test_call_owner_check_finds_the_enclosing_function():
     # mapped pencil is sum-factorized and forms no grid x N value matrix
     ("khatri_rao", [("spaces", "_combination_stack"),
                     ("spaces", "equivalence_report")]),
-    # the one enumeration of levels: the combination set is read from the
-    # hierarchy set, and the recursive enumerator lives on only in the tests
-    ("combinations", [("indices", None), ("indices", "build_hier_set")]),
+    # the one enumeration of levels, shared by the hierarchy and combination
+    # sets; the recursive enumerator lives on only in the tests
+    ("combinations", [("indices", None), ("indices", "_levels_of_sum")]),
     ("_levels_with_sum", []),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
         "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
