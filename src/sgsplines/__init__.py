@@ -35,13 +35,14 @@ from .geometry import (  # noqa: E402
 )
 from .indices import LevelRule, sparse_dimension  # noqa: E402
 from .quadrature import project_1d  # noqa: E402
-from .spaces import combination_project  # noqa: E402
+from .spaces import combination_error, combination_project  # noqa: E402
 from .tensorops import error_norm  # noqa: E402
 
 __all__ = [
     "LevelRule",
     "PullbackFunction",
     "builtin_geometry",
+    "combination_error",
     "combination_project",
     "error_norm",
     "functions",

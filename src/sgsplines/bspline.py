@@ -92,16 +92,17 @@ def _nonzero_basis(knots, deg, spans, x):
     """Values of the deg+1 nonvanishing basis functions at each point.
 
     Returns shape (npts, deg+1); column r is function index spans - deg + r.
+    The recursion runs in the precision of ``x``.
     """
     npts = x.shape[0]
-    N = np.zeros((npts, deg + 1))
+    N = np.zeros((npts, deg + 1), dtype=x.dtype)
     N[:, 0] = 1.0
-    left = np.empty((npts, deg + 1))
-    right = np.empty((npts, deg + 1))
+    left = np.empty_like(N)
+    right = np.empty_like(N)
     for j in range(1, deg + 1):
         left[:, j] = x - knots[spans + 1 - j]
         right[:, j] = knots[spans + j] - x
-        saved = np.zeros(npts)
+        saved = np.zeros(npts, dtype=x.dtype)
         for r in range(j):
             temp = N[:, r] / (right[:, r + 1] + left[:, j - r])
             N[:, r] = saved + right[:, r + 1] * temp

@@ -16,6 +16,21 @@ long-double term-by-term evaluation at d=2, p=3, n=6, alpha=(3, 3), that
 order is about 2e4 times less accurate than evaluating term by term in
 float64, while differentiating first is as accurate.
 
+The L2 error of the combination technique for a separable target needs
+neither that sum nor a grid (`combination_error`).  With the 1D pieces
+Delta_l = P_l - P_(l-1), l = lam..n (P_(lam-1) = 0), and Delta_inf = I - P_n,
+f is the sum of the tensor products of pieces over the box {lam..n, inf}^d,
+and by the Smolyak identity (Wasilkowski and Wozniakowski, J. Complexity 11,
+1995; Bungartz and Griebel, Acta Numerica 13, 2004) f - u keeps the product
+of level l with weight x_l = 1 - sum_{k >= l} c_k, a suffix sum of the
+combination coefficients.  The norm's rule is a tensor product of 1D rules,
+so its square is sum_{t,s} c_t c_s x^T (prod_i Gamma_i^ts) x over pairs of
+terms, with Gamma_i^ts the 1D inner products of the pieces: one `contract`
+over (n - lam + 2)^d entries each.  The pieces are differences of nearly
+equal functions, formed in long double: in float64 the norm at d=2, p=2,
+n=9 was off by 6.6e-10 relative, against 6.4e-11 for the grid quadrature
+and 2.5e-13 in long double.
+
 Every hierarchical basis has one form: a level-ordered stack of univariate
 columns, plus the tensor entries that pick one stacked column per direction
 for every tensor function of a level set (`_entries`).  Tensor columns are
@@ -66,13 +81,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import scipy.linalg
 
 from .bspline import (
     _derivative_transfer,
+    _find_spans,
     _frozen,
+    _nonzero_basis,
     _space,
     collocation_matrix,
     make_space,
@@ -81,7 +99,12 @@ from .bspline import (
     vanishing_subspace,
 )
 from .indices import build_combination_set, build_hier_set, increment_dim
-from .quadrature import gram_matrix
+from .quadrature import (
+    element_grid,
+    gauss_rule,
+    gram_matrix,
+    projection_matrices,
+)
 from .tensorops import contract, project_tensor
 
 
@@ -130,6 +153,55 @@ def combination_project(f, rule):
     for lvl, c in cs.levels:
         terms.append((lvl, c, project_tensor(f, lvl, rule.p)))
     return SparseGridFunction(rule, rule.p, tuple(terms))
+
+
+def _smolyak_pieces(g, p, lam, n):
+    """The 1D pieces of a factor ``g(x, m)`` at the level-n nodes of the
+    norm's (p+3)-point rule, one row each, in long double: Delta_l g =
+    P_l g - P_(l-1) g for l = lam..n (P_(lam-1) g = 0), then Delta_inf g =
+    g - P_n g.  P_l g takes float64 coefficients from the projector `M0`
+    that `combination_project` applies, and is evaluated by its p+1 local
+    basis values per node, in long double."""
+    nodes = element_grid(n, gauss_rule(p + 3))[0]
+    x = nodes.astype(np.longdouble)
+    values = [np.zeros_like(x)]
+    for level in range(lam, n + 1):
+        space = _space(p, level)
+        level_nodes, _, M0, _ = projection_matrices(space, 0)
+        coeffs = M0 @ g(level_nodes, 0)
+        spans = _find_spans(space.knots, p, nodes)
+        N = _nonzero_basis(space.knots, p, spans, x)
+        values.append(np.sum(N * coeffs[spans[:, None] - p + np.arange(p + 1)],
+                             axis=1))
+    values.append(g(nodes, 0).astype(x.dtype))
+    return np.diff(values, axis=0)
+
+
+def combination_error(f, rule):
+    """L2 norm of f - u for a `SumOfSeparable` f = sum_t c_t prod_i g_ti and
+    its combination-technique projection u = `combination_project(f, rule)`,
+    from 1D Smolyak differences, with no grid and no u (module docstring).
+
+    The value is the discrete norm of `error_norm(f, u, "semi", 0)`, on the
+    same level-(n, ..., n) (p+3)-point rule, up to roundoff.
+    """
+    d, p, lam, n = rule.d, rule.p, rule.lam, rule.n
+    # x_l = 1 - sum of c_k over combination levels k >= l, by suffix sums on
+    # the box lam..n, then 1 on the extended index inf of any direction
+    C = np.zeros((n - lam + 1,) * d, dtype=int)
+    for lvl, c in build_combination_set(d, n, p).levels:
+        C[tuple(l - lam for l in lvl)] = c
+    for i in range(d):
+        C = np.flip(np.cumsum(np.flip(C, i), axis=i), i)
+    x = 1 - np.pad(C, [(0, 1)] * d)
+    w = element_grid(n, gauss_rule(p + 3))[1]
+    pieces = [(c, [_smolyak_pieces(g, p, lam, n) for g in fs])
+              for c, fs in f.terms]
+    total = 0.0
+    for (ct, Dt), (cs, Ds) in product(pieces, repeat=2):
+        gammas = [(a * w) @ b.T for a, b in zip(Dt, Ds)]
+        total += ct * cs * np.sum(x * contract(x, gammas))
+    return float(np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------

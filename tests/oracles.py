@@ -4,7 +4,8 @@ None of this runs in a study: these are independent evaluations (among them
 scattered-point evaluation of tensor and sparse splines and of geometry maps
 by dense collocation rows, the derivative transfer built row by row, and
 term-by-term grid evaluation of sparse splines in float64 and in long
-double), the recursive enumerator of level sets, the three-pass tensor
+double, and the long-double L2 error that the Smolyak-difference norm is
+gated against), the recursive enumerator of level sets, the three-pass tensor
 projection, the paper's identities as residuals, the dense generalized
 sparse pencil and its gathered Hadamard norm matrix, a one-pass build of
 the constrained increment chain, the span equality of the combination and
@@ -503,9 +504,58 @@ def deriv_grid_longdouble(u, axes, alpha=None):
             E = _basis_rows_longdouble(make_space(u.degree - a, l), ax)
             if a:
                 E = E @ derivative_transfer_rows(u.degree, l, a, np.longdouble)
-            X = np.tensordot(X, E.T, axes=([0], [0]))
+            X = _contract_banded(X, E, u.degree + 1)
         out = out + np.longdouble(c) * X
     return out
+
+
+def _contract_banded(X, E, width):
+    """``np.tensordot(X, E.T, axes=([0], [0]))`` for rows ``E`` whose
+    nonzeros lie in ``width`` consecutive columns, summed over those columns
+    only, in column order: O(rows x width) per entry of X's other axes
+    instead of O(rows x columns)."""
+    start = np.minimum(np.argmax(E != 0, axis=1), E.shape[1] - width)
+    cols = start[:, None] + np.arange(width)
+    band = np.take_along_axis(E, cols, axis=1)
+    assert np.count_nonzero(band) == np.count_nonzero(E)
+    out = np.zeros((len(E),) + X.shape[1:], dtype=np.longdouble)
+    for r in range(width):
+        term = X[cols[:, r]]
+        term *= band[:, r].reshape(-1, *[1] * (X.ndim - 1))
+        out += term
+    return np.moveaxis(out, 0, -1)
+
+
+def _eval_grid_longdouble(f, axes):
+    """Values of a `SumOfSeparable` on a tensor grid from the float64 values
+    of its factors, with every product and sum in np.longdouble."""
+    out = np.longdouble(0)
+    for c, fs in f.terms:
+        term = np.longdouble(c)
+        for g, ax in zip(fs, axes):
+            term = np.multiply.outer(term, g(ax, 0).astype(np.longdouble))
+        out = out + term
+    return out
+
+
+def error_norm_longdouble(f, u):
+    """The L2 `error_norm` of a `SumOfSeparable` ``f`` against a
+    `SparseGridFunction` ``u``, on the same grid, in np.longdouble: u's
+    float64 coefficients by `deriv_grid_longdouble` and f's float64 factor
+    values, with every later product, sum and square in extended precision.
+    One slab of the first axis, about 2^21 grid points, at a time."""
+    axes, weights = _norm_axes(u.finest_level, u.degree + 3)
+    rest = tensor_weights(weights[1:]).astype(np.longdouble)
+    step = max(1, 2 ** 21 // rest.size)
+    total = np.longdouble(0)
+    for s in range(0, len(axes[0]), step):
+        slab = (axes[0][s:s + step],) + axes[1:]
+        diff = deriv_grid_longdouble(u, slab)
+        np.subtract(_eval_grid_longdouble(f, slab), diff, out=diff)
+        diff **= 2
+        diff *= np.multiply.outer(weights[0][s:s + step], rest)
+        total += np.sum(diff)
+    return np.sqrt(total)
 
 
 def project_tensor_three_pass(f, level, degree):

@@ -25,17 +25,20 @@ kept their bytes.  The norm kinds'
 files differ from it in their last printed digits, and
 ``grid-norms/sparse-d3`` also in its ``bound``, ``ratio`` and ``pass``
 columns, which the benchmark reference wrote before the d=3 ``c10`` constant
-became positive.
+became positive.  The ``sparse-convergence`` files (``defaults`` and
+``grid-norms/sparse-d2``; ``sparse-d3`` kept its bytes) were rewritten, by
+the command above, when their error moved from the grid quadrature of u to
+1D Smolyak differences (`sgsplines.spaces.combination_error`): eight
+``value`` or ``ratio`` cells and the p=2 fit moved in the last digits
+(relative 2e-12 to 8e-12), and the p=2, n=9 value by 6.3e-11.
 
-The three norm kinds' default CSVs and the three pencil CSVs are also
-checked at ``OPENBLAS_NUM_THREADS=1``: their bytes do not depend on the BLAS
-thread count, whether a pencil's top eigenvalue comes from the dense ``eigh``
-or from Lanczos.  Two goldens still do.  ``equivalence`` prints the roundoff
-residuals of the orthogonal projections onto SVD bases, and four of its
-eight differ at one thread (p=2, n=5 prints 8.16428576978e-15 at the
-default count and 7.37252190023e-15 at one).  ``grid-norms/sparse-d2`` prints
-9.3865065633e-10 at p=2, n=9 and 9.38650656331e-10 at one thread, because the
-dense Gram assembly of level 9 rounds differently there.
+The three norm kinds' default CSVs, the three grid-norm CSVs and the three
+pencil CSVs are also checked at ``OPENBLAS_NUM_THREADS=1``: their bytes do
+not depend on the BLAS thread count, whether a pencil's top eigenvalue comes
+from the dense ``eigh`` or from Lanczos.  One golden still does:
+``equivalence`` prints the roundoff residuals of the orthogonal projections
+onto SVD bases, and four of its eight differ at one thread (p=2, n=5 prints
+8.16428576978e-15 at the default count and 7.37252190023e-15 at one).
 """
 
 import os
@@ -132,8 +135,9 @@ def test_pencil_csv_unchanged_by_single_blas_thread(workload, process, kind,
             == _golden(workload, process))
 
 
-@pytest.mark.parametrize("workload,process,kind,overrides", NORMS,
-                         ids=[p for _, p, _, _ in NORMS])
+@pytest.mark.parametrize("workload,process,kind,overrides", NORMS + GRID_NORMS,
+                         ids=[p for _, p, _, _ in NORMS]
+                         + [f"{w}/{p}" for w, p, _, _ in GRID_NORMS])
 def test_norm_csv_unchanged_by_single_blas_thread(workload, process, kind,
                                                   overrides, tmp_path):
     assert (_run_single_blas_thread(kind, overrides, tmp_path)

@@ -1,5 +1,6 @@
 """Sparse-grid constructions: combination form, increments, identities."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from sgsplines.spaces import (
     _fibers,
     _hadamard_operator,
     _orthonormal_grams,
+    combination_error,
     combination_project,
     dimension_rank,
     equivalence_report,
@@ -29,7 +31,13 @@ from sgsplines.spaces import (
     sparse_rayleigh,
     stacked_sparse_basis,
 )
-from sgsplines.tensorops import _norm_axes, error_norm, multi_indices, project_tensor
+from sgsplines.tensorops import (
+    _norm_axes,
+    error_norm,
+    function_norm,
+    multi_indices,
+    project_tensor,
+)
 from oracles import (
     cancellation_constant,
     collocation_equivalence,
@@ -37,6 +45,7 @@ from oracles import (
     dense_rayleigh,
     deriv_grid_longdouble,
     deriv_grid_per_term,
+    error_norm_longdouble,
     eval_points,
     eval_spline,
     hadamard,
@@ -125,6 +134,65 @@ def test_sparse_deriv_grid_is_as_accurate_as_per_term(d, p, n):
         assert (err(u.deriv_grid(axes, alpha))
                 <= 4 * err(deriv_grid_per_term(u, axes, alpha))
                 + 1e-14 * float(np.abs(ref).max()))
+
+
+def _golden_sparse_rows():
+    """(d, p, n) of every level row of the golden `sparse-convergence` CSVs,
+    all of target sinpi-prod."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    rows = set()
+    for name in ("defaults/sparse-convergence", "grid-norms/sparse-d2",
+                 "grid-norms/sparse-d3"):
+        with open(os.path.join(golden, f"{name}.csv")) as fh:
+            rows |= {(int(r["d"]), int(r["p"]), int(r["n"]))
+                     for r in csv.DictReader(fh) if r["level"] == ""}
+    return sorted(rows)
+
+
+GOLDEN_SPARSE_ROWS = _golden_sparse_rows()
+
+
+@pytest.mark.parametrize("d,p,n", GOLDEN_SPARSE_ROWS,
+                         ids=[f"d{d}-p{p}-n{n}" for d, p, n in GOLDEN_SPARSE_ROWS])
+def test_combination_error_is_as_accurate_as_the_grid_norm(d, p, n):
+    # the accuracy gate of the Smolyak-difference norm: against a long-double
+    # evaluation of the same u and of f's float64 factors, it errs no more
+    # than the grid quadrature it replaces, on every golden row
+    f = fn.sinpi_product(d)
+    rule = LevelRule(d, n, p)
+    u = combination_project(f, rule)
+    ref = error_norm_longdouble(f, u)
+    assert (abs(combination_error(f, rule) - ref)
+            <= abs(error_norm(f, u, "semi", 0) - ref))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_combination_error_matches_the_grid_norm_on_random_targets(data):
+    d = data.draw(st.integers(2, 3), label="d")
+    p = data.draw(st.integers(1, 3), label="p")
+    n = data.draw(st.integers(lambda_eff(p), 8 if d == 2 else 5), label="n")
+    f = random_trig(d, data.draw(st.integers(0, 2 ** 16), label="seed"))
+    rule = LevelRule(d, n, p)
+    grid = error_norm(f, combination_project(f, rule), "semi", 0)
+    # both carry roundoff of about eps ||f||; over 4 seeds at every d, p and
+    # n drawn here the two differed by at most 5.1e-17 ||f||
+    tol = 8 * np.finfo(float).eps * function_norm(f, d, "semi", 0)
+    assert abs(combination_error(f, rule) - grid) <= tol
+
+
+def test_combination_error_d4_row_stays_small():
+    # a d=4 row builds no d-dimensional array of spline or grid size: the
+    # grid of error_norm would hold (64 * 4)^4 doubles, 34 GB, per buffer
+    f = fn.sinpi_product(4)
+    tracemalloc.start()
+    try:
+        combination_error(f, LevelRule(4, 6, 1))
+        function_norm(f, 4, "mix", 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
 
 
 def test_increment_indices_select_new_odd_knots():

@@ -1,5 +1,6 @@
 """Study runner: rate fitting, config parsing, CSV output, CLI contract."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -231,6 +232,8 @@ def _bad_geometry(tmp_path, name, lines):
     # geometry files with a non-integer key value or a short control point
     ("mapped-convergence", ["geometry={badint}"]),
     ("mapped-convergence", ["geometry={ragged}"]),
+    # level sets estimated above the memory budget
+    ("identities", ["d_max=11", "n_max=17"]),
 ], ids=["unknown-target", "target-dimension", "unknown-geometry",
         "few-control-points", "degree-without-value", "zero-dims",
         "negative-degree", "zero-degree", "d0", "sparse-one-dimension",
@@ -242,7 +245,7 @@ def _bad_geometry(tmp_path, name, lines):
         "sparse-pencil-degree-16", "empty-levels", "empty-degrees",
         "empty-orders", "identities-level-below-minimum",
         "identities-no-dimension", "repeated-dimensions", "repeated-degree",
-        "non-integer-dims", "ragged-control-points"])
+        "non-integer-dims", "ragged-control-points", "identities-too-large"])
 def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
     geometries = {
         "few": _bad_geometry(tmp_path, "few.geo",
@@ -417,3 +420,27 @@ def test_univariate_fit_at_seminorm_order(tmp_path, overrides):
     r = overrides[0].split("=")[1]
     assert {row[header.index("r")] for row in rows} == {r}
     assert any(row[header.index("level")] == "" for row in rows)
+
+
+def test_identities_too_large_is_refused_before_any_level_set(monkeypatch):
+    # d_max=11 n_max=17 would need about 24 GiB; the refusal comes from the
+    # closed-form estimate alone
+    def no_level_sets(*args):
+        raise AssertionError("a level set was built")
+
+    monkeypatch.setattr(studies, "build_combination_set", no_level_sets)
+    monkeypatch.setattr(studies, "lemma3_oracle", no_level_sets)
+    cfg = replace(default_config("identities"), d_max=11, n_max=17)
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError, match="GiB"):
+        run_study(cfg)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_identities_estimate_bounds_the_default_and_the_largest_run_measured():
+    # the default runs (its golden is compared byte for byte); d_max=9
+    # n_max=15 at the default degrees peaked at 1561 MB of RSS, which the
+    # estimate of 1.68 GB bounds and the budget admits
+    assert studies.identities_peak_bytes(default_config("identities")) < 30e6
+    big = replace(default_config("identities"), d_max=9, n_max=15)
+    assert 1561 * 2 ** 20 < studies.identities_peak_bytes(big) < studies.MEMORY_BUDGET

@@ -134,10 +134,12 @@ def test_call_owner_check_finds_the_enclosing_function():
     # sets; the recursive enumerator lives on only in the tests
     ("combinations", [("indices", None), ("indices", "_levels_of_sum")]),
     ("_levels_with_sum", []),
+    # extended precision only in the 1D pieces of the Smolyak-difference norm
+    ("longdouble", [("spaces", "_smolyak_pieces")]),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
         "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
         "scipy.linalg.svd", "matrix_rank", "lstsq", "khatri_rao",
-        "itertools.combinations", "_levels_with_sum"])
+        "itertools.combinations", "_levels_with_sum", "longdouble"])
 def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
     sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]
