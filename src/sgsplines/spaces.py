@@ -4,17 +4,10 @@ A sparse function is stored per admissible level (combination form) as the
 primary representation; the hierarchical form is materialized on demand for
 equivalence checks and inverse-inequality pencils.
 
-Every combination term's space is a subspace of the finest level's, so a
-mixed derivative of the signed sum is formed in coefficient space and
-evaluated once.  Along each direction a term is first differentiated at its
-own level (`_derivative_transfer`, into the clamped degree p - a space),
-then prolonged to the finest level in that degree, scaled and added into one
-finest-level coefficient array; one degree p - a evaluation on the grid
-follows.  The order matters: differentiating the prolonged sum amplifies
-its roundoff by the finest level's derivative transfer.  Against a
-long-double term-by-term evaluation at d=2, p=3, n=6, alpha=(3, 3), that
-order is about 2e4 times less accurate than evaluating term by term in
-float64, while differentiating first is as accurate.
+A combination-form function is evaluated for values only, and once: every
+term's space is a subspace of the finest level's, so each term is prolonged
+to the finest level, scaled and added into one finest-level coefficient
+array, and one evaluation on the grid follows.
 
 The L2 error of the combination technique for a separable target needs
 neither that sum nor a grid (`combination_error`).  With the 1D pieces
@@ -87,7 +80,6 @@ import numpy as np
 import scipy.linalg
 
 from .bspline import (
-    _derivative_transfer,
     _find_spans,
     _frozen,
     _nonzero_basis,
@@ -99,12 +91,7 @@ from .bspline import (
     vanishing_subspace,
 )
 from .indices import build_combination_set, build_hier_set, increment_dim
-from .quadrature import (
-    element_grid,
-    gauss_rule,
-    gram_matrix,
-    projection_matrices,
-)
+from .quadrature import element_grid, gauss_rule, gram_matrix, project_1d
 from .tensorops import contract, project_tensor
 
 
@@ -126,24 +113,25 @@ class SparseGridFunction:
                      for i in range(self.d))
 
     def deriv_grid(self, axes, alpha=None):
-        """Mixed derivative values of the weighted sum of the terms on the
-        tensor grid of per-direction nodes, evaluated once (module
-        docstring): one grid-sized array, the result."""
-        alpha = alpha or (0,) * self.d
+        """Values of the weighted sum of the terms on the tensor grid of
+        per-direction nodes, evaluated once (module docstring): one
+        grid-sized array, the result.  Derivatives are not served: a nonzero
+        ``alpha`` raises ValueError."""
+        if any(alpha or ()):
+            raise ValueError(f"a combination-form function is evaluated for "
+                             f"values only, not derivative {alpha}")
         p, finest = self.degree, self.finest_level
         total = None
         for level, c, ct in self.terms:
-            X = contract(ct.coeffs, [_derivative_transfer(p, l, a)
-                                     for l, a in zip(level, alpha)])
-            X = contract(X, [prolongation(_space(p - a, l), n)
-                             for l, a, n in zip(level, alpha, finest)])
+            X = contract(ct.coeffs, [prolongation(_space(p, l), n)
+                                     for l, n in zip(level, finest)])
             X *= c
             if total is None:
                 total = X
             else:
                 total += X
-        return contract(total, [collocation_matrix(_space(p - a, n), ax, 0)
-                                for a, n, ax in zip(alpha, finest, axes)])
+        return contract(total, [collocation_matrix(_space(p, n), ax, 0)
+                                for n, ax in zip(finest, axes)])
 
 
 def combination_project(f, rule):
@@ -159,16 +147,15 @@ def _smolyak_pieces(g, p, lam, n):
     """The 1D pieces of a factor ``g(x, m)`` at the level-n nodes of the
     norm's (p+3)-point rule, one row each, in long double: Delta_l g =
     P_l g - P_(l-1) g for l = lam..n (P_(lam-1) g = 0), then Delta_inf g =
-    g - P_n g.  P_l g takes float64 coefficients from the projector `M0`
-    that `combination_project` applies, and is evaluated by its p+1 local
-    basis values per node, in long double."""
+    g - P_n g.  P_l g takes float64 coefficients from `project_1d`, the
+    projector that `combination_project` applies along each axis, and is
+    evaluated by its p+1 local basis values per node, in long double."""
     nodes = element_grid(n, gauss_rule(p + 3))[0]
     x = nodes.astype(np.longdouble)
     values = [np.zeros_like(x)]
     for level in range(lam, n + 1):
         space = _space(p, level)
-        level_nodes, _, M0, _ = projection_matrices(space, 0)
-        coeffs = M0 @ g(level_nodes, 0)
+        coeffs = project_1d(space, g)
         spans = _find_spans(space.knots, p, nodes)
         N = _nonzero_basis(space.knots, p, spans, x)
         values.append(np.sum(N * coeffs[spans[:, None] - p + np.arange(p + 1)],

@@ -10,7 +10,8 @@ sets it).  Per-row timing is written only when `timing=on` so default CSV
 output is byte-identical across runs.
 
 `_KINDS`, at the end of this module, is the one place where a study kind is
-declared: its note, its runner and its default config.
+declared: its note, its runner and the defaults of every key it reads.
+`validate_config` refuses any other key that is set away from its default.
 """
 
 from __future__ import annotations
@@ -175,14 +176,25 @@ def validate_config(cfg):
     without one), which the runner then uses."""
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown study kind '{cfg.kind}'")
-    for key, default in _KINDS[cfg.kind].defaults.items():
+    # besides its own keys, every kind takes kind, out, seed and timing
+    defaults = _KINDS[cfg.kind].defaults
+    stray = [f.name for f in fields(cfg) if getattr(cfg, f.name) != f.default
+             and f.name not in (*defaults, "kind", "out", "seed", "timing")]
+    if stray:
+        raise ConfigError(f"{cfg.kind} does not read {', '.join(map(repr, stray))}"
+                          f"; its keys are {', '.join(defaults)}, out, seed "
+                          f"and timing")
+    if cfg.kind == "univariate-convergence" and cfg.d != 1:
+        raise ConfigError(f"univariate-convergence is one-dimensional: key "
+                          f"'d' must be 1, got {cfg.d}")
+    for key, default in defaults.items():
         values = getattr(cfg, key)
         if isinstance(default, tuple) and not values:
             raise ConfigError(f"key '{key}' lists no values; a range lo..hi "
                               f"needs lo <= hi")
         if isinstance(default, tuple) and len(set(values)) != len(values):
             raise ConfigError(f"key '{key}' repeats a value in {values}")
-    if cfg.kind == "identities" and cfg.d_max < 2:
+    if cfg.d_max < 2:
         raise ConfigError(f"key 'd_max' is {cfg.d_max}, but the L3 and L4 rows "
                           f"check d = 2..d_max, so it must be at least 2")
     if cfg.timing not in ("on", "off"):
@@ -208,27 +220,26 @@ def validate_config(cfg):
             raise ConfigError(f"degree {p} needs a {p + extra}-point Gauss rule, "
                               f"above the limit of {MAX_GAUSS_POINTS} points")
         lam = lambda_eff(p)
-        if cfg.kind == "identities" and cfg.n_max < lam:
-            raise ConfigError(f"key 'n_max' is {cfg.n_max}, below the minimum "
-                              f"level {lam} of degree {p}, so its L3 and L4 "
-                              f"rows would check no level")
         if cfg.kind in ("sparse-convergence", "mapped-convergence",
                         "equivalence", "dimensions", "inverse-inequality"):
             low = [n for n in cfg.n if n < lam]
             if low:
                 raise ConfigError(f"levels {low} below the admissible minimum "
                                   f"{lam} for degree {p}")
+        if cfg.n_max < lam:
+            raise ConfigError(f"key 'n_max' is {cfg.n_max}, below the minimum "
+                              f"level {lam} of degree {p}, so its L3 and L4 "
+                              f"rows would check no level")
         kept = [n for n in cfg.n if n >= lam]
         if fits_rate and len(kept) < 2:
             raise ConfigError(f"a rate fit needs at least two distinct levels "
                               f">= {lam} for degree {p}, got {kept}")
-        if cfg.kind == "univariate-convergence" and cfg.r > p:
+        if cfg.r > p:
             raise ConfigError(f"projection order r={cfg.r} exceeds degree {p}")
-        if cfg.kind == "inverse-inequality":
-            for q in cfg.q:
-                if q > p:
-                    raise ConfigError(f"inverse inequality needs q <= p, "
-                                      f"got q={q}, p={p}")
+        for q in cfg.q:
+            if q > p:
+                raise ConfigError(f"inverse inequality needs q <= p, "
+                                  f"got q={q}, p={p}")
     if cfg.kind == "identities":
         need = identities_peak_bytes(cfg)
         if need > MEMORY_BUDGET:
@@ -236,10 +247,10 @@ def validate_config(cfg):
                               f"{cfg.n_max} would hold an estimated "
                               f"{need / 2 ** 30:.1f} GiB of level sets, above "
                               f"the budget of {MEMORY_BUDGET / 2 ** 30:.0f} GiB")
+    if any(q < 1 for q in cfg.q):
+        raise ConfigError("inverse inequality needs q >= 1: at q=0 it bounds "
+                          "the L2 norm by itself")
     if cfg.kind == "inverse-inequality":
-        if any(q < 1 for q in cfg.q):
-            raise ConfigError("inverse inequality needs q >= 1: at q=0 it "
-                              "bounds the L2 norm by itself")
         if cfg.variant not in ("univariate", "sparse", "mapped"):
             raise ConfigError("variant must be univariate, sparse, or mapped")
         if cfg.variant == "mapped" and set(cfg.q) != {1}:
@@ -249,8 +260,7 @@ def validate_config(cfg):
     try:
         if cfg.kind in ("univariate-convergence", "sparse-convergence",
                         "mapped-convergence"):
-            f = fn.target_function(cfg.target, 1 if cfg.kind == "univariate-convergence"
-                                   else cfg.d)
+            f = fn.target_function(cfg.target, cfg.d)
         if mapped:
             name = cfg.geometry or "distorted-square"
             geom = (load_geometry(name) if os.path.exists(name)
@@ -600,12 +610,12 @@ _Kind = namedtuple("_Kind", "note run defaults")
 # The one place where a study kind is declared: the note printed by `study
 # list-kinds` and atop its `study gen-config` template, the runner (called
 # with the config and the target and geometry that `validate_config`
-# resolved), and the StudyConfig values that differ from the dataclass
-# defaults.
+# resolved), and the defaults of every key the kind reads besides kind,
+# out, seed and timing; any other key must keep its StudyConfig default.
 _KINDS = {
     "univariate-convergence": _Kind(
         "L2 projection error vs the univariate bound", _study_univariate,
-        dict(d=1, p=(1, 2, 3), n=tuple(range(3, 8)), target="sin-2pi")),
+        dict(d=1, p=(1, 2, 3), n=tuple(range(3, 8)), target="sin-2pi", r=0)),
     "sparse-convergence": _Kind(
         "sparse-grid L2 error vs the log-corrected bound", _study_sparse,
         dict(d=2, p=(1, 2), n=tuple(range(3, 9)), target="sinpi-prod")),
@@ -621,7 +631,8 @@ _KINDS = {
         dict(p=(1, 2, 3, 4), d_max=6, n_max=12)),
     "inverse-inequality": _Kind(
         "Rayleigh-quotient pencils vs inverse-inequality bounds", _study_inverse,
-        dict(d=2, p=(2, 3), q=(1, 2), n=(3, 4, 5, 6), variant="univariate")),
+        dict(d=2, p=(2, 3), q=(1, 2), n=(3, 4, 5, 6), variant="univariate",
+             geometry="distorted-square")),
     "dimensions": _Kind(
         "sparse and full dimension counts", _study_dimensions,
         dict(d=2, p=(1,), n=tuple(range(3, 11)), rank_max=5)),
@@ -636,7 +647,8 @@ def run_study(cfg):
     The report is deterministic given the config.  ``seed`` is accepted and
     unused: no study kind makes random draws; the benchmark sets it.
     """
-    rows = _KINDS[cfg.kind].run(cfg, *validate_config(cfg))
+    f, geom = validate_config(cfg)
+    rows = _KINDS[cfg.kind].run(cfg, f, geom)
     report = StudyReport(cfg, _sorted_rows(rows))
     if cfg.out:
         report.to_csv(cfg.out)

@@ -14,9 +14,9 @@ owns: it shares no memory with coefficients, cached matrices or another
 call's result.  The norms rely on that and overwrite the spline values in
 place, and a target's `eval_grid` adds its terms into them one at a time,
 so besides what an evaluator holds while it runs, a norm holds at most two
-grid-sized arrays at once.  A sparse-grid function's `deriv_grid` forms its
-sum in coefficient space and evaluates once (`spaces`), through the same
-contraction kernel as a tensor member's.
+grid-sized arrays at once.  A sparse-grid function's `deriv_grid` serves
+values only: it forms its sum in coefficient space and evaluates once
+(`spaces`), through the same contraction kernel as a tensor member's.
 
 A separable target's Sobolev norm (`function_norm`) and its sparse-grid
 error (`spaces.combination_error`) factor into 1D sums and build no grid;

@@ -2,11 +2,11 @@
 
 None of this runs in a study: these are independent evaluations (among them
 scattered-point evaluation of tensor and sparse splines and of geometry maps
-by dense collocation rows, the derivative transfer built row by row, and
-term-by-term grid evaluation of sparse splines in float64 and in long
-double, and the long-double L2 error that the Smolyak-difference norm is
-gated against), the recursive enumerator of level sets, the three-pass tensor
-projection, the paper's identities as residuals, the dense generalized
+by dense collocation rows, the derivative transfer built row by row,
+term-by-term grid evaluation of sparse splines in long double, and the
+long-double L2 error that the Smolyak-difference norm is gated against), the
+recursive enumerator of level sets, the three-pass tensor projection, the
+paper's identities as residuals, the dense generalized
 sparse pencil and its gathered Hadamard norm matrix, a one-pass build of
 the constrained increment chain, the span equality of the combination and
 hierarchical constructions on collocation rows, the grid norms with every
@@ -459,18 +459,8 @@ def save_geometry(geom, path):
 
 
 # ---------------------------------------------------------------------------
-# sparse-grid evaluation term by term, and grid norms with every grid-sized
-# array held at once
-
-
-def deriv_grid_per_term(u, axes, alpha=None):
-    """`deriv_grid` of a `SparseGridFunction` evaluated term by term on the
-    grid in float64, summed as ``out + c * X`` from 0.0: the evaluation that
-    the coefficient-space sum replaced."""
-    out = 0.0
-    for _, c, ct in u.terms:
-        out = out + c * ct.deriv_grid(axes, alpha)
-    return out
+# sparse-grid evaluation term by term in long double, and grid norms with
+# every grid-sized array held at once
 
 
 def _basis_rows_longdouble(space, x):
@@ -504,29 +494,36 @@ def deriv_grid_longdouble(u, axes, alpha=None):
             E = _basis_rows_longdouble(make_space(u.degree - a, l), ax)
             if a:
                 E = E @ derivative_transfer_rows(u.degree, l, a, np.longdouble)
-            X = _contract_banded(X, E, u.degree + 1)
+            X = _contract_banded(X, *_band(E, u.degree + 1))
         out = out + np.longdouble(c) * X
     return out
 
 
-def _contract_banded(X, E, width):
-    """``np.tensordot(X, E.T, axes=([0], [0]))`` for rows ``E`` whose
-    nonzeros lie in ``width`` consecutive columns, summed over those columns
-    only, in column order: O(rows x width) per entry of X's other axes
-    instead of O(rows x columns)."""
+def _band(E, width):
+    """Rows ``E`` whose nonzeros lie in ``width`` consecutive columns, as
+    the indices and the values of those columns, ``(cols, band)``."""
     start = np.minimum(np.argmax(E != 0, axis=1), E.shape[1] - width)
     cols = start[:, None] + np.arange(width)
     band = np.take_along_axis(E, cols, axis=1)
     assert np.count_nonzero(band) == np.count_nonzero(E)
-    out = np.zeros((len(E),) + X.shape[1:], dtype=np.longdouble)
-    for r in range(width):
+    return cols, band
+
+
+def _contract_banded(X, cols, band):
+    """``np.tensordot(X, E.T, axes=([0], [0]))`` for rows ``E`` given by
+    `_band`, summed over their band only, in column order: O(rows x width)
+    per entry of X's other axes instead of O(rows x columns)."""
+    shape = (-1,) + (1,) * (X.ndim - 1)
+    out = X[cols[:, 0]]
+    out *= band[:, 0].reshape(shape)
+    for r in range(1, cols.shape[1]):
         term = X[cols[:, r]]
-        term *= band[:, r].reshape(-1, *[1] * (X.ndim - 1))
+        term *= band[:, r].reshape(shape)
         out += term
     return np.moveaxis(out, 0, -1)
 
 
-def _eval_grid_longdouble(f, axes):
+def eval_grid_longdouble(f, axes):
     """Values of a `SumOfSeparable` on a tensor grid from the float64 values
     of its factors, with every product and sum in np.longdouble."""
     out = np.longdouble(0)
@@ -541,17 +538,35 @@ def _eval_grid_longdouble(f, axes):
 def error_norm_longdouble(f, u):
     """The L2 `error_norm` of a `SumOfSeparable` ``f`` against a
     `SparseGridFunction` ``u``, on the same grid, in np.longdouble: u's
-    float64 coefficients by `deriv_grid_longdouble` and f's float64 factor
-    values, with every later product, sum and square in extended precision.
-    One slab of the first axis, about 2^21 grid points, at a time."""
-    axes, weights = _norm_axes(u.finest_level, u.degree + 3)
+    float64 coefficients by the arithmetic of `deriv_grid_longdouble` and
+    f's float64 factor values, with every later product, sum and square in
+    extended precision.  One slab of the first axis, about 2^21 grid points,
+    at a time; the banded rows of each level on each axis are built once,
+    and those of the first axis are sliced per slab."""
+    p = u.degree
+    axes, weights = _norm_axes(u.finest_level, p + 3)
+    keys = {(i, l) for level, _, _ in u.terms for i, l in enumerate(level)}
+    bands = {(i, l): _band(_basis_rows_longdouble(make_space(p, l), axes[i]),
+                           p + 1) for i, l in keys}
     rest = tensor_weights(weights[1:]).astype(np.longdouble)
     step = max(1, 2 ** 21 // rest.size)
     total = np.longdouble(0)
     for s in range(0, len(axes[0]), step):
         slab = (axes[0][s:s + step],) + axes[1:]
-        diff = deriv_grid_longdouble(u, slab)
-        np.subtract(_eval_grid_longdouble(f, slab), diff, out=diff)
+        diff = None
+        for level, c, ct in u.terms:
+            X = ct.coeffs.astype(np.longdouble)
+            for i, l in enumerate(level):
+                cols, band = bands[i, l]
+                if i == 0:
+                    cols, band = cols[s:s + step], band[s:s + step]
+                X = _contract_banded(X, cols, band)
+            X *= np.longdouble(c)
+            if diff is None:
+                diff = X
+            else:
+                diff += X
+        np.subtract(eval_grid_longdouble(f, slab), diff, out=diff)
         diff **= 2
         diff *= np.multiply.outer(weights[0][s:s + step], rest)
         total += np.sum(diff)

@@ -1,6 +1,11 @@
 """Golden CLI text: `study gen-config <kind>` for every kind and `study
 list-kinds` print exactly these bytes.  The templates are what users start
 from, so a refactor of how kinds are declared must not change them.
+
+A template lists every key its kind reads, and `study run` refuses any other
+key that is set away from its default.  So the `univariate-convergence`
+template names `r`, and the `inverse-inequality` template names the
+`geometry` that its `mapped` variant reads.
 """
 
 import pytest
@@ -15,6 +20,7 @@ d=1
 p=1..3
 n=3..7
 target=sin-2pi
+r=0
 seed=0
 timing=off  # 'on' records wall time per row
 # out=report.csv
@@ -68,6 +74,7 @@ kind=inverse-inequality
 d=2
 p=2,3
 n=3..6
+geometry=distorted-square  # builtin name or file path
 q=1,2
 variant=univariate  # univariate | sparse | mapped
 seed=0

@@ -35,7 +35,6 @@ from sgsplines.tensorops import (
     _norm_axes,
     error_norm,
     function_norm,
-    multi_indices,
     project_tensor,
 )
 from oracles import (
@@ -44,8 +43,8 @@ from oracles import (
     constrained_chain,
     dense_rayleigh,
     deriv_grid_longdouble,
-    deriv_grid_per_term,
     error_norm_longdouble,
+    eval_grid_longdouble,
     eval_points,
     eval_spline,
     hadamard,
@@ -117,23 +116,13 @@ def test_eval_matches_per_level_sum():
     assert np.abs(sg.deriv_grid(axes) - by_level).max() < 1e-14
 
 
-@pytest.mark.parametrize("d,p,n", [(2, 3, 6), (3, 2, 4), (2, 1, 8)])
-def test_sparse_deriv_grid_is_as_accurate_as_per_term(d, p, n):
-    # the coefficient-space sum against the float64 per-term evaluation, both
-    # measured against a long-double per-term evaluation, at the midpoints of
-    # every other finest cell; prolonging before differentiating fails this
-    # by factors of 1e3 to 3e4
-    u = combination_project(random_trig(d, 1), LevelRule(d, n, p))
-    axes = [ax[::2] for ax in _norm_axes(u.finest_level, 1)[0]]
-    for alpha in multi_indices(d, p, "mix"):
-        ref = deriv_grid_longdouble(u, axes, alpha)
-
-        def err(values):
-            return float(np.abs(values - ref).max())
-
-        assert (err(u.deriv_grid(axes, alpha))
-                <= 4 * err(deriv_grid_per_term(u, axes, alpha))
-                + 1e-14 * float(np.abs(ref).max()))
+def test_sparse_deriv_grid_serves_values_only():
+    sg = combination_project(fn.sinpi_product(2), LevelRule(2, 3, 1))
+    axes = [np.linspace(0, 1, 5)] * 2
+    with pytest.raises(ValueError, match="values only"):
+        sg.deriv_grid(axes, (1, 0))
+    np.testing.assert_array_equal(sg.deriv_grid(axes, (0, 0)),
+                                  sg.deriv_grid(axes))
 
 
 def _golden_sparse_rows():
@@ -164,6 +153,21 @@ def test_combination_error_is_as_accurate_as_the_grid_norm(d, p, n):
     ref = error_norm_longdouble(f, u)
     assert (abs(combination_error(f, rule) - ref)
             <= abs(error_norm(f, u, "semi", 0) - ref))
+
+
+def test_long_double_reference_evaluates_u_by_deriv_grid_longdouble():
+    # the reference builds each level's rows once per call; its values of u
+    # are those of deriv_grid_longdouble, so it equals, bit for bit, the
+    # one-slab norm that evaluates u by it
+    f = fn.sinpi_product(2)
+    u = combination_project(f, LevelRule(2, 5, 2))
+    axes, weights = _norm_axes(u.finest_level, 5)
+    diff = deriv_grid_longdouble(u, axes)
+    np.subtract(eval_grid_longdouble(f, axes), diff, out=diff)
+    diff **= 2
+    diff *= np.multiply.outer(weights[0], weights[1].astype(np.longdouble))
+    assert error_norm_longdouble(f, u) == np.sqrt(np.longdouble(0)
+                                                  + np.sum(diff))
 
 
 @settings(max_examples=15, deadline=None)

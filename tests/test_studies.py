@@ -81,6 +81,42 @@ def test_config_validation_errors():
                               n=(3,), variant="sideways"))
 
 
+def test_run_study_refuses_an_unknown_kind():
+    with pytest.raises(ConfigError, match="unknown study kind 'bogus'"):
+        run_study(StudyConfig(kind="bogus"))
+
+
+def test_run_study_refuses_keys_the_kind_does_not_read():
+    # a key the kind does not read is refused once it leaves its default
+    with pytest.raises(ConfigError, match="dimensions does not read 'target'"):
+        run_study(StudyConfig(kind="dimensions", n=(3,), target="sin-2pi"))
+    cfg = StudyConfig(kind="identities", p=(1,), d_max=2, n_max=3, d=2)
+    assert run_study(cfg).passed
+
+
+@pytest.mark.parametrize("kind,overrides,keys", [
+    ("identities", ["variant=bogus", "q=1,1", "geometry=nope", "r=7"],
+     ["geometry", "q", "variant", "r"]),
+    ("sparse-convergence", ["r=1", "n=3..5"], ["r"]),
+    ("univariate-convergence", ["d=2"], ["d"]),
+    ("equivalence", ["target=sin-2pi"], ["target"]),
+    ("mapped-convergence", ["q=1"], ["q"]),
+    ("dimensions", ["geometry=distorted-square"], ["geometry"]),
+], ids=["identities", "sparse-r", "univariate-d", "equivalence-target",
+        "mapped-q", "dimensions-geometry"])
+def test_cli_refuses_keys_the_kind_does_not_read(tmp_path, capsys, kind,
+                                                 overrides, keys):
+    # from the kind's own template, as a user starts
+    assert cli_main(["gen-config", kind]) == 0
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(capsys.readouterr().out)
+    args = ["run", str(cfg)] + [a for item in overrides for a in ("--set", item)]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and kind in err
+    assert all(f"'{key}'" in err for key in keys)
+
+
 def test_identities_study_passes():
     cfg = StudyConfig(kind="identities", p=(1, 2), d_max=3, n_max=6)
     report = run_study(cfg)

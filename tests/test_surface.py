@@ -136,10 +136,14 @@ def test_call_owner_check_finds_the_enclosing_function():
     ("_levels_with_sum", []),
     # extended precision only in the 1D pieces of the Smolyak-difference norm
     ("longdouble", [("spaces", "_smolyak_pieces")]),
+    # derivatives only of tensor members, by their collocation rows: a
+    # combination-form function serves values only
+    ("_derivative_transfer", [("bspline", "collocation_matrix")]),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
         "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
         "scipy.linalg.svd", "matrix_rank", "lstsq", "khatri_rao",
-        "itertools.combinations", "_levels_with_sum", "longdouble"])
+        "itertools.combinations", "_levels_with_sum", "longdouble",
+        "_derivative_transfer"])
 def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
     sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]

@@ -17,7 +17,7 @@ from sgsplines.quadrature import (
     gauss_rule,
     projection_matrices,
 )
-from sgsplines.spaces import combination_project
+from sgsplines.spaces import SparseGridFunction, combination_project
 from sgsplines.tensorops import (
     CoefficientTensor,
     _norm_axes,
@@ -187,6 +187,11 @@ def test_norms_match_all_held_bits(d, p, level, n, sparse):
     for mode in ("semi", "full", "mix"):
         for order in range(p + 1):
             for target in (f, None):
+                # a combination-form function serves values only
+                if sparse and order >= 1:
+                    with pytest.raises(ValueError, match="values only"):
+                        error_norm(target, u, mode, order)
+                    continue
                 assert (error_norm(target, u, mode, order)
                         == error_norm_all_held(target, u, mode, order))
             assert (function_norm(_GridOnly(f), d, mode, order)
@@ -219,6 +224,11 @@ def test_error_norm_matches_all_held_bits_on_random_targets(data):
                                         label="level"), p)
     mode = data.draw(st.sampled_from(["semi", "full", "mix"]), label="mode")
     order = data.draw(st.integers(0, p), label="order")
+    if isinstance(u, SparseGridFunction) and order >= 1:
+        # a combination-form function serves values only
+        with pytest.raises(ValueError, match="values only"):
+            error_norm(f, u, mode, order)
+        order = 0
     assert error_norm(f, u, mode, order) == error_norm_all_held(f, u, mode, order)
 
 
@@ -271,7 +281,7 @@ def _evaluators():
                               ct.spaces(), [ct.coeffs]),
         "CoefficientTensor-vector": (lambda: geom.tensor.deriv_grid(axes, alpha),
                                      geom.tensor.spaces(), [geom.ctrl]),
-        "SparseGridFunction": (lambda: sg.deriv_grid(axes, alpha),
+        "SparseGridFunction": (lambda: sg.deriv_grid(axes),
                                [s for _, _, t in sg.terms for s in t.spaces()],
                                [t.coeffs for _, _, t in sg.terms]),
         "SumOfSeparable": (lambda: f.eval_grid(axes, alpha), [], []),
