@@ -26,18 +26,32 @@ and 2.5e-13 in long double.
 
 Every hierarchical basis has one form: a level-ordered stack of univariate
 columns, plus the tensor entries that pick one stacked column per direction
-for every tensor function of a level set (`_entries`).  Tensor columns are
-formed only by `khatri_rao`.  The plain hierarchy (`hier_basis`) keeps the
-whole coarsest space at the base level and, above it, the fine basis
-functions anchored at the new odd knots, certified independent by a rank
-check.  The q-vanishing chain (`_constrained_chain`) is stacked in level-n
-coefficients and grows by one refinement per level.
+for every tensor function of a level set (`_entries`).  The plain hierarchy
+(`hier_basis`) keeps the whole coarsest space at the base level and, above
+it, the fine basis functions anchored at the new odd knots, certified
+independent by a rank check.  The q-vanishing chain (`_constrained_chain`)
+is stacked in level-n coefficients and grows by one refinement per level.
 
-The span equality of the two constructions is checked by brute force in
-level-(n, ..., n) tensor coefficients, an isomorphic image of the finest
-tensor space: every basis function of both is one stacked column, one thin
-SVD per stack gives its rank and span, and each stack's columns are
-projected onto the other's span.
+The span equality of the two constructions is checked by 1D certificates
+(subspace splitting: Griebel, Schneider and Zenger, 1992; Bungartz and
+Griebel, Acta Numerica 13, 2004, section 3).  In level-n coefficients let
+V_l span the level-l B-splines and W_l the hierarchical functions of levels
+<= l.  For each l, `_span` gives both dimensions and orthonormal bases, and
+the 1D residual is the largest relative residual of a basis function of
+either space projected orthogonally onto the other.  In a basis adapted to
+a nested chain X, the tensor space of a level is a box of coordinates, so
+the sum of the tensor spaces of a downward closed level set has dimension
+sum_k prod_i (dim X_(k_i) - dim X_(k_i - 1)) (`_count`): over the union of
+the boxes under the combination levels, which must be the hierarchical
+level set, for V, and over that set for W.  The certified quantity
+``cross_residual_max`` is d times the largest 1D residual.  Projecting each
+factor of a Kronecker column of either construction onto the other chain
+moves it by at most that share of its norm, so up to roundoff it bounds the
+brute-force check's residual (`tests/oracles.py`) in the same metric,
+level-(n, ..., n) tensor coefficients, where the stacks have (2^n + p)^d
+rows.  A hierarchical function that depends on the others lowers dim W_n
+below 2^n + p, and leaves some unit vector at relative distance at least
+1/sqrt(2^n + p) from W_n.
 
 The inverse-inequality pencil over the q-vanishing sparse space is solved in
 standard form.  The stacked 1D increments are orthonormalized in L2 by the
@@ -72,6 +86,7 @@ out of the `study` processes that never build such a pencil.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -257,54 +272,61 @@ def _entries(sizes, levels):
 # span equality of the two constructions
 
 
-def khatri_rao(mats, cols):
-    """Column-matched Khatri-Rao product of per-direction value matrices.
-
-    Column k is the Kronecker product over directions i of column
-    ``cols[i][k]`` of ``mats[i]``; rows index the flattened tensor grid, first
-    direction slowest.  Only the selected columns are ever formed.
-    """
-    out = mats[0][:, cols[0]]
-    for M, c in zip(mats[1:], cols[1:]):
-        out = (out[:, None, :] * M[None, :, c]).reshape(-1, len(c))
-    return out
-
-
-def _combination_stack(rule):
-    """Level-n coefficients of every univariate level lam..n (its
-    prolongation), and every basis function of every combination level
-    stacked in level-(n, ..., n) tensor coefficients."""
-    P = {lev: prolongation(make_space(rule.p, lev), rule.n)
-         for lev in range(rule.lam, rule.n + 1)}
+def _boxes(rule):
+    """The union of the boxes {k : lam <= k <= l} under the combination
+    levels l of `rule`, the smallest downward closed set that holds them,
+    walked down one direction at a time: each of its levels is reached at
+    most d times."""
     cs = build_combination_set(rule.d, rule.n, rule.p)
-    entries = _entries({lev: M.shape[1] for lev, M in P.items()},
-                       [lvl for lvl, _ in cs.levels])
-    return P, khatri_rao([np.hstack(list(P.values()))] * rule.d, entries.T)
+    todo, union = [lvl for lvl, _ in cs.levels], set()
+    while todo:
+        k = todo.pop()
+        if k not in union:
+            union.add(k)
+            todo += [k[:i] + (k[i] - 1,) + k[i + 1:]
+                     for i in range(rule.d) if k[i] > rule.lam]
+    return union
+
+
+def _count(levels, ranks):
+    """Dimension of the sum of the tensor spaces of the downward closed
+    `levels` over one nested chain of 1D spaces of dimensions ``ranks``,
+    {level: dimension} (module docstring)."""
+    sizes = dict(zip(ranks, np.diff([0, *ranks.values()]).tolist()))
+    return sum(math.prod(sizes[li] for li in lvl) for lvl in levels)
 
 
 def equivalence_report(rule):
-    """Compare the combination-technique and hierarchical spans by brute
-    force (module docstring): both dimensions, each the rank of its stack,
-    and the maximum relative residual of any column of either stack
-    projected orthogonally onto the span of the other."""
-    P, lstack = _combination_stack(rule)
-    sels = hier_basis(rule)
-    odd = np.hstack([P[lev][:, sel] for lev, sel in sels.items()])
-    entries = _entries({lev: len(sel) for lev, sel in sels.items()},
-                       build_hier_set(rule.d, rule.n, rule.p))
-    hstack = khatri_rao([odd] * rule.d, entries.T)
-    dim_l, Ql = _span(lstack)
-    dim_h, Qh = _span(hstack)
+    """Compare the combination-technique and hierarchical spans by 1D
+    certificates (module docstring): both dimensions, each counted over its
+    level set, and ``cross_residual_max``, d times the largest relative
+    residual of a 1D basis function of either space of a level projected
+    orthogonally onto the span of the other.
+
+    Raises RuntimeError unless the hierarchical level set is the union of
+    the boxes under the combination levels, on which both rest."""
+    d, p, n = rule.d, rule.p, rule.n
+    boxes, hier_levels = _boxes(rule), build_hier_set(d, n, p)
+    if boxes != set(hier_levels):
+        raise RuntimeError(f"the hierarchical levels at d={d}, p={p}, n={n} "
+                           f"are not the union of the boxes under the "
+                           f"combination levels")
 
     def rel_residual(Q, B):
         res = np.linalg.norm(B - Q @ (Q.T @ B), axis=0)
         return (res / np.linalg.norm(B, axis=0)).max()
 
+    ranks_l, ranks_h, residual, columns = {}, {}, 0.0, []
+    for level, sel in hier_basis(rule).items():
+        P = prolongation(make_space(p, level), n)
+        columns.append(P[:, sel])
+        H = np.hstack(columns)
+        (ranks_l[level], Ql), (ranks_h[level], Qh) = _span(P), _span(H)
+        residual = max(residual, rel_residual(Qh, P), rel_residual(Ql, H))
     return {
-        "dim_L": dim_l,
-        "dim_H": dim_h,
-        "cross_residual_max": float(max(rel_residual(Ql, hstack),
-                                        rel_residual(Qh, lstack))),
+        "dim_L": _count(boxes, ranks_l),
+        "dim_H": _count(hier_levels, ranks_h),
+        "cross_residual_max": float(d * residual),
     }
 
 
@@ -505,6 +527,9 @@ def sparse_rayleigh(rule, q, mode="mix"):
 
 
 def dimension_rank(rule):
-    """Brute-force dimension of the combination span: the rank of all stacked
-    level bases in level-(n, ..., n) tensor coefficients."""
-    return _span(_combination_stack(rule)[1], basis=False)[0]
+    """Dimension of the combination span, counted over the union of the
+    boxes under the combination levels (module docstring)."""
+    ranks = {level: _span(prolongation(make_space(rule.p, level), rule.n),
+                          basis=False)[0]
+             for level in range(rule.lam, rule.n + 1)}
+    return _count(_boxes(rule), ranks)

@@ -9,8 +9,9 @@ recursive enumerator of level sets, the three-pass tensor projection, the
 paper's identities as residuals, the dense generalized
 sparse pencil and its gathered Hadamard norm matrix, a one-pass build of
 the constrained increment chain, the span equality of the combination and
-hierarchical constructions on collocation rows, the grid norms with every
-grid-sized array held at once, the mapped pencil by grid x N value
+hierarchical constructions by brute force, in level-(n, ..., n) tensor
+coefficients (capped in size) and on collocation rows, the grid norms with
+every grid-sized array held at once, the mapped pencil by grid x N value
 matrices, slab by slab, as X^T X and in its earlier generalized form, a
 Newton inverse of a geometry map and a writer of the geometry file format.
 Test modules import it as ``from oracles import`` (pytest puts ``tests/``
@@ -29,6 +30,7 @@ from sgsplines.bspline import (
     collocation_matrix,
     greville,
     make_space,
+    prolongation,
     refinement_operator,
     vanishing_subspace,
 )
@@ -44,9 +46,9 @@ from sgsplines.spaces import (
     SVD_TOL,
     SparseGridFunction,
     _entries,
+    _span,
     _top_eigenvalue,
     hier_basis,
-    khatri_rao,
     stacked_sparse_basis,
 )
 from sgsplines.tensorops import (
@@ -256,6 +258,74 @@ def lemma8_residual(rule, values=None, seed=0):
 
 # ---------------------------------------------------------------------------
 # span equality of the combination and hierarchical constructions
+
+
+def khatri_rao(mats, cols):
+    """Column-matched Khatri-Rao product of per-direction value matrices.
+
+    Column k is the Kronecker product over directions i of column
+    ``cols[i][k]`` of ``mats[i]``; rows index the flattened tensor grid, first
+    direction slowest.  Only the selected columns are ever formed.
+    """
+    out = mats[0][:, cols[0]]
+    for M, c in zip(mats[1:], cols[1:]):
+        out = (out[:, None, :] * M[None, :, c]).reshape(-1, len(c))
+    return out
+
+
+# largest stack of the brute-force span check, in bytes: (2^n + p)^d rows
+_STACK_BYTES_MAX = 2 ** 28
+
+
+def combination_stack(rule):
+    """Level-n coefficients of every univariate level lam..n (its
+    prolongation), and every basis function of every combination level
+    stacked in level-(n, ..., n) tensor coefficients.  Raises ValueError
+    above `_STACK_BYTES_MAX`."""
+    P = {lev: prolongation(make_space(rule.p, lev), rule.n)
+         for lev in range(rule.lam, rule.n + 1)}
+    cs = build_combination_set(rule.d, rule.n, rule.p)
+    entries = _entries({lev: M.shape[1] for lev, M in P.items()},
+                       [lvl for lvl, _ in cs.levels])
+    size = 8 * (2 ** rule.n + rule.p) ** rule.d * len(entries)
+    if size > _STACK_BYTES_MAX:
+        raise ValueError(f"the brute-force stack of {rule} would take "
+                         f"{size / 2 ** 20:.0f} MiB")
+    return P, khatri_rao([np.hstack(list(P.values()))] * rule.d, entries.T)
+
+
+def equivalence_brute_force(rule):
+    """`sgsplines.spaces.equivalence_report` by brute force in
+    level-(n, ..., n) tensor coefficients: every basis function of both
+    constructions is one stacked column, one thin SVD per stack (`_span`)
+    gives its rank and span, and each stack's columns are projected
+    orthogonally onto the other's span.  The residual is the largest
+    relative one of any column."""
+    P, lstack = combination_stack(rule)
+    sels = hier_basis(rule)
+    odd = np.hstack([P[lev][:, sel] for lev, sel in sels.items()])
+    entries = _entries({lev: len(sel) for lev, sel in sels.items()},
+                       build_hier_set(rule.d, rule.n, rule.p))
+    hstack = khatri_rao([odd] * rule.d, entries.T)
+    dim_l, Ql = _span(lstack)
+    dim_h, Qh = _span(hstack)
+
+    def rel_residual(Q, B):
+        res = np.linalg.norm(B - Q @ (Q.T @ B), axis=0)
+        return (res / np.linalg.norm(B, axis=0)).max()
+
+    return {
+        "dim_L": dim_l,
+        "dim_H": dim_h,
+        "cross_residual_max": float(max(rel_residual(Ql, hstack),
+                                        rel_residual(Qh, lstack))),
+    }
+
+
+def dimension_rank_brute_force(rule):
+    """`sgsplines.spaces.dimension_rank` by brute force: the rank of all
+    stacked level bases in level-(n, ..., n) tensor coefficients."""
+    return _span(combination_stack(rule)[1], basis=False)[0]
 
 
 def collocation_equivalence(rule):

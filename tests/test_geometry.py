@@ -23,7 +23,6 @@ from sgsplines.indices import LevelRule
 from sgsplines.spaces import (
     _top_eigenvalue,
     combination_project,
-    khatri_rao,
     stacked_sparse_basis,
 )
 from sgsplines.tensorops import error_norm
@@ -31,6 +30,7 @@ from oracles import (
     eval_points,
     inverse,
     jacobian,
+    khatri_rao,
     mapped_grams_reference,
     mapped_rayleigh_generalized,
     mapped_rayleigh_reference,

@@ -18,10 +18,13 @@ overrides listed below:
 Six of them, the ``dimensions``, ``identities`` and ``inverse-inequality``
 defaults and the three pencil files, are byte-identical to the benchmark's
 `perfbench/reference/`.  The ``equivalence`` file differs from it in its
-eight ``residual`` rows, each below 1e-14 absolute: they were rewritten
+eight ``residual`` rows, each below 4e-13 absolute.  They were rewritten
 when the check moved from least-squares fits on collocation rows to
-orthogonal projections on level-n coefficient rows, and its ``dims`` rows
-kept their bytes.  The norm kinds'
+orthogonal projections on level-n coefficient rows, and again, by the
+command above, when it moved from those tensor stacks to 1D certificates
+(`sgsplines.spaces.equivalence_report`): seven of them moved, each by less
+than 4e-15 absolute, and the p=2, n=2 row prints 0 as before.  Its ``dims``
+rows kept their bytes both times.  The norm kinds'
 files differ from it in their last printed digits, and
 ``grid-norms/sparse-d3`` also in its ``bound``, ``ratio`` and ``pass``
 columns, which the benchmark reference wrote before the d=3 ``c10`` constant
@@ -32,13 +35,14 @@ the command above, when their error moved from the grid quadrature of u to
 ``value`` or ``ratio`` cells and the p=2 fit moved in the last digits
 (relative 2e-12 to 8e-12), and the p=2, n=9 value by 6.3e-11.
 
-The three norm kinds' default CSVs, the three grid-norm CSVs and the three
-pencil CSVs are also checked at ``OPENBLAS_NUM_THREADS=1``: their bytes do
-not depend on the BLAS thread count, whether a pencil's top eigenvalue comes
-from the dense ``eigh`` or from Lanczos.  One golden still does:
-``equivalence`` prints the roundoff residuals of the orthogonal projections
-onto SVD bases, and four of its eight differ at one thread (p=2, n=5 prints
-8.16428576978e-15 at the default count and 7.37252190023e-15 at one).
+Every golden is also checked at ``OPENBLAS_NUM_THREADS=1``: the seven
+default CSVs, the three grid-norm CSVs and the three pencil CSVs.  Their
+bytes do not depend on the BLAS thread count, whether a pencil's top
+eigenvalue comes from the dense ``eigh`` or from Lanczos.  The
+``equivalence`` residuals did while they were taken from tensor stacks of
+up to 1156 rows (p=2, n=5 printed 8.16428576978e-15 at the default count
+and 7.37252190023e-15 at one); the 1D certificates work on matrices of at
+most 34 rows, and print the same bytes at both counts.
 """
 
 import os
@@ -133,6 +137,12 @@ def test_pencil_csv_unchanged_by_single_blas_thread(workload, process, kind,
                                                     overrides, tmp_path):
     assert (_run_single_blas_thread(kind, overrides, tmp_path)
             == _golden(workload, process))
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS
+                                  if k not in {p for _, p, _, _ in NORMS}])
+def test_default_csv_unchanged_by_single_blas_thread(kind, tmp_path):
+    assert _run_single_blas_thread(kind, (), tmp_path) == _golden("defaults", kind)
 
 
 @pytest.mark.parametrize("workload,process,kind,overrides", NORMS + GRID_NORMS,

@@ -40,9 +40,12 @@ from sgsplines.tensorops import (
 from oracles import (
     cancellation_constant,
     collocation_equivalence,
+    combination_stack,
     constrained_chain,
     dense_rayleigh,
     deriv_grid_longdouble,
+    dimension_rank_brute_force,
+    equivalence_brute_force,
     error_norm_longdouble,
     eval_grid_longdouble,
     eval_points,
@@ -286,7 +289,7 @@ def test_equivalence_fails_on_a_repeated_increment(monkeypatch, d):
     # the top level selects one of its functions twice and drops another:
     # the hierarchical stack loses that function (at d = 1 one dimension,
     # at d = 2 one per tensor partner) and no longer spans the combination
-    # space, and the brute-force check says so
+    # space, and the 1D certificate says so
     rule = LevelRule(d, 4, 2)
     plain = hier_basis
 
@@ -316,12 +319,61 @@ def _traced_peak(call, *args):
 
 
 def test_equivalence_and_dimension_rank_peaks():
-    # at d=2, p=2, n=5 the coefficient stacks have 34^2 = 1156 rows; the
-    # collocation rows of level n+1 had 66^2 = 4356 and peaked at 167 and
-    # 76 MB
+    # the 1D certificates peak at 0.10 and 0.03 MB at d=2, p=2, n=5, where
+    # the brute-force stacks of (2^5 + 2)^2 = 1156 rows peaked at 72 and 21
+    # MB; the bounds leave a margin of about ten.  At n=8 the peak, 5.5 MB,
+    # is that of the 1D work at every d: the stacks would have 258^d rows
     rule = LevelRule(2, 5, 2)
-    assert _traced_peak(equivalence_report, rule) <= 80e6
-    assert _traced_peak(dimension_rank, rule) <= 36e6
+    assert _traced_peak(equivalence_report, rule) <= 1e6
+    assert _traced_peak(dimension_rank, rule) <= 0.5e6
+    assert _traced_peak(equivalence_brute_force, rule) > 1e6
+    assert _traced_peak(dimension_rank_brute_force, rule) > 0.5e6
+    assert _traced_peak(equivalence_report, LevelRule(6, 8, 2)) <= 8e6
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+@pytest.mark.parametrize("p", [1, 2])
+def test_certificate_matches_brute_force_oracle(d, p, n):
+    rule = LevelRule(d, n, p)
+    rep, ref = equivalence_report(rule), equivalence_brute_force(rule)
+    formula = sparse_dimension(d, n, p)[0]
+    assert rep["dim_L"] == rep["dim_H"] == formula
+    assert ref["dim_L"] == ref["dim_H"] == formula
+    assert dimension_rank(rule) == dimension_rank_brute_force(rule) == formula
+    assert rep["cross_residual_max"] < 1e-9
+    assert ref["cross_residual_max"] < 1e-9
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize("p", [1, 2])
+def test_equivalence_at_high_dimension_matches_sparse_dimension(d, p):
+    # no tensor stack: at d=6, n=8 the brute force would stack 258^6 rows
+    for n in range(lambda_eff(p), 9):
+        rule = LevelRule(d, n, p)
+        rep = equivalence_report(rule)
+        formula = sparse_dimension(d, n, p)[0]
+        assert rep["dim_L"] == rep["dim_H"] == dimension_rank(rule) == formula
+        assert rep["cross_residual_max"] < 1e-12
+
+
+def test_brute_force_stack_is_capped():
+    # (2^6 + 1)^3 = 274625 rows of 15188 columns would take 31 GiB
+    with pytest.raises(ValueError, match="brute-force stack"):
+        combination_stack(LevelRule(3, 6, 1))
+
+
+def test_equivalence_refuses_a_level_set_that_is_not_downward_closed(
+        monkeypatch):
+    # without level (2, 1) the set keeps (3, 1) above it: the count and the
+    # residual bound rest on downward closure, so the certificate refuses
+    plain = build_hier_set
+
+    def holed(d, n, p):
+        return tuple(lvl for lvl in plain(d, n, p) if lvl != (2, 1))
+
+    monkeypatch.setattr(spaces, "build_hier_set", holed)
+    with pytest.raises(RuntimeError, match="not the union of the boxes"):
+        equivalence_report(LevelRule(2, 4, 1))
 
 
 def test_telescopic_identity_on_member():

@@ -1,5 +1,10 @@
 """Study runner: rate fitting, config parsing, CSV output, CLI contract."""
 
+import csv
+import os
+import resource
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -131,6 +136,35 @@ def test_dimensions_study_values():
     assert (row.value, row.bound) == (49, 81)
     assert row.source == "P1"
     assert report.passed
+
+
+def _two_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+
+def test_equivalence_at_d3_n5_runs_in_seconds(tmp_path):
+    # the brute-force stacks of this config grew to 5.5 GB and ended in a
+    # MemoryError; the 1D certificates run it in a fraction of a second,
+    # here in a child limited to 2 GiB of address space
+    cfg = tmp_path / "equivalence.cfg"
+    cfg.write_text("kind=equivalence\n")
+    out = tmp_path / "equivalence.csv"
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgsplines.cli", "run", str(cfg), "--set", "d=3",
+         "--set", "p=1", "--set", "n=4..5", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_two_gib_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - t0 < 10
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    dims = [(r["n"], r["value"]) for r in rows if r["level"] == "dims"]
+    assert dims == [("4", "593"), ("5", "1505")]
+    assert all(r["pass"] == "true" for r in rows)
 
 
 def test_reports_are_byte_identical(tmp_path):

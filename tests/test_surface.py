@@ -120,16 +120,16 @@ def test_call_owner_check_finds_the_enclosing_function():
     # the sparse pencil applies its norm matrix on the entry set and never
     # gathers it
     ("ix_", []),
-    # the one rank and span rule of the equivalence and dimension oracles
-    # and of the increment certificates; the oracles' residuals are
+    # the one rank and span rule of the equivalence and dimension
+    # certificates and of the increment certificates; their residuals are
     # orthogonal projections, not least-squares solves
     ("svd", [("spaces", "_span")]),
     ("matrix_rank", []),
     ("lstsq", []),
-    # Khatri-Rao columns only in the equivalence and dimension stacks: the
-    # mapped pencil is sum-factorized and forms no grid x N value matrix
-    ("khatri_rao", [("spaces", "_combination_stack"),
-                    ("spaces", "equivalence_report")]),
+    # no Khatri-Rao columns: the equivalence and dimension checks take 1D
+    # certificates (the brute-force stacks live on only in the tests), and
+    # the mapped pencil is sum-factorized and forms no grid x N value matrix
+    ("khatri_rao", []),
     # the one enumeration of levels, shared by the hierarchy and combination
     # sets; the recursive enumerator lives on only in the tests
     ("combinations", [("indices", None), ("indices", "_levels_of_sum")]),
