@@ -8,9 +8,10 @@ vanishing endpoint derivatives.
 
 Knots are floats.  Dyadic knots j / 2**level are exact in binary floating
 point, so knot differences carry no spacing round-off.  Refinement uses the
-Oslo algorithm (Cohen, Lyche and Riesenfeld, CGIP 14, 1980): each row of the
-refinement matrix is a product of p convex-combination steps over knot
-ratios, computed for all fine rows at once.
+Oslo algorithm (Cohen, Lyche and Riesenfeld, CGIP 14, 1980) in one pass from
+any level to any finer one: each row of the refinement matrix is a product of
+p convex-combination steps over knot ratios, computed for all fine rows at
+once.
 
 Arrays returned by the lru caches of this package are read-only, because
 they are shared between callers and threads; `_frozen` marks them.
@@ -164,9 +165,9 @@ def greville(space):
 
 
 @lru_cache(maxsize=None)
-def _refinement_matrix(p, coarse_level):
+def _refinement_matrix(p, coarse_level, fine_level):
     """Dense (fine.dim, coarse.dim) knot-insertion matrix from `coarse_level`
-    to the next level, by the Oslo algorithm.
+    to any `fine_level` >= `coarse_level`, by the Oslo algorithm in one pass.
 
     Fine row i has its nonzeros at coarse indices mu-p..mu, where
     t[mu] <= tau[i] < t[mu+1] for coarse knots t and fine knots tau.  Those
@@ -175,8 +176,8 @@ def _refinement_matrix(p, coarse_level):
     (t[j+k] - x, x - t[j]) / (t[j+k] - t[j]), j = mu-k+1..mu.
     """
     t = _space(p, coarse_level).knots
-    tau = _space(p, coarse_level + 1).knots
-    n, m = 2 ** coarse_level + p, 2 ** (coarse_level + 1) + p
+    tau = _space(p, fine_level).knots
+    n, m = 2 ** coarse_level + p, 2 ** fine_level + p
     mu = np.searchsorted(t, tau[:m], side="right") - 1
     b = np.ones((m, 1))
     for k in range(1, p + 1):
@@ -204,19 +205,16 @@ def refinement_operator(coarse, fine):
         raise ValueError("refinement requires equal degrees")
     if fine.level != coarse.level + 1:
         raise ValueError("refinement requires consecutive levels")
-    return _refinement_matrix(coarse.degree, coarse.level)
+    return _refinement_matrix(coarse.degree, coarse.level, fine.level)
 
 
-@lru_cache(maxsize=None)
 def prolongation(space, target_level):
-    """Composite refinement operator from `space` up to `target_level`, shape
-    (2**target_level + degree, space.dim)."""
+    """Knot-insertion operator from `space` up to `target_level` in one Oslo
+    pass, shape (2**target_level + degree, space.dim); the identity at
+    `space.level`.  Cached and read-only."""
     if target_level < space.level:
         raise ValueError("target level must not be coarser")
-    R = np.eye(space.dim)
-    for lev in range(space.level, target_level):
-        R = _refinement_matrix(space.degree, lev) @ R
-    return _frozen(R)
+    return _refinement_matrix(space.degree, space.level, target_level)
 
 
 def constraint_orders(p, q):

@@ -527,9 +527,6 @@ def sparse_rayleigh(rule, q, mode="mix"):
 
 
 def dimension_rank(rule):
-    """Dimension of the combination span, counted over the union of the
-    boxes under the combination levels (module docstring)."""
-    ranks = {level: _span(prolongation(make_space(rule.p, level), rule.n),
-                          basis=False)[0]
-             for level in range(rule.lam, rule.n + 1)}
-    return _count(_boxes(rule), ranks)
+    """Dimension of the combination span, ``dim_L`` of the certificate of
+    `equivalence_report`."""
+    return equivalence_report(rule)["dim_L"]

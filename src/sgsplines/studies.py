@@ -194,7 +194,7 @@ def validate_config(cfg):
                               f"needs lo <= hi")
         if isinstance(default, tuple) and len(set(values)) != len(values):
             raise ConfigError(f"key '{key}' repeats a value in {values}")
-    if cfg.d_max < 2:
+    if "d_max" in defaults and cfg.d_max < 2:
         raise ConfigError(f"key 'd_max' is {cfg.d_max}, but the L3 and L4 rows "
                           f"check d = 2..d_max, so it must be at least 2")
     if cfg.timing not in ("on", "off"):
@@ -226,7 +226,7 @@ def validate_config(cfg):
             if low:
                 raise ConfigError(f"levels {low} below the admissible minimum "
                                   f"{lam} for degree {p}")
-        if cfg.n_max < lam:
+        if "n_max" in defaults and cfg.n_max < lam:
             raise ConfigError(f"key 'n_max' is {cfg.n_max}, below the minimum "
                               f"level {lam} of degree {p}, so its L3 and L4 "
                               f"rows would check no level")

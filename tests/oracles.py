@@ -2,7 +2,8 @@
 
 None of this runs in a study: these are independent evaluations (among them
 scattered-point evaluation of tensor and sparse splines and of geometry maps
-by dense collocation rows, the derivative transfer built row by row,
+by dense collocation rows, the derivative transfer built row by row, the
+multi-level prolongation as a product of one-level knot insertions,
 term-by-term grid evaluation of sparse splines in long double, and the
 long-double L2 error that the Smolyak-difference norm is gated against), the
 recursive enumerator of level sets, the three-pass tensor projection, the
@@ -111,6 +112,19 @@ def derivative_transfer_rows(p, level, m, dtype=float):
             Dj[i, i + 1] = q / denom
         D = Dj @ D
     return D
+
+
+def prolongation_by_steps(space, target_level):
+    """`sgsplines.bspline.prolongation` as the product of the one-level
+    knot insertions from `space` up to `target_level`, seeded by the
+    identity."""
+    if target_level < space.level:
+        raise ValueError("target level must not be coarser")
+    R = np.eye(space.dim)
+    for lev in range(space.level, target_level):
+        R = refinement_operator(make_space(space.degree, lev),
+                                make_space(space.degree, lev + 1)) @ R
+    return R
 
 
 def spline_factor(space, coeffs):

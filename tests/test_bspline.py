@@ -18,7 +18,7 @@ from sgsplines.bspline import (
     refinement_operator,
     vanishing_subspace,
 )
-from oracles import derivative_transfer_rows, eval_spline
+from oracles import derivative_transfer_rows, eval_spline, prolongation_by_steps
 
 
 def test_make_space_examples():
@@ -143,7 +143,8 @@ def test_nestedness_across_degrees_and_levels():
 
 
 def _exact_refinement(p, coarse_level):
-    """Oracle: Boehm insertion of every new midpoint knot in exact rationals."""
+    """Oracle: Boehm insertion of every new midpoint knot in exact rationals,
+    as rows of `Fraction`s."""
     ncells = 2 ** coarse_level
     knots = ([Fraction(0)] * (p + 1) + [Fraction(j, ncells) for j in range(1, ncells)]
              + [Fraction(1)] * (p + 1))
@@ -162,14 +163,18 @@ def _exact_refinement(p, coarse_level):
                 a = (u - knots[i]) / (knots[i + p] - knots[i])
                 rows.append([a * x + (1 - a) * y for x, y in zip(R[i], R[i - 1])])
         knots, R = sorted(knots + [u]), rows
-    return np.array([[float(a) for a in row] for row in R])
+    return R
+
+
+def _to_float(rows):
+    return np.array([[float(a) for a in row] for row in rows])
 
 
 @pytest.mark.parametrize("p", range(5))
 def test_refinement_matches_exact_oracle(p):
     for level in range(7):
-        R = _refinement_matrix(p, level)
-        exact = _exact_refinement(p, level)
+        R = _refinement_matrix(p, level, level + 1)
+        exact = _to_float(_exact_refinement(p, level))
         assert R.shape == exact.shape == (2 ** (level + 1) + p, 2 ** level + p)
         np.testing.assert_array_equal(R != 0, exact != 0)
         assert np.abs(R - exact).max() <= 2.3e-16
@@ -188,7 +193,7 @@ def test_refinement_reproduces_at_level_10(p):
 
 def test_cached_arrays_are_read_only():
     # shared by every caller and every study thread
-    for arr in (_refinement_matrix(3, 4), _derivative_transfer(3, 4, 2),
+    for arr in (_refinement_matrix(3, 4, 5), _derivative_transfer(3, 4, 2),
                 make_space(3, 4).knots):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
@@ -201,7 +206,8 @@ def test_prolongation_is_cached_read_only_and_reproduces():
     assert P.shape == (2 ** 6 + 2, coarse.dim)
     with pytest.raises(ValueError):
         P[0, 0] = 1.0
-    steps = _refinement_matrix(2, 5) @ (_refinement_matrix(2, 4) @ _refinement_matrix(2, 3))
+    steps = (_refinement_matrix(2, 5, 6) @ (_refinement_matrix(2, 4, 5)
+                                            @ _refinement_matrix(2, 3, 4)))
     np.testing.assert_array_equal(P, steps)
     rng = np.random.default_rng(2)
     c, x = rng.standard_normal(coarse.dim), rng.random(64)
@@ -209,6 +215,48 @@ def test_prolongation_is_cached_read_only_and_reproduces():
     assert err.max() < 1e-12
     with pytest.raises(ValueError):
         prolongation(make_space(2, 4), 3)
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_prolongation_matches_product_of_one_level_steps(p):
+    # one Oslo pass against the product of one-level insertions: the same
+    # bits at the degrees the studies prolong (p <= 2), the same zero
+    # pattern and one rounding apart above
+    for level in range(1, 10):
+        for target in range(level, 11):
+            P = prolongation(make_space(p, level), target)
+            steps = prolongation_by_steps(make_space(p, level), target)
+            if target == level:
+                np.testing.assert_array_equal(P, np.eye(2 ** level + p))
+            if p <= 2:
+                np.testing.assert_array_equal(P, steps)
+            else:
+                np.testing.assert_array_equal(P != 0, steps != 0)
+                assert np.abs(P - steps).max() <= 2.3e-16
+
+
+def _fraction_product(A, B):
+    return [[sum(a * b for a, b in zip(row, col) if a and b) for col in zip(*B)]
+            for row in A]
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_prolongation_matches_exact_composite_insertion(p):
+    # both routes against the exact-rational product of one-level Boehm
+    # insertions over gaps of two and three levels
+    for level in range(1, 4):
+        space, exact = make_space(p, level), _exact_refinement(p, level)
+        for target in (level + 2, level + 3):
+            exact = _fraction_product(_exact_refinement(p, target - 1),
+                                      exact)
+            expected = _to_float(exact)
+            for P in (prolongation(space, target),
+                      prolongation_by_steps(space, target)):
+                if p <= 3:
+                    np.testing.assert_array_equal(P, expected)
+                else:
+                    # one rounding of a weight below 1
+                    assert np.abs(P - expected).max() <= 2.0 ** -53
 
 
 def test_refinement_rejects_mismatch():

@@ -374,6 +374,17 @@ def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
             assert f"{name}.geo:{lineno}: " in err
 
 
+def test_identities_bounds_bind_only_identities(tmp_path, capsys):
+    # dimensions reads neither n_max nor d_max, so their defaults, n_max=12
+    # below the minimum level 13 of degree 4096, do not refuse it
+    cfg, out = tmp_path / "dims.cfg", tmp_path / "dims.csv"
+    cfg.write_text("kind=dimensions\n")
+    assert cli_main(["run", str(cfg), "--set", "p=4096", "--set", "n=13",
+                     "--out", str(out)]) == 0
+    assert ",P1," in out.read_text()
+    capsys.readouterr()
+
+
 def test_mapped_study_builds_one_geometry(tmp_path, monkeypatch):
     built = []
 

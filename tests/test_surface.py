@@ -139,11 +139,18 @@ def test_call_owner_check_finds_the_enclosing_function():
     # derivatives only of tensor members, by their collocation rows: a
     # combination-form function serves values only
     ("_derivative_transfer", [("bspline", "collocation_matrix")]),
+    # one count for each certified span: the dimension check reads the
+    # equivalence certificate
+    ("_count", [("spaces", "equivalence_report"),
+                ("spaces", "equivalence_report")]),
+    # one knot-insertion routine, one Oslo pass per level gap
+    ("_refinement_matrix", [("bspline", "refinement_operator"),
+                            ("bspline", "prolongation")]),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
         "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
         "scipy.linalg.svd", "matrix_rank", "lstsq", "khatri_rao",
         "itertools.combinations", "_levels_with_sum", "longdouble",
-        "_derivative_transfer"])
+        "_derivative_transfer", "_count", "_refinement_matrix"])
 def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
     sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]
