@@ -2,9 +2,12 @@
 
 Spaces of degree ``p`` splines with C^{p-1} continuity on the uniform mesh of
 size ``2**-level`` over [0, 1], with open (clamped) knot vectors.  Provides
-basis/derivative evaluation via the Cox-de Boor triangular recursion, dyadic
-refinement (knot insertion) operators, Greville abscissae, and subspaces with
-vanishing endpoint derivatives.
+basis and derivative evaluation, dyadic refinement (knot insertion)
+operators, Greville abscissae, and subspaces with vanishing endpoint
+derivatives.  Evaluation is local: the Cox-de Boor recursion gives the p-m+1
+values of degree p-m nonzero at a point, and de Boor's derivative recurrence
+(A Practical Guide to Splines, ch. X) raises them by m difference steps to
+the m-th derivatives of degree p, with no derivative transfer matrix.
 
 Knots are floats.  Dyadic knots j / 2**level are exact in binary floating
 point, so knot differences carry no spacing round-off.  Refinement uses the
@@ -19,6 +22,7 @@ they are shared between callers and threads; `_frozen` marks them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -61,8 +65,9 @@ def _frozen(*arrays):
     return arrays[0] if len(arrays) == 1 else arrays
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # a float key misses an int's entry
 def _space(p, level):
+    p, level = operator.index(p), operator.index(level)
     ncells = 2 ** level
     knots = np.concatenate([np.zeros(p + 1), np.arange(1, ncells) / ncells,
                             np.ones(p + 1)])
@@ -73,7 +78,8 @@ def make_space(p, level):
     """Create the maximally smooth spline space of degree ``p`` on mesh level
     ``level`` (mesh size ``2**-level``).
 
-    Raises ``ValueError`` for negative degree or ``level < 1``.
+    Raises ``ValueError`` for ``p < 0`` or ``level < 1``, ``TypeError`` for
+    non-integers; a refused call caches nothing.
     """
     if p < 0:
         raise ValueError(f"degree must be nonnegative, got {p}")
@@ -112,48 +118,43 @@ def _nonzero_basis(knots, deg, spans, x):
     return N
 
 
-@lru_cache(maxsize=None)
-def _derivative_transfer(p, level, m):
-    """Matrix mapping degree-p coefficients to coefficients of the m-th
-    derivative in the basis of the degree p-m space on the same mesh."""
-    dim = 2 ** level + p
-    D = np.eye(dim)
-    for j in range(1, m + 1):
-        q = p - j + 1  # degree before this differentiation step
-        tj = _space(q, level).knots
-        i = np.arange(dim - j)
-        w = q / (tj[i + q + 1] - tj[i + 1])
-        Dj = np.zeros((dim - j, dim - j + 1))
-        Dj[i, i] = -w
-        Dj[i, i + 1] = w
-        D = Dj @ D
-    return _frozen(D)
+def _basis_band(space, x, m=0):
+    """m-th derivatives of the p+1 basis functions that can be nonzero at
+    each point, ``(first, band)``: band column r belongs to function
+    first + r.  The p-m+1 values of degree p-m on the same mesh take m
+    difference steps B'_i = q (B_i / (t_(i+q) - t_i) - B_(i+1) /
+    (t_(i+q+1) - t_(i+1))) over the degree-q knots, each one column wider.
+    Runs in the precision of ``x``."""
+    deg = space.degree - m
+    knots = _space(deg, space.level).knots
+    spans = _find_spans(knots, deg, x)
+    band, first = _nonzero_basis(knots, deg, spans, x), spans - deg
+    for q in range(deg + 1, space.degree + 1):
+        t = _space(q, space.level).knots
+        i = first[:, None] + np.arange(q)
+        scaled = band * (q / (t[i + q + 1] - t[i + 1]))
+        band = np.pad(scaled, ((0, 0), (1, 0)))
+        band[:, :-1] -= scaled
+    return first, band
 
 
 def collocation_matrix(space, x, m=0):
     """Dense matrix of m-th derivatives of all basis functions at points `x`.
 
-    Shape (len(x), space.dim).  At m=0 rows are nonnegative and sum to one,
-    with at most degree+1 nonzero entries.  The m-th derivative of a
-    degree-p spline lies in the degree p-m space on the same mesh, so m >= 1
-    rows are that space's basis values times `_derivative_transfer`.
+    Shape (len(x), space.dim), scattered from the band of at most degree+1
+    nonzero entries per row (`_basis_band`).  At m=0 rows are nonnegative
+    and sum to one.  Raises ``ValueError`` for a point outside [0, 1] or NaN.
     """
     p = space.degree
     if not 0 <= m <= p:
         raise ValueError(f"derivative order {m} outside [0, {p}]")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
+    if x.size and not (0.0 <= x.min() and x.max() <= 1.0):  # false at NaN
         raise ValueError("evaluation points must lie in [0, 1]")
-    deg = p - m
-    low = _space(deg, space.level)
-    spans = _find_spans(low.knots, deg, x)
-    N = _nonzero_basis(low.knots, deg, spans, x)
-    B = np.zeros((x.size, low.dim))
-    cols = spans[:, None] - deg + np.arange(deg + 1)[None, :]
-    np.put_along_axis(B, cols, N, axis=1)
-    if m == 0:
-        return B
-    return B @ _derivative_transfer(p, space.level, m)
+    first, band = _basis_band(space, x, m)
+    B = np.zeros((x.size, space.dim))
+    np.put_along_axis(B, first[:, None] + np.arange(p + 1), band, axis=1)
+    return B
 
 
 def greville(space):
@@ -164,7 +165,7 @@ def greville(space):
     return np.array([knots[i + 1:i + p + 1].mean() for i in range(space.dim)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed as `_space` is
 def _refinement_matrix(p, coarse_level, fine_level):
     """Dense (fine.dim, coarse.dim) knot-insertion matrix from `coarse_level`
     to any `fine_level` >= `coarse_level`, by the Oslo algorithm in one pass.

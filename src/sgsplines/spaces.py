@@ -95,9 +95,8 @@ import numpy as np
 import scipy.linalg
 
 from .bspline import (
-    _find_spans,
+    _basis_band,
     _frozen,
-    _nonzero_basis,
     _space,
     collocation_matrix,
     make_space,
@@ -164,16 +163,15 @@ def _smolyak_pieces(g, p, lam, n):
     P_l g - P_(l-1) g for l = lam..n (P_(lam-1) g = 0), then Delta_inf g =
     g - P_n g.  P_l g takes float64 coefficients from `project_1d`, the
     projector that `combination_project` applies along each axis, and is
-    evaluated by its p+1 local basis values per node, in long double."""
+    evaluated in long double from its p+1 local values (`_basis_band`)."""
     nodes = element_grid(n, gauss_rule(p + 3))[0]
     x = nodes.astype(np.longdouble)
     values = [np.zeros_like(x)]
     for level in range(lam, n + 1):
         space = _space(p, level)
         coeffs = project_1d(space, g)
-        spans = _find_spans(space.knots, p, nodes)
-        N = _nonzero_basis(space.knots, p, spans, x)
-        values.append(np.sum(N * coeffs[spans[:, None] - p + np.arange(p + 1)],
+        first, band = _basis_band(space, x)
+        values.append(np.sum(band * coeffs[first[:, None] + np.arange(p + 1)],
                              axis=1))
     values.append(g(nodes, 0).astype(x.dtype))
     return np.diff(values, axis=0)

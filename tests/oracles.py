@@ -2,7 +2,8 @@
 
 None of this runs in a study: these are independent evaluations (among them
 scattered-point evaluation of tensor and sparse splines and of geometry maps
-by dense collocation rows, the derivative transfer built row by row, the
+by dense collocation rows, the derivative transfer built row by row as
+the reference for derivative collocation rows, the
 multi-level prolongation as a product of one-level knot insertions,
 term-by-term grid evaluation of sparse splines in long double, and the
 long-double L2 error that the Smolyak-difference norm is gated against), the
@@ -96,8 +97,10 @@ def jacobian(geom, pts):
 
 
 def derivative_transfer_rows(p, level, m, dtype=float):
-    """The derivative transfer matrix of `sgsplines.bspline`, built one row
-    at a time: the reference its vectorized build must equal bit for bit.
+    """The matrix taking degree-p coefficients to those of the m-th
+    derivative in the degree p-m space on the same mesh, built one row at a
+    time.  The value rows of degree p-m times it are the reference for the
+    derivative rows of `collocation_matrix`, which forms no such matrix.
     With ``dtype=np.longdouble`` it is built in extended precision."""
     knots = make_space(p, level).knots.astype(dtype)
     dim = 2 ** level + p

@@ -1,5 +1,7 @@
 """Univariate spline spaces: knots, evaluation, refinement, subspaces."""
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,6 @@ import scipy.linalg
 from scipy.interpolate import BSpline
 
 from sgsplines.bspline import (
-    _derivative_transfer,
     _refinement_matrix,
     collocation_matrix,
     constraint_orders,
@@ -18,6 +19,7 @@ from sgsplines.bspline import (
     refinement_operator,
     vanishing_subspace,
 )
+from sgsplines.quadrature import element_grid, gauss_rule
 from oracles import derivative_transfer_rows, eval_spline, prolongation_by_steps
 
 
@@ -48,6 +50,19 @@ def test_make_space_rejects_bad_arguments():
         make_space(2, 0)
     with pytest.raises(ValueError):
         make_space(-1, 2)
+    # a non-integer is refused before the shared space cache can keep it,
+    # also when a failed prolongation is the first to ask for it
+    with pytest.raises(TypeError):
+        make_space(2, 3.0)
+    with pytest.raises(TypeError):
+        make_space(2.0, 3)
+    with pytest.raises(TypeError):
+        prolongation(make_space(2, 3), 5.0)
+    for level in (3, 5):
+        s = make_space(2, level)
+        assert type(s.level) is int and type(s.degree) is int
+        assert s.dim == 2 ** level + 2
+        assert collocation_matrix(s, [0.5], 1).shape == (1, s.dim)
 
 
 def test_hat_values():
@@ -69,8 +84,9 @@ def test_local_support():
     rng = np.random.default_rng(7)
     for p in range(5):
         s = make_space(p, 4)
-        B = collocation_matrix(s, rng.random(50), 0)
-        assert (np.count_nonzero(B, axis=1) <= p + 1).all()
+        for m in range(p + 1):
+            B = collocation_matrix(s, rng.random(50), m)
+            assert (np.count_nonzero(B, axis=1) <= p + 1).all()
 
 
 def test_derivative_sums_to_zero():
@@ -86,6 +102,9 @@ def test_eval_rejects_out_of_range():
         collocation_matrix(s, [1.5], 0)
     with pytest.raises(ValueError):
         collocation_matrix(s, [-0.1, 0.5], 0)
+    for x in ([np.nan], [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            collocation_matrix(s, x, 0)
 
 
 @pytest.mark.parametrize("p,level", [(1, 2), (2, 3), (3, 2), (4, 3)])
@@ -99,12 +118,44 @@ def test_basis_matches_scipy(p, level):
         np.testing.assert_allclose(ours, ref, atol=1e-9 * max(1.0, np.abs(ref).max()))
 
 
-def test_derivative_transfer_matches_row_loop():
-    for p in range(6):
-        for level in range(1, 7):
-            for m in range(p + 1):
-                np.testing.assert_array_equal(_derivative_transfer(p, level, m),
-                                              derivative_transfer_rows(p, level, m))
+def test_derivative_rows_match_transfer_reference():
+    # the value rows of the degree p-m space times the derivative transfer
+    # built row by row: bit for bit at p <= 2, within 4 eps of the largest
+    # entry above; both within one eps of the long-double product (levels
+    # up to 6)
+    eps = np.finfo(float).eps
+    for p, level in itertools.product(range(6), range(1, 9)):
+        x = np.concatenate([element_grid(level, gauss_rule(p + 1))[0],
+                            element_grid(level, gauss_rule(p + 3))[0],
+                            np.arange(2 ** level + 1) / 2 ** level])
+        for m in range(1, p + 1):
+            rows = collocation_matrix(make_space(p, level), x, m)
+            low = collocation_matrix(make_space(p - m, level), x, 0)
+            ref = low @ derivative_transfer_rows(p, level, m)
+            scale = np.abs(ref).max()
+            if p <= 2:
+                np.testing.assert_array_equal(rows, ref)
+            else:
+                assert np.abs(rows - ref).max() <= 4 * eps * scale
+            if level <= 6:  # the long-double product is slow beyond
+                exact = (low.astype(np.longdouble)
+                         @ derivative_transfer_rows(p, level, m, np.longdouble))
+                assert np.abs(rows - exact).max() <= eps * scale
+                assert np.abs(ref - exact).max() <= eps * scale
+
+
+def test_derivative_rows_allocate_little_beyond_their_output():
+    # the m-th derivative rows come from a band of p+1 values per point: no
+    # value matrix of the lowered degree and no dim x dim transfer beside
+    # the dense output
+    nodes = element_grid(10, gauss_rule(4))[0]
+    tracemalloc.start()
+    try:
+        B = collocation_matrix(make_space(3, 10), nodes, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * B.nbytes
 
 
 def test_refinement_piecewise_constant():
@@ -193,8 +244,7 @@ def test_refinement_reproduces_at_level_10(p):
 
 def test_cached_arrays_are_read_only():
     # shared by every caller and every study thread
-    for arr in (_refinement_matrix(3, 4, 5), _derivative_transfer(3, 4, 2),
-                make_space(3, 4).knots):
+    for arr in (_refinement_matrix(3, 4, 5), make_space(3, 4).knots):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
 

@@ -137,8 +137,13 @@ def test_call_owner_check_finds_the_enclosing_function():
     # extended precision only in the 1D pieces of the Smolyak-difference norm
     ("longdouble", [("spaces", "_smolyak_pieces")]),
     # derivatives only of tensor members, by their collocation rows: a
-    # combination-form function serves values only
-    ("_derivative_transfer", [("bspline", "collocation_matrix")]),
+    # combination-form function serves values only; the rows come from the
+    # local band, so no derivative transfer matrix is left
+    ("_derivative_transfer", []),
+    # one local evaluator of basis values and derivatives, shared by the
+    # collocation rows and the Smolyak-difference pieces
+    ("_find_spans", [("bspline", "_basis_band")]),
+    ("_nonzero_basis", [("bspline", "_basis_band")]),
     # one count for each certified span: the dimension check reads the
     # equivalence certificate
     ("_count", [("spaces", "equivalence_report"),
@@ -150,7 +155,8 @@ def test_call_owner_check_finds_the_enclosing_function():
         "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
         "scipy.linalg.svd", "matrix_rank", "lstsq", "khatri_rao",
         "itertools.combinations", "_levels_with_sum", "longdouble",
-        "_derivative_transfer", "_count", "_refinement_matrix"])
+        "_derivative_transfer", "_find_spans", "_nonzero_basis", "_count",
+        "_refinement_matrix"])
 def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
     sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgsplines import functions as fn
-from sgsplines.bspline import _derivative_transfer, make_space
+from sgsplines.bspline import _space, make_space
 from sgsplines.geometry import PullbackFunction, distorted_square_geometry
 from sgsplines.indices import LevelRule, lambda_eff
 from sgsplines.quadrature import (
@@ -262,7 +262,8 @@ def _cached_arrays(spaces, qpts, alpha):
     for sp, a in zip(spaces, alpha):
         out += [sp.knots, _gram_cached(sp, 0),
                 *(m for m in projection_matrices(sp, 0) if m is not None)]
-        out += [_derivative_transfer(sp.degree, sp.level, m)
+        # derivative rows read the knots of the lowered degrees
+        out += [_space(sp.degree - m, sp.level).knots
                 for m in range(1, a + 1)]
     return out
 
