@@ -2,10 +2,13 @@
 
 The geometry lives on a coarse mesh (single element by default) and is checked
 at build time to have degree at least 1, finite control points and a positive
-Jacobian determinant.  It is evaluated, like every spline member, only on
-tensor grids (`CoefficientTensor.deriv_grid`).  The physical-domain L2 norm
-and the mapped inverse-inequality pencil are computed by parameter-space
-quadrature with Jacobian weights.
+Jacobian determinant inside and at the ends of every cell.  It is evaluated,
+like every spline member, only on tensor grids (`CoefficientTensor.deriv_grid`).
+The physical-domain L2 norm and the mapped inverse-inequality pencil are
+computed by parameter-space quadrature with Jacobian weights, in one slab
+loop (`_jacobian_slabs`) over whole cells (`tensorops.cell_slabs`, whose
+docstring gives the rule and why it keeps the bits), never holding the
+Jacobian on the full grid.
 
 Each Gram matrix of the mapped pencil is a sum over the quadrature grid of a
 grid array times a product of one row and one column factor per direction.
@@ -24,14 +27,16 @@ from __future__ import annotations
 import numpy as np
 
 from .bspline import _frozen, _space, collocation_matrix, greville, make_space
-from .spaces import _top_eigenvalue, stacked_sparse_basis
+from .spaces import SparseGridFunction, _top_eigenvalue, stacked_sparse_basis
 from .tensorops import (
     CoefficientTensor,
     _norm_axes,
     _weighted_square_sum,
+    cell_slabs,
     tensor_weights,
 )
 
+# the diffeomorphism check's points per direction, at least 5 per cell
 _DIFFEO_GRID = 33
 
 
@@ -81,11 +86,17 @@ class GeometryMap:
     # -- build-time checks
 
     def _check_jacobian(self):
-        axes = [np.linspace(0.0, 1.0, _DIFFEO_GRID)] * self.d
-        det = np.linalg.det(self.jacobian_grid(axes))
-        if det.min() <= 0.0:
+        """Refuse det J <= 0 at k equispaced points per direction in every
+        cell of the mesh, ends included, with k = 32 / cells + 1 but at
+        least 5, so that a fold inside a cell shows; slab by slab."""
+        cells = 2 ** self.level
+        k = max(5, (_DIFFEO_GRID - 1) // cells + 1)
+        ax = (np.arange(cells)[:, None] + np.linspace(0.0, 1.0, k)).ravel() / cells
+        low = min(np.linalg.det(self.jacobian_grid(slab)).min()
+                  for _, slab in cell_slabs([ax] * self.d, k))
+        if low <= 0.0:
             raise ValueError(f"Jacobian determinant not positive on sample grid "
-                             f"(min {det.min():.3e})")
+                             f"(min {low:.3e})")
 
     # -- evaluation
 
@@ -227,26 +238,44 @@ class PullbackFunction:
         return out
 
 
+def _jacobian_slabs(geom, level, qpts, metric=False):
+    """The slab loop of the mapped kinds on the level's tensor Gauss grid,
+    ``qpts`` points per cell: each slab's slice of axis 0, its axes, its
+    weights W det J and, with ``metric``, its J^-1 J^-T, J[..., i, j] =
+    dF_i/dxi_j.  A slab's Jacobian is dropped before the yield."""
+    axes, weights = _norm_axes(level, qpts)
+    for s, slab in cell_slabs(axes, qpts):
+        J = geom.jacobian_grid(slab)
+        Wphys = np.linalg.det(J)
+        Wphys *= tensor_weights((weights[0][s],) + weights[1:])
+        G = None
+        if metric:
+            Jinv = np.linalg.inv(J)
+            G = Jinv @ np.swapaxes(Jinv, -1, -2)
+        del J
+        yield s, slab, Wphys, G
+
+
 def pullback_error_norm(f_phys, u, geom):
-    """Physical-domain L2 error norm of f_phys minus the push-forward of u.
+    """Physical-domain L2 error norm of f_phys minus the push-forward of u,
+    a `CoefficientTensor` or a `SparseGridFunction`.
 
-    Integrates over the parameter domain with |det J| weights (degree + 3
-    Gauss points per cell of the finest level of ``u``).
-
-    The grid + (d, d) Jacobian is the largest array, d^2 + d grid buffers
-    while it is filled, so its determinant is taken first, while nothing
-    else is alive; the target, whose points take d buffers, is evaluated
-    before the spline for the same reason.  The difference and its weighted
-    square are formed in the spline values' buffer.  The bits are those of
-    ``np.sum((W * det J) * (f - u) ** 2)``.
+    Integrates over the parameter domain with det J weights (degree + 3
+    Gauss points per cell of the finest level of ``u``), one slab at a time.
+    A combination sum is formed once (`SparseGridFunction.as_tensor`).  Per
+    slab the target is evaluated before the spline, and the difference and
+    its weighted square are formed in the spline values' buffer.  On a grid
+    of one slab the bits are those of ``np.sum((W * det J) * (f - u) ** 2)``.
     """
-    axes, weights = _norm_axes(u.finest_level, u.degree + 3)
-    Wphys = np.linalg.det(geom.jacobian_grid(axes))
-    Wphys *= tensor_weights(weights)
-    fv = PullbackFunction(f_phys, geom).eval_grid(axes)
-    diff = u.deriv_grid(axes)
-    np.subtract(fv, diff, out=diff)
-    return float(np.sqrt(_weighted_square_sum(diff, Wphys)))
+    ct = u.as_tensor() if isinstance(u, SparseGridFunction) else u
+    pull = PullbackFunction(f_phys, geom)
+    total = 0.0
+    for _, slab, Wphys, _ in _jacobian_slabs(geom, ct.level, ct.degree + 3):
+        fv = pull.eval_grid(slab)
+        diff = ct.deriv_grid(slab)
+        np.subtract(fv, diff, out=diff)
+        total += _weighted_square_sum(diff, Wphys)
+    return float(np.sqrt(total))
 
 
 def _factorized_gram(entries, levels):
@@ -302,6 +331,21 @@ def _factorized_gram(entries, levels):
     return gram
 
 
+def _mapped_kernels(geom, level, qpts):
+    """The grid arrays K of the mapped pencil on the level's tensor Gauss
+    grid, filled slab by slab: W det J / 2, and for j <= k the metric term
+    W det J (J^-1 J^-T)_jk / 2, doubled at j < k."""
+    shape = tuple(len(ax) for ax in _norm_axes(level, qpts)[0])
+    d = len(shape)
+    half = np.empty(shape)
+    metric = {(j, k): np.empty(shape) for j in range(d) for k in range(j, d)}
+    for s, _, Wphys, G in _jacobian_slabs(geom, level, qpts, metric=True):
+        half[s] = Wphys / 2
+        for (j, k), K in metric.items():
+            K[s] = half[s] * G[..., j, k] * (1 if j == k else 2)
+    return half, metric
+
+
 def mapped_rayleigh(rule, q, geom):
     """Largest physical H^1-seminorm vs L2 Rayleigh quotient over the mapped
     q-vanishing sparse basis, by quadrature-assembled Gram matrices.
@@ -311,31 +355,26 @@ def mapped_rayleigh(rule, q, geom):
     (`_factorized_gram`): B with K = W det J / 2 and value factors in every
     direction; A as the sum over j <= k of the terms with
     K = W det J (J^-1 J^-T)_jk, halved at j = k, and derivative factors in
-    directions j (row) and k (column).  Each sum is C, and the Gram matrix
-    C + C^T, which is exactly symmetric.  No grid x N value matrix is
-    formed.  The top eigenvalue comes from `spaces._top_eigenvalue`.
+    directions j (row) and k (column), filled slab by slab
+    (`_mapped_kernels`).  Each sum is C, and the Gram matrix C + C^T, which
+    is exactly symmetric.  No grid x N value matrix is formed.  The top
+    eigenvalue comes from `spaces._top_eigenvalue`.
     """
     if geom.d != rule.d:
         raise ValueError("geometry dimension does not match the level rule")
     basis = stacked_sparse_basis(rule, q)
     p, n, d = rule.p, rule.n, rule.d
-    axes, weights = _norm_axes((n,) * d, p + 3)
-    J = geom.jacobian_grid(axes)
-    half = tensor_weights(weights) * np.linalg.det(J) / 2
-    Jinv = np.linalg.inv(J)
-    metric = Jinv @ np.swapaxes(Jinv, -1, -2)
-    del J, Jinv
+    half, metric = _mapped_kernels(geom, (n,) * d, p + 3)
 
     space_n = make_space(p, n)
-    E0 = collocation_matrix(space_n, axes[0], 0) @ basis.V
-    E1 = collocation_matrix(space_n, axes[0], 1) @ basis.V
+    nodes = _norm_axes((n,), p + 3)[0][0]
+    E0 = collocation_matrix(space_n, nodes, 0) @ basis.V
+    E1 = collocation_matrix(space_n, nodes, 1) @ basis.V
     gram = _factorized_gram(basis.entries, basis.levels)
     C = gram(half, [(E0, E0)] * d)
     B = C + C.T
     C = np.zeros_like(B)
-    for j in range(d):
-        for k in range(j, d):
-            K = half * metric[..., j, k] * (1 if j == k else 2)
-            C += gram(K, [(E1 if i == j else E0, E1 if i == k else E0)
-                          for i in range(d)])
+    for (j, k), K in metric.items():
+        C += gram(K, [(E1 if i == j else E0, E1 if i == k else E0)
+                      for i in range(d)])
     return float(np.sqrt(_top_eigenvalue(C + C.T, basis.size, B)))

@@ -7,7 +7,8 @@ equivalence checks and inverse-inequality pencils.
 A combination-form function is evaluated for values only, and once: every
 term's space is a subspace of the finest level's, so each term is prolonged
 to the finest level, scaled and added into one finest-level coefficient
-array, and one evaluation on the grid follows.
+array (`SparseGridFunction.as_tensor`), and one evaluation on the grid
+follows.
 
 The L2 error of the combination technique for a separable target needs
 neither that sum nor a grid (`combination_error`).  With the 1D pieces
@@ -98,7 +99,6 @@ from .bspline import (
     _basis_band,
     _frozen,
     _space,
-    collocation_matrix,
     make_space,
     prolongation,
     refinement_operator,
@@ -106,7 +106,7 @@ from .bspline import (
 )
 from .indices import build_combination_set, build_hier_set, increment_dim
 from .quadrature import element_grid, gauss_rule, gram_matrix, project_1d
-from .tensorops import contract, project_tensor
+from .tensorops import CoefficientTensor, contract, project_tensor
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,10 @@ class SparseGridFunction:
         return tuple(max(lvl[i] for lvl, _, _ in self.terms)
                      for i in range(self.d))
 
-    def deriv_grid(self, axes, alpha=None):
-        """Values of the weighted sum of the terms on the tensor grid of
-        per-direction nodes, evaluated once (module docstring): one
-        grid-sized array, the result.  Derivatives are not served: a nonzero
-        ``alpha`` raises ValueError."""
-        if any(alpha or ()):
-            raise ValueError(f"a combination-form function is evaluated for "
-                             f"values only, not derivative {alpha}")
+    def as_tensor(self):
+        """The weighted sum of the terms as one finest-level
+        `CoefficientTensor`, formed in coefficient space (module
+        docstring)."""
         p, finest = self.degree, self.finest_level
         total = None
         for level, c, ct in self.terms:
@@ -144,8 +140,17 @@ class SparseGridFunction:
                 total = X
             else:
                 total += X
-        return contract(total, [collocation_matrix(_space(p, n), ax, 0)
-                                for n, ax in zip(finest, axes)])
+        return CoefficientTensor(finest, p, total)
+
+    def deriv_grid(self, axes, alpha=None):
+        """Values of the weighted sum of the terms on the tensor grid of
+        per-direction nodes, evaluated once (`as_tensor`): one grid-sized
+        array, the result.  Derivatives are not served: a nonzero ``alpha``
+        raises ValueError."""
+        if any(alpha or ()):
+            raise ValueError(f"a combination-form function is evaluated for "
+                             f"values only, not derivative {alpha}")
+        return self.as_tensor().deriv_grid(axes)
 
 
 def combination_project(f, rule):

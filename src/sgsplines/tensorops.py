@@ -20,13 +20,22 @@ values only: it forms its sum in coefficient space and evaluates once
 
 A separable target's Sobolev norm (`function_norm`) and its sparse-grid
 error (`spaces.combination_error`) factor into 1D sums and build no grid;
-the grid sums serve the univariate study, the mapped study's pullback and
-the tests.
+the whole-grid sum (`error_norm`) serves the univariate study and the
+tests.
+
+The other grid sums (the mapped kinds in `geometry`, and `function_norm` of
+a target that is not separable) hold one slab at a time (`cell_slabs`):
+whole cells along axis 0, about 2^16 points (`_SLAB_POINTS`, a constant)
+and never less than one cell.  Whole cells keep the bits: a one-row slab
+takes another BLAS path and moves values by an ulp, while a slab of a cell
+(4 rows or more) gives each point its whole-grid bits, so only the order in
+which the slab sums are added differs from one whole-grid sum.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
@@ -35,6 +44,9 @@ import numpy as np
 from .bspline import _space, collocation_matrix
 from .functions import SumOfSeparable
 from .quadrature import element_grid, gauss_rule, projection_matrices
+
+# points per slab of a grid sum (`cell_slabs`)
+_SLAB_POINTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -167,6 +179,16 @@ def _norm_axes(level, qpts):
     return tuple(g[0] for g in grids), tuple(g[1] for g in grids)
 
 
+def cell_slabs(axes, qpts):
+    """The tensor grid of ``axes`` in slabs of whole cells of ``qpts`` nodes
+    along axis 0 (module docstring): each slab's slice of axis 0 and axes."""
+    row = math.prod(len(ax) for ax in axes[1:])
+    step = qpts * max(1, _SLAB_POINTS // (qpts * row))
+    for start in range(0, len(axes[0]), step):
+        s = slice(start, start + step)
+        yield s, (axes[0][s],) + tuple(axes[1:])
+
+
 def _weighted_square_sum(v, W):
     """``float(np.sum(W * v ** 2))`` by the same operations on the same
     operands, computed in v's buffer, which it overwrites."""
@@ -214,8 +236,7 @@ def function_norm(f, d, mode, order):
     factors: the square integral of each derivative alpha is
     sum_{t,s} c_t c_s prod_i of the 1D integrals of g_ti^(alpha_i)
     g_si^(alpha_i) on the same rule, so no grid is built.  Any other target
-    (a `PullbackFunction`) is summed on the grid, which at d = 4 has 85M
-    points.
+    (a `PullbackFunction`) is summed on the grid, one slab at a time.
     """
     level = 6 if d <= 2 else 4
     axes, weights = _norm_axes((level,) * d, 6)
@@ -229,8 +250,8 @@ def function_norm(f, d, mode, order):
                 products *= np.sum(v[:, None] * v[None] * w, axis=-1)
             total += float(np.sum(products))
         return float(np.sqrt(total))
-    # the grid is fixed, so the weights are built once
-    W = tensor_weights(weights)
     for alpha in multi_indices(d, order, mode):
-        total += _weighted_square_sum(f.eval_grid(axes, alpha), W)
+        for s, slab in cell_slabs(axes, 6):
+            W = tensor_weights((weights[0][s],) + weights[1:])
+            total += _weighted_square_sum(f.eval_grid(slab, alpha), W)
     return float(np.sqrt(total))

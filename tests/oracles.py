@@ -13,8 +13,9 @@ sparse pencil and its gathered Hadamard norm matrix, a one-pass build of
 the constrained increment chain, the span equality of the combination and
 hierarchical constructions by brute force, in level-(n, ..., n) tensor
 coefficients (capped in size) and on collocation rows, the grid norms with
-every grid-sized array held at once, the mapped pencil by grid x N value
-matrices, slab by slab, as X^T X and in its earlier generalized form, a
+every grid-sized array held at once, the mapped pencil's grid arrays from
+the full-grid Jacobian, the mapped pencil by grid x N value matrices, slab
+by slab, as X^T X and in its earlier generalized form, a
 Newton inverse of a geometry map and a writer of the geometry file format.
 Test modules import it as ``from oracles import`` (pytest puts ``tests/``
 on the path).
@@ -55,6 +56,7 @@ from sgsplines.spaces import (
 )
 from sgsplines.tensorops import (
     _norm_axes,
+    cell_slabs,
     multi_indices,
     project_direction,
     sample,
@@ -718,20 +720,25 @@ def error_norm_all_held(f, u, mode, order):
 
 
 def function_norm_all_held(f, d, mode, order):
-    """`sgsplines.tensorops.function_norm` with fresh arrays throughout."""
+    """`sgsplines.tensorops.function_norm` on the grid, with fresh arrays
+    throughout and every grid-sized array held at once; the weighted squares
+    are summed slab by slab (`cell_slabs`), in the grid path's order."""
     level = 6 if d <= 2 else 4
     axes, weights = _norm_axes((level,) * d, 6)
     W = tensor_weights(weights)
     total = 0.0
     for alpha in multi_indices(d, order, mode):
         v = _eval_grid_all_held(f, axes, alpha)
-        total += float(np.sum(W * v ** 2))
+        squares = W * v ** 2
+        for s, _ in cell_slabs(axes, 6):
+            total += float(np.sum(squares[s]))
     return float(np.sqrt(total))
 
 
-def pullback_error_norm_all_held(f_phys, u, geom):
-    """`sgsplines.geometry.pullback_error_norm` with the Jacobian stacked from
-    its columns and fresh arrays throughout."""
+def pullback_weighted_squares_all_held(f_phys, u, geom):
+    """The terms (W det J) (f - u)^2 of `sgsplines.geometry.pullback_error_norm`
+    on the whole grid, with the Jacobian stacked from its columns and fresh
+    arrays throughout."""
     degree = u.degree
     axes, weights = _norm_axes(u.finest_level, degree + 3)
     units = np.eye(geom.d, dtype=int)
@@ -739,4 +746,25 @@ def pullback_error_norm_all_held(f_phys, u, geom):
     Wphys = tensor_weights(weights) * np.linalg.det(J)
     diff = (_eval_points_all_held(f_phys, geom.eval_grid(axes))
             - u.deriv_grid(axes))
-    return float(np.sqrt(np.sum(Wphys * diff ** 2)))
+    return Wphys * diff ** 2
+
+
+def pullback_error_norm_all_held(f_phys, u, geom):
+    """`sgsplines.geometry.pullback_error_norm` as one sum over the whole
+    grid: the bits of the norm on a grid of one slab."""
+    return float(np.sqrt(np.sum(pullback_weighted_squares_all_held(f_phys, u, geom))))
+
+
+def mapped_kernels_full_grid(geom, level, qpts):
+    """The grid arrays of `sgsplines.geometry._mapped_kernels` from the
+    Jacobian, its determinant, its inverse and the metric J^-1 J^-T, each
+    held on the full grid at once: W det J / 2, and for j <= k
+    W det J (J^-1 J^-T)_jk / 2, doubled at j < k."""
+    axes, weights = _norm_axes(level, qpts)
+    J = geom.jacobian_grid(axes)
+    half = tensor_weights(weights) * np.linalg.det(J) / 2
+    Jinv = np.linalg.inv(J)
+    metric = Jinv @ np.swapaxes(Jinv, -1, -2)
+    d = len(level)
+    return half, {(j, k): half * metric[..., j, k] * (1 if j == k else 2)
+                  for j in range(d) for k in range(j, d)}

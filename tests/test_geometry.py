@@ -1,16 +1,22 @@
 """Geometry maps: evaluation, inversion, physical norms."""
 
+import math
 import tracemalloc
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sgsplines import functions as fn
 from sgsplines import geometry
+from sgsplines.bspline import greville, make_space
+from sgsplines.cli import main as cli_main
 from sgsplines.geometry import (
     GeometryMap,
     PullbackFunction,
     _factorized_gram,
+    _mapped_kernels,
     builtin_geometry,
     distorted_square_geometry,
     identity_geometry,
@@ -25,16 +31,23 @@ from sgsplines.spaces import (
     combination_project,
     stacked_sparse_basis,
 )
-from sgsplines.tensorops import error_norm
+from sgsplines.tensorops import (
+    CoefficientTensor,
+    _norm_axes,
+    cell_slabs,
+    error_norm,
+)
 from oracles import (
     eval_points,
     inverse,
     jacobian,
     khatri_rao,
     mapped_grams_reference,
+    mapped_kernels_full_grid,
     mapped_rayleigh_generalized,
     mapped_rayleigh_reference,
     pullback_error_norm_all_held,
+    pullback_weighted_squares_all_held,
     random_trig,
     save_geometry,
 )
@@ -92,6 +105,58 @@ def test_degenerate_map_rejected():
     ctrl[..., 0] = 0.0  # collapses the square onto a line
     with pytest.raises(ValueError):
         GeometryMap(1, ctrl)
+
+
+def _folded_map():
+    """Degree 3, level 5: dx/dxi is the quadratic spline with coefficients
+    1, 1, 2, -1, 2, -1, ..., 2, 1, 1, so the x control points step by
+    ..., 2h, -h, 2h, ... (h = 2^-5) and y is the identity.  It reads 1/2
+    or more at every knot and -1/4 at the midpoint of every cell whose
+    coefficient is -1: the map folds inside those cells."""
+    p, level = 3, 5
+    space = make_space(p, level)
+    t = space.knots
+    slopes = np.array([1.0, 1.0] + [2.0, -1.0] * 15 + [2.0, 1.0])
+    x = np.concatenate([[0.0], np.cumsum(slopes * (t[p + 1:-1] - t[1:-p - 1]) / p)])
+    g = greville(space)
+    return p, level, np.stack(np.meshgrid(x, g, indexing="ij"), axis=-1)
+
+
+def test_map_folded_inside_its_cells_is_refused(tmp_path, capsys):
+    p, level, ctrl = _folded_map()
+    ct = CoefficientTensor((level, level), p, ctrl)
+
+    def det(axes):
+        return np.linalg.det(np.stack([ct.deriv_grid(axes, e)
+                                       for e in ((1, 0), (0, 1))], axis=-1))
+
+    # positive on 33 points per direction, the knots of its 32 cells, and
+    # negative at the nodes of a degree-3 norm
+    assert det([np.linspace(0.0, 1.0, 33)] * 2).min() > 0.4
+    assert det(_norm_axes((level, level), p + 3)[0]).min() < -0.2
+    with pytest.raises(ValueError, match="not positive"):
+        GeometryMap(p, ctrl)
+    geo = tmp_path / "fold.geo"
+    save_geometry(SimpleNamespace(degree=p, ctrl=ctrl), geo)
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(f"kind=mapped-convergence\ngeometry={geo}\n")
+    assert cli_main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+_UNFOLDED = {
+    **{name: partial(builtin_geometry, name) for name in geometry._BUILTINS},
+    "identity-d3": partial(identity_geometry, 3, degree=2),
+    "cube": lambda: distorted_cube_geometry(),
+    # a fine map: the identity on the level-5 cubic Greville net
+    "identity-l5": lambda: GeometryMap(3, np.stack(
+        np.meshgrid(*[greville(make_space(3, 5))] * 2, indexing="ij"), axis=-1)),
+}
+
+
+@pytest.mark.parametrize("make", _UNFOLDED.values(), ids=_UNFOLDED)
+def test_every_builtin_and_unfolded_map_builds(make):
+    assert isinstance(make(), GeometryMap)
 
 
 def test_corner_interpolation_enforced():
@@ -322,9 +387,10 @@ def test_pullback_error_norm_matches_all_held_bits(d, n, p, geom):
 
 
 def test_pullback_error_norm_peaks_at_its_jacobian():
-    # the norm peaks where its Jacobian does, at the grid + (d, d) array and
-    # one direction of it (d^2 + d = 6 grid buffers at d = 2): it takes the
-    # determinant before any other grid-sized array exists
+    # at n = 6 the grid, 320 x 320 points, is two slabs of whole cells
+    # (`cell_slabs`), so the peak is set by the larger slab of 200 x 320
+    # points: its Jacobian while it is filled takes d^2 + d = 6 such
+    # buffers at d = 2, below the 6 grid buffers of a full-grid Jacobian
     buffer = 102400 * 8  # (2^6 (p+3))^2 quadrature points
     f, geom = fn.sinpi_product(2), distorted_square_geometry()
     sg = combination_project(PullbackFunction(f, geom), LevelRule(2, 6, 2))
@@ -336,3 +402,52 @@ def test_pullback_error_norm_peaks_at_its_jacobian():
     finally:
         tracemalloc.stop()
     assert peak <= 6.5 * buffer
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_pullback_error_norm_memory_does_not_grow_with_the_grid(n):
+    # one slab of about 2^16 points at a time: the level-8 grid has 1.6M
+    # points, and its full-grid Jacobian alone would take 52 MB
+    f, geom = fn.sinpi_product(2), distorted_square_geometry()
+    sg = combination_project(PullbackFunction(f, geom), LevelRule(2, n, 2))
+    pullback_error_norm(f, sg, geom)  # the cached 1D matrices are not counted
+    tracemalloc.start()
+    try:
+        pullback_error_norm(f, sg, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("d,n,p,geom", [
+    (2, 8, 2, distorted_square_geometry()),
+    (3, 5, 1, distorted_cube_geometry()),
+], ids=["d2-distorted", "d3-cube"])
+def test_slabbed_pullback_error_norm_matches_an_exact_sum(d, n, p, geom):
+    # the slab sums, added in order, against the correctly rounded sum of
+    # the all-held oracle's weighted squares
+    f = random_trig(d, seed=n)
+    sg = combination_project(PullbackFunction(f, geom), LevelRule(d, n, p))
+    assert len(list(cell_slabs(_norm_axes((n,) * d, p + 3)[0], p + 3))) > 1
+    squares = pullback_weighted_squares_all_held(f, sg, geom)
+    ref = math.sqrt(math.fsum(squares.ravel()))
+    assert abs(pullback_error_norm(f, sg, geom) - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("n,p,geom", [
+    (7, 2, distorted_square_geometry()),
+    (4, 2, distorted_cube_geometry()),
+], ids=["d2-distorted", "d3-cube"])
+def test_mapped_kernels_match_the_full_grid_bits(n, p, geom):
+    # the mapped pencil's K arrays, filled slab by slab, against the same
+    # products of the Jacobian, its determinant and its inverse held on the
+    # full grid
+    level = (n,) * geom.d
+    assert len(list(cell_slabs(_norm_axes(level, p + 3)[0], p + 3))) > 1
+    half, metric = _mapped_kernels(geom, level, p + 3)
+    ref_half, ref_metric = mapped_kernels_full_grid(geom, level, p + 3)
+    assert np.array_equal(half, ref_half)
+    assert list(metric) == list(ref_metric)
+    for jk, K in metric.items():
+        assert np.array_equal(K, ref_metric[jk])

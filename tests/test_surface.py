@@ -151,12 +151,17 @@ def test_call_owner_check_finds_the_enclosing_function():
     # one knot-insertion routine, one Oslo pass per level gap
     ("_refinement_matrix", [("bspline", "refinement_operator"),
                             ("bspline", "prolongation")]),
+    # the Jacobian on a grid only per slab of whole cells, in the mapped
+    # kinds' slab loop and the build-time check, so no full-grid Jacobian
+    # is formed
+    ("jacobian_grid", [("geometry", "_check_jacobian"),
+                       ("geometry", "_jacobian_slabs")]),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
         "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
         "scipy.linalg.svd", "matrix_rank", "lstsq", "khatri_rao",
         "itertools.combinations", "_levels_with_sum", "longdouble",
         "_derivative_transfer", "_find_spans", "_nonzero_basis", "_count",
-        "_refinement_matrix"])
+        "_refinement_matrix", "jacobian_grid"])
 def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
     sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]

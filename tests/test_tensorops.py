@@ -19,8 +19,10 @@ from sgsplines.quadrature import (
 )
 from sgsplines.spaces import SparseGridFunction, combination_project
 from sgsplines.tensorops import (
+    _SLAB_POINTS,
     CoefficientTensor,
     _norm_axes,
+    cell_slabs,
     error_norm,
     function_norm,
     multi_indices,
@@ -163,6 +165,31 @@ def test_partial_projection_error_decays_per_direction():
             rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
             assert rates.min() >= q - 0.1
 
+
+
+@pytest.mark.parametrize("level,qpts", [
+    ((8, 8), 5), ((7, 7), 5), ((5, 5, 5), 4), ((4, 4, 4), 6), ((3, 3), 5),
+    ((12,), 4), ((0, 12), 4), ((1, 13), 5),
+], ids=["d2-n8", "d2-n7", "d3-n5", "d3-floor", "one-slab", "d1",
+        "one-cell", "cell-over-budget"])
+def test_cell_slabs_cover_every_row_once_in_whole_cells(level, qpts):
+    axes = _norm_axes(level, qpts)[0]
+    rows = len(axes[0])
+    row = int(np.prod([len(ax) for ax in axes[1:]]))
+    slabs = list(cell_slabs(axes, qpts))
+    spans = [range(rows)[s] for s, _ in slabs]
+    assert [i for span in spans for i in span] == list(range(rows))
+    for span, (s, slab) in zip(spans, slabs):
+        assert span.start % qpts == 0 and len(span) % qpts == 0
+        assert np.array_equal(slab[0], axes[0][s])
+        assert all(a is b for a, b in zip(slab[1:], axes[1:]))
+        # within the budget unless one cell exceeds it
+        assert len(span) * row <= _SLAB_POINTS or len(span) == qpts
+    # and as large as the budget allows: one more cell would exceed it
+    for span in spans[:-1]:
+        assert (len(span) + qpts) * row > _SLAB_POINTS
+    # a grid within the budget is one slab
+    assert (len(slabs) == 1) == (rows * row <= _SLAB_POINTS or rows == qpts)
 
 
 # (d, p, tensor level, sparse-grid n): every norm mode at every order 0..p
