@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bspline import _frozen, _space, collocation_matrix, greville, make_space
-from .spaces import SparseGridFunction, _top_eigenvalue, stacked_sparse_basis
+from .spaces import _top_eigenvalue, stacked_sparse_basis
 from .tensorops import (
     CoefficientTensor,
     _norm_axes,
@@ -220,7 +220,7 @@ def load_geometry(path):
 class PullbackFunction:
     """Composition f(F(.)) of a physical function with the geometry map,
     sampled on parameter tensor grids (values only, which is all the L2
-    projection and the L2 norm need)."""
+    projection and `pullback_error_norm` need)."""
 
     def __init__(self, f_phys, geom):
         self.f_phys = f_phys
@@ -262,12 +262,12 @@ def pullback_error_norm(f_phys, u, geom):
 
     Integrates over the parameter domain with det J weights (degree + 3
     Gauss points per cell of the finest level of ``u``), one slab at a time.
-    A combination sum is formed once (`SparseGridFunction.as_tensor`).  Per
+    ``u.as_tensor()`` forms a combination sum once, in coefficient space.  Per
     slab the target is evaluated before the spline, and the difference and
     its weighted square are formed in the spline values' buffer.  On a grid
     of one slab the bits are those of ``np.sum((W * det J) * (f - u) ** 2)``.
     """
-    ct = u.as_tensor() if isinstance(u, SparseGridFunction) else u
+    ct = u.as_tensor()
     pull = PullbackFunction(f_phys, geom)
     total = 0.0
     for _, slab, Wphys, _ in _jacobian_slabs(geom, ct.level, ct.degree + 3):

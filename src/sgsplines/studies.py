@@ -541,8 +541,7 @@ def _study_mapped(cfg, f_phys, geom):
         return Row(cfg.kind, d, p, "", level="fit", value=order,
                    bound=p + 1 - 0.2, passed=order >= p + 1 - 0.2, source="T1")
 
-    # the parameter-domain L2 norm of the pullback stands for the target's
-    floor = _ROUNDOFF_FLOOR * function_norm(pull, d, "semi", 0)
+    floor = _ROUNDOFF_FLOOR * function_norm(f_phys, d, "semi", 0)
     return _fitted(cfg, [(p,) for p in cfg.p], row, fit, floor)
 
 

@@ -18,18 +18,16 @@ grid-sized arrays at once.  A sparse-grid function's `deriv_grid` serves
 values only: it forms its sum in coefficient space and evaluates once
 (`spaces`), through the same contraction kernel as a tensor member's.
 
-A separable target's Sobolev norm (`function_norm`) and its sparse-grid
-error (`spaces.combination_error`) factor into 1D sums and build no grid;
-the whole-grid sum (`error_norm`) serves the univariate study and the
-tests.
-
-The other grid sums (the mapped kinds in `geometry`, and `function_norm` of
-a target that is not separable) hold one slab at a time (`cell_slabs`):
-whole cells along axis 0, about 2^16 points (`_SLAB_POINTS`, a constant)
-and never less than one cell.  Whole cells keep the bits: a one-row slab
-takes another BLAS path and moves values by an ulp, while a slab of a cell
-(4 rows or more) gives each point its whole-grid bits, so only the order in
-which the slab sums are added differs from one whole-grid sum.
+Each norm has one grid regime.  A target's Sobolev norm (`function_norm`)
+and the sparse-grid error (`spaces.combination_error`) factor into 1D sums
+and build no grid; the whole-grid sum (`error_norm`) serves the univariate
+study and the tests; the mapped kinds' sums (`geometry`) hold one slab at a
+time (`cell_slabs`): whole cells along axis 0, about 2^16 points
+(`_SLAB_POINTS`, a constant) and never less than one cell.  Whole cells
+keep the bits: a one-row slab takes another BLAS path and moves values by
+an ulp, while a slab of a cell (4 rows or more) gives each point its
+whole-grid bits, so only the order in which the slab sums are added
+differs from one whole-grid sum.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from functools import reduce
 import numpy as np
 
 from .bspline import _space, collocation_matrix
-from .functions import SumOfSeparable
 from .quadrature import element_grid, gauss_rule, projection_matrices
 
 # points per slab of a grid sum (`cell_slabs`)
@@ -78,6 +75,10 @@ class CoefficientTensor:
     @property
     def finest_level(self):
         return self.level
+
+    def as_tensor(self):
+        """Itself, as `SparseGridFunction.as_tensor` gives its sum."""
+        return self
 
     def deriv_grid(self, axes, alpha=None):
         """Mixed derivative values on the tensor grid of per-direction nodes."""
@@ -229,29 +230,22 @@ def error_norm(f, u, mode, order):
 
 
 def function_norm(f, d, mode, order):
-    """Sobolev norm of an analytic function by 6-point Gauss quadrature on a
-    fixed fine dyadic grid: level 6 for d <= 2 and level 4 for every d >= 3.
+    """Sobolev norm of a `SumOfSeparable` f = sum_t c_t prod_i g_ti by
+    6-point Gauss quadrature on a fixed fine dyadic grid: level 6 for d <= 2
+    and level 4 for every d >= 3.
 
-    For a `SumOfSeparable` f = sum_t c_t prod_i g_ti the sum over the grid
-    factors: the square integral of each derivative alpha is
-    sum_{t,s} c_t c_s prod_i of the 1D integrals of g_ti^(alpha_i)
-    g_si^(alpha_i) on the same rule, so no grid is built.  Any other target
-    (a `PullbackFunction`) is summed on the grid, one slab at a time.
+    The sum over the grid factors: the square integral of each derivative
+    alpha is sum_{t,s} c_t c_s prod_i of the 1D integrals of
+    g_ti^(alpha_i) g_si^(alpha_i) on the same rule, so no grid is built.
     """
     level = 6 if d <= 2 else 4
     axes, weights = _norm_axes((level,) * d, 6)
+    c = np.array([c for c, _ in f.terms])
     total = 0.0
-    if isinstance(f, SumOfSeparable):
-        c = np.array([c for c, _ in f.terms])
-        for alpha in multi_indices(d, order, mode):
-            products = np.outer(c, c)
-            for i, (ax, w, a) in enumerate(zip(axes, weights, alpha)):
-                v = np.array([fs[i](ax, a) for _, fs in f.terms])
-                products *= np.sum(v[:, None] * v[None] * w, axis=-1)
-            total += float(np.sum(products))
-        return float(np.sqrt(total))
     for alpha in multi_indices(d, order, mode):
-        for s, slab in cell_slabs(axes, 6):
-            W = tensor_weights((weights[0][s],) + weights[1:])
-            total += _weighted_square_sum(f.eval_grid(slab, alpha), W)
+        products = np.outer(c, c)
+        for i, (ax, w, a) in enumerate(zip(axes, weights, alpha)):
+            v = np.array([fs[i](ax, a) for _, fs in f.terms])
+            products *= np.sum(v[:, None] * v[None] * w, axis=-1)
+        total += float(np.sum(products))
     return float(np.sqrt(total))

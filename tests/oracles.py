@@ -56,7 +56,6 @@ from sgsplines.spaces import (
 )
 from sgsplines.tensorops import (
     _norm_axes,
-    cell_slabs,
     multi_indices,
     project_direction,
     sample,
@@ -720,18 +719,15 @@ def error_norm_all_held(f, u, mode, order):
 
 
 def function_norm_all_held(f, d, mode, order):
-    """`sgsplines.tensorops.function_norm` on the grid, with fresh arrays
-    throughout and every grid-sized array held at once; the weighted squares
-    are summed slab by slab (`cell_slabs`), in the grid path's order."""
+    """`sgsplines.tensorops.function_norm` as one sum over its quadrature
+    grid, with fresh arrays throughout and every grid-sized array held at
+    once."""
     level = 6 if d <= 2 else 4
     axes, weights = _norm_axes((level,) * d, 6)
     W = tensor_weights(weights)
     total = 0.0
     for alpha in multi_indices(d, order, mode):
-        v = _eval_grid_all_held(f, axes, alpha)
-        squares = W * v ** 2
-        for s, _ in cell_slabs(axes, 6):
-            total += float(np.sum(squares[s]))
+        total += float(np.sum(W * _eval_grid_all_held(f, axes, alpha) ** 2))
     return float(np.sqrt(total))
 
 

@@ -425,16 +425,29 @@ def test_sparse_convergence_passes_in_three_dimensions(tmp_path, capsys):
     assert "0 failing" in capsys.readouterr().out
 
 
-def test_target_in_the_space_gives_an_exact_row(tmp_path, capsys):
-    # errors near 1e-15 are roundoff: no rate is fitted to them
+def _last_row(tmp_path, text):
     cfg = tmp_path / "one.cfg"
-    cfg.write_text("kind=sparse-convergence\ntarget=one\np=1\nn=3..4\n")
+    cfg.write_text(text + "target=one\np=1\nn=3..4\n")
     out = tmp_path / "one.csv"
     assert cli_main(["run", str(cfg), "--out", str(out)]) == 0
-    last = out.read_text().splitlines()[-1].split(",")
+    return out.read_text().splitlines()[-1].split(",")
+
+
+@pytest.mark.parametrize("kind", [
+    "kind=sparse-convergence\n",
+    "kind=mapped-convergence\ngeometry=identity\n",
+    "kind=mapped-convergence\ngeometry=shear\n",
+], ids=["sparse-convergence", "mapped-identity", "mapped-shear"])
+def test_target_in_the_space_gives_an_exact_row(tmp_path, capsys, kind):
+    # errors near 1e-15 are roundoff: no rate is fitted to them
+    last = _last_row(tmp_path, kind)
     assert last[CSV_COLUMNS.index("level")] == "exact"
     assert last[CSV_COLUMNS.index("pass")] == "true"
     assert "FAIL" not in capsys.readouterr().out
+    # the floor is a multiple of the target's own norm, whatever the map
+    sparse = _last_row(tmp_path, "kind=sparse-convergence\n")
+    assert (last[CSV_COLUMNS.index("bound")]
+            == sparse[CSV_COLUMNS.index("bound")])
 
 
 def test_fit_leaves_out_levels_below_the_floor():

@@ -68,6 +68,60 @@ def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def dead_definitions(sources, extra_uses=()):
+    """The top-level functions, classes and constants of ``sources`` (a dict
+    of module name to source) that no module uses, as (module, name): a use
+    is a name read, an attribute, an imported name, a parameter name (a
+    pytest fixture) or one of ``extra_uses``.  Tests (``test_*``) and
+    dunder names are not counted."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used = set(extra_uses)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(a.name.split(".")[-1] for a in node.names)
+            elif isinstance(node, ast.arg):
+                used.add(node.arg)
+    dead = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            dead += [(mod, n) for n in names if n not in used
+                     and not n.startswith(("test_", "__"))]
+    return dead
+
+
+def test_dead_definition_check_finds_unused_names():
+    sources = {"a": ("X = 1\nY = 2\nclass _GridOnly:\n    pass\n"
+                     "def f(fixture):\n    return Y\ndef test_f():\n    f(1)\n"),
+               "b": "from a import X\ndef fixture():\n    pass\n"
+                    "def traced():\n    pass\n"}
+    assert dead_definitions(sources, {"traced"}) == [("a", "_GridOnly")]
+
+
+def test_every_top_level_definition_is_used():
+    # the benchmark's span tables name traced callables by string
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    strings = {node.value for node in ast.walk(spans)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    sources = {f"{p.parent.name}.{p.stem}": p.read_text()
+               for p in (ROOT / "src" / "sgsplines").glob("*.py")}
+    sources.update((f"tests.{p.stem}", p.read_text())
+                   for p in (ROOT / "tests").glob("*.py"))
+    assert dead_definitions(sources, strings) == []
+
+
 def use_owners(source, name):
     """The innermost enclosing function (None at module level) of every use
     of ``name`` in ``source``: a name or attribute ``name`` that is called,
@@ -156,12 +210,17 @@ def test_call_owner_check_finds_the_enclosing_function():
     # is formed
     ("jacobian_grid", [("geometry", "_check_jacobian"),
                        ("geometry", "_jacobian_slabs")]),
+    # no numeric module dispatches on a type: only the CSV printer and the
+    # config checks do
+    ("isinstance", [("cli", "_fmt"), ("studies", "validate_config"),
+                    ("studies", "validate_config"), ("studies", "num"),
+                    ("studies", "num"), ("studies", "_numkey")]),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
         "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
         "scipy.linalg.svd", "matrix_rank", "lstsq", "khatri_rao",
         "itertools.combinations", "_levels_with_sum", "longdouble",
         "_derivative_transfer", "_find_spans", "_nonzero_basis", "_count",
-        "_refinement_matrix", "jacobian_grid"])
+        "_refinement_matrix", "jacobian_grid", "isinstance"])
 def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
     sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]

@@ -196,14 +196,6 @@ def test_cell_slabs_cover_every_row_once_in_whole_cells(level, qpts):
 NORM_CASES = [(1, 3, (4,), 4), (2, 2, (3, 2), 4), (3, 2, (2, 1, 2), 3)]
 
 
-class _GridOnly:
-    """A target that exposes only `eval_grid`, which `function_norm` then
-    sums on the grid, as it does a `PullbackFunction`."""
-
-    def __init__(self, f):
-        self.eval_grid = f.eval_grid
-
-
 @pytest.mark.parametrize("d,p,level,n", NORM_CASES,
                          ids=[f"d{c[0]}" for c in NORM_CASES])
 @pytest.mark.parametrize("sparse", [False, True], ids=["tensor", "sparse"])
@@ -221,16 +213,22 @@ def test_norms_match_all_held_bits(d, p, level, n, sparse):
                     continue
                 assert (error_norm(target, u, mode, order)
                         == error_norm_all_held(target, u, mode, order))
-            assert (function_norm(_GridOnly(f), d, mode, order)
-                    == function_norm_all_held(f, d, mode, order))
+
+
+# the registry targets of each d besides 'one' and 'sinpi-prod'
+REGISTRY_TARGETS = {1: ["poly-bump", "exp-sum"],
+                    2: ["poly-bump", "exp-sum", "sinpi-exp"],
+                    3: ["poly-bump", "exp-sum", "xyz-sin-sum"]}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_factored_function_norm_matches_the_grid_sum(d):
     # over seeds 0..5 and orders 0..3 the largest relative difference was
-    # 2.7e-16
-    for seed in range(2):
-        f = random_trig(d, seed)
+    # 2.7e-16; over the registry targets at orders 0..2, 2.8e-16
+    # (poly-bump, d=3)
+    targets = ([random_trig(d, seed) for seed in range(2)]
+               + [fn.target_function(name, d) for name in REGISTRY_TARGETS[d]])
+    for f in targets:
         for mode in ("semi", "full", "mix"):
             for order in range(3):
                 assert function_norm(f, d, mode, order) == pytest.approx(
