@@ -163,11 +163,12 @@ def load_geometry(path):
     Keys: ``degree <int>``, ``dims <n_1> ... <n_d>``, then a
     ``control_points`` line followed by one point per line (d whitespace
     separated coordinates) in row-major multi-index order (last index
-    fastest).
+    fastest).  Each key appears once, with exactly its values.
     """
     degree = None
     dims = None
     points = []
+    seen = {}  # key -> line number
     in_points = False
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -185,25 +186,33 @@ def load_geometry(path):
                                      f"{len(dims)} coordinates, got {line!r}")
                 continue
             key, *rest = line.split()
-            if key in ("degree", "dims"):
-                if not rest:
-                    raise ValueError(f"{path}:{lineno}: key {key!r} needs a value")
-                try:
-                    values = [int(tok) for tok in rest]
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: key {key!r} needs "
-                                     f"integers, got {line!r}") from exc
+            if key not in ("degree", "dims", "control_points"):
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats "
+                                 f"line {seen[key]}")
+            seen[key] = lineno
+            if (key == "control_points" and rest
+                    or key == "degree" and len(rest) > 1):
+                raise ValueError(f"{path}:{lineno}: too many values for key "
+                                 f"{key!r}: {line!r}")
+            if key == "control_points":
+                in_points = True
+                continue
+            if not rest:
+                raise ValueError(f"{path}:{lineno}: key {key!r} needs a value")
+            try:
+                values = [int(tok) for tok in rest]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: key {key!r} needs "
+                                 f"integers, got {line!r}") from exc
             if key == "degree":
                 degree = values[0]
-            elif key == "dims":
+            else:
                 dims = values
                 if min(dims) < 1:
                     raise ValueError(f"{path}:{lineno}: every 'dims' entry "
                                      f"must be at least 1")
-            elif key == "control_points":
-                in_points = True
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     if degree is None or dims is None:
         raise ValueError(f"{path}: missing required keys 'degree' and 'dims'")
     expect = int(np.prod(dims))
@@ -219,23 +228,17 @@ def load_geometry(path):
 
 class PullbackFunction:
     """Composition f(F(.)) of a physical function with the geometry map,
-    sampled on parameter tensor grids (values only, which is all the L2
-    projection and `pullback_error_norm` need)."""
+    sampled on parameter tensor grids: values only, which is all that
+    `sample` and `pullback_error_norm` read."""
 
     def __init__(self, f_phys, geom):
         self.f_phys = f_phys
         self.geom = geom
         self.d = geom.d
 
-    def eval_grid(self, axes, alpha=None, out=None):
-        """Values on the tensor grid; with ``out``, added into it."""
-        if alpha and any(alpha):
-            raise ValueError("pullback supplies values only")
-        values = self.f_phys.eval_points(self.geom.eval_grid(axes))
-        if out is None:
-            return values
-        out += values
-        return out
+    def eval_grid(self, axes):
+        """Values on the tensor grid, in a fresh array."""
+        return self.f_phys.eval_points(self.geom.eval_grid(axes))
 
 
 def _jacobian_slabs(geom, level, qpts, metric=False):
@@ -258,11 +261,10 @@ def _jacobian_slabs(geom, level, qpts, metric=False):
 
 def pullback_error_norm(f_phys, u, geom):
     """Physical-domain L2 error norm of f_phys minus the push-forward of u,
-    a `CoefficientTensor` or a `SparseGridFunction`.
+    read as ``u.as_tensor()`` as `tensorops.error_norm` reads it.
 
     Integrates over the parameter domain with det J weights (degree + 3
-    Gauss points per cell of the finest level of ``u``), one slab at a time.
-    ``u.as_tensor()`` forms a combination sum once, in coefficient space.  Per
+    Gauss points per cell of that tensor's level), one slab at a time.  Per
     slab the target is evaluated before the spline, and the difference and
     its weighted square are formed in the spline values' buffer.  On a grid
     of one slab the bits are those of ``np.sum((W * det J) * (f - u) ** 2)``.

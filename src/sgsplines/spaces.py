@@ -4,11 +4,11 @@ A sparse function is stored per admissible level (combination form) as the
 primary representation; the hierarchical form is materialized on demand for
 equivalence checks and inverse-inequality pencils.
 
-A combination-form function is evaluated for values only, and once: every
-term's space is a subspace of the finest level's, so each term is prolonged
-to the finest level, scaled and added into one finest-level coefficient
-array (`SparseGridFunction.as_tensor`), and one evaluation on the grid
-follows.
+A combination-form function lies in the finest level's tensor-product
+space, as every term's space does: each term is prolonged to the finest
+level, scaled and added into one finest-level coefficient array
+(`SparseGridFunction.as_tensor`), and that one spline serves values and
+derivatives alike.
 
 The L2 error of the combination technique for a separable target needs
 neither that sum nor a grid (`combination_error`).  With the 1D pieces
@@ -121,16 +121,12 @@ class SparseGridFunction:
     def d(self):
         return self.rule.d
 
-    @property
-    def finest_level(self):
-        return tuple(max(lvl[i] for lvl, _, _ in self.terms)
-                     for i in range(self.d))
-
     def as_tensor(self):
         """The weighted sum of the terms as one finest-level
         `CoefficientTensor`, formed in coefficient space (module
         docstring)."""
-        p, finest = self.degree, self.finest_level
+        p = self.degree
+        finest = tuple(map(max, zip(*(lvl for lvl, _, _ in self.terms))))
         total = None
         for level, c, ct in self.terms:
             X = contract(ct.coeffs, [prolongation(_space(p, l), n)
@@ -143,14 +139,9 @@ class SparseGridFunction:
         return CoefficientTensor(finest, p, total)
 
     def deriv_grid(self, axes, alpha=None):
-        """Values of the weighted sum of the terms on the tensor grid of
-        per-direction nodes, evaluated once (`as_tensor`): one grid-sized
-        array, the result.  Derivatives are not served: a nonzero ``alpha``
-        raises ValueError."""
-        if any(alpha or ()):
-            raise ValueError(f"a combination-form function is evaluated for "
-                             f"values only, not derivative {alpha}")
-        return self.as_tensor().deriv_grid(axes)
+        """Mixed derivative values of the sum on the tensor grid of
+        per-direction nodes, by one evaluation of `as_tensor`."""
+        return self.as_tensor().deriv_grid(axes, alpha)
 
 
 def combination_project(f, rule):

@@ -107,12 +107,13 @@ _PARSERS = {tuple: _parse_ints, int: int, str: str}
 
 
 def parse_config(path, overrides=()):
-    """Read a flat key=value config file and apply --set overrides.
+    """Read a flat key=value config file, in which each key appears once,
+    and apply --set overrides, which replace the file's values.
 
     Only the syntax and the value types are checked here; `run_study`
     validates the config as a whole.
     """
-    pairs = []
+    kv = {}  # key -> (value, where it was set)
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -122,19 +123,18 @@ def parse_config(path, overrides=()):
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, "
                                       f"got {line!r}")
-                key, value = line.split("=", 1)
-                pairs.append((key.strip(), value.strip(), f"{path}:{lineno}"))
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in kv:
+                    raise ConfigError(f"{path}:{lineno}: key '{key}' repeats "
+                                      f"{kv[key][1]}")
+                kv[key] = (value, f"{path}:{lineno}")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        pairs.append((key.strip(), value.strip(), "--set"))
-
-    kv = {}
-    for key, value, where in pairs:
-        kv[key] = (value, where)
+        kv[key.strip()] = (value.strip(), "--set")
     if "kind" not in kv:
         raise ConfigError(f"{path}: missing required key 'kind'")
     cfg = default_config(kv.pop("kind")[0])

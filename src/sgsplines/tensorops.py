@@ -14,9 +14,10 @@ owns: it shares no memory with coefficients, cached matrices or another
 call's result.  The norms rely on that and overwrite the spline values in
 place, and a target's `eval_grid` adds its terms into them one at a time,
 so besides what an evaluator holds while it runs, a norm holds at most two
-grid-sized arrays at once.  A sparse-grid function's `deriv_grid` serves
-values only: it forms its sum in coefficient space and evaluates once
-(`spaces`), through the same contraction kernel as a tensor member's.
+grid-sized arrays at once.  A norm reads every spline through
+``as_tensor()``: a tensor member is itself, and a sparse-grid function is
+its sum formed once in coefficient space at the finest level (`spaces`),
+so values and derivatives of both go through the same contraction kernel.
 
 Each norm has one grid regime.  A target's Sobolev norm (`function_norm`)
 and the sparse-grid error (`spaces.combination_error`) factor into 1D sums
@@ -71,10 +72,6 @@ class CoefficientTensor:
 
     def spaces(self):
         return [_space(self.degree, l) for l in self.level]
-
-    @property
-    def finest_level(self):
-        return self.level
 
     def as_tensor(self):
         """Itself, as `SparseGridFunction.as_tensor` gives its sum."""
@@ -200,11 +197,10 @@ def _weighted_square_sum(v, W):
 
 def error_norm(f, u, mode, order):
     """Sobolev norm of f - u by tensor Gauss quadrature (degree + 3 points per
-    cell) on the finest level involved in ``u`` (a `CoefficientTensor` or any
-    object exposing ``finest_level``, ``degree`` and ``deriv_grid``).
+    cell) on the level of ``u.as_tensor()``: a `CoefficientTensor` is read
+    as it is, a `SparseGridFunction` as its finest-level sum, formed once.
 
-    ``f`` may be None to measure the norm of ``u`` itself.  ``u.deriv_grid``
-    must return a fresh array that the caller owns, and ``f.eval_grid(axes,
+    ``f`` may be None to measure the norm of ``u`` itself.  ``f.eval_grid(axes,
     alpha, out)`` must add f's values into ``out``: the spline values are
     negated in place, the target is added into them, and the square and the
     weighted square are formed in the same buffer; the weights are built
@@ -214,13 +210,12 @@ def error_norm(f, u, mode, order):
     with f's terms added one by one; for a single-term target that is
     ``f - u`` exactly.
     """
-    degree = u.degree
-    if order > degree:
-        raise ValueError(f"norm order {order} exceeds spline degree {degree}")
-    level = u.finest_level
-    axes, weights = _norm_axes(level, degree + 3)
+    u = u.as_tensor()
+    if order > u.degree:
+        raise ValueError(f"norm order {order} exceeds spline degree {u.degree}")
+    axes, weights = _norm_axes(u.level, u.degree + 3)
     total = 0.0
-    for alpha in multi_indices(len(level), order, mode):
+    for alpha in multi_indices(u.d, order, mode):
         diff = u.deriv_grid(axes, alpha)
         if f is not None:
             np.negative(diff, out=diff)

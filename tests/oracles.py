@@ -632,7 +632,7 @@ def error_norm_longdouble(f, u):
     at a time; the banded rows of each level on each axis are built once,
     and those of the first axis are sliced per slab."""
     p = u.degree
-    axes, weights = _norm_axes(u.finest_level, p + 3)
+    axes, weights = _norm_axes(u.as_tensor().level, p + 3)
     keys = {(i, l) for level, _, _ in u.terms for i, l in enumerate(level)}
     bands = {(i, l): _band(_basis_rows_longdouble(make_space(p, l), axes[i]),
                            p + 1) for i, l in keys}
@@ -706,7 +706,7 @@ def error_norm_all_held(f, u, mode, order):
     degree = u.degree
     if order > degree:
         raise ValueError(f"norm order {order} exceeds spline degree {degree}")
-    level = u.finest_level
+    level = u.as_tensor().level
     axes, weights = _norm_axes(level, degree + 3)
     W = tensor_weights(weights)
     total = 0.0
@@ -736,7 +736,7 @@ def pullback_weighted_squares_all_held(f_phys, u, geom):
     on the whole grid, with the Jacobian stacked from its columns and fresh
     arrays throughout."""
     degree = u.degree
-    axes, weights = _norm_axes(u.finest_level, degree + 3)
+    axes, weights = _norm_axes(u.as_tensor().level, degree + 3)
     units = np.eye(geom.d, dtype=int)
     J = np.stack([geom.tensor.deriv_grid(axes, tuple(e)) for e in units], axis=-1)
     Wphys = tensor_weights(weights) * np.linalg.det(J)

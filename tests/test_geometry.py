@@ -1,6 +1,7 @@
 """Geometry maps: evaluation, inversion, physical norms."""
 
 import math
+import re
 import tracemalloc
 from functools import partial
 from types import SimpleNamespace
@@ -235,8 +236,9 @@ def test_pullback_norm_affine_change_of_variables():
 
     class Pull:
         d = 2
-        def eval_grid(self, axes, alpha=None, out=None):
-            return pull.eval_grid(axes, alpha, out)
+        def eval_grid(self, axes, alpha, out):
+            out += pull.eval_grid(axes)
+            return out
 
     e_param = error_norm(Pull(), sg, "semi", 0)
     scale = np.sqrt(abs(np.linalg.det(SHEAR)))
@@ -269,6 +271,20 @@ def test_geometry_file_errors(tmp_path):
     bad.write_text("degree 1\ndims 0 0\ncontrol_points\n")
     with pytest.raises(ValueError, match="at least 1"):
         load_geometry(bad)
+    # extra tokens are refused, not dropped, and each key appears once
+    square = "control_points\n0 0\n1 0\n0 1\n1 1\n"
+    for text, message in [
+            ("degree 1 7\ndims 2 2\n" + square,
+             ":1: too many values for key 'degree'"),
+            ("degree 1\ndims 2 2\ncontrol_points 5\n0 0\n1 0\n0 1\n1 1\n",
+             ":3: too many values for key 'control_points'"),
+            ("degree 1\ndims 2 2\ndegree 2\n" + square,
+             ":3: key 'degree' repeats line 1"),
+            ("degree 1\ndims 3 3\n# the extent of a 2 x 2 mesh\ndims 2 2\n"
+             + square, ":4: key 'dims' repeats line 2")]:
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad) + message)}"):
+            load_geometry(bad)
 
 
 def test_builtin_geometry_lookup():

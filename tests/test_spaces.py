@@ -1,6 +1,7 @@
 """Sparse-grid constructions: combination form, increments, identities."""
 
 import csv
+import itertools
 import os
 import subprocess
 import sys
@@ -119,13 +120,18 @@ def test_eval_matches_per_level_sum():
     assert np.abs(sg.deriv_grid(axes) - by_level).max() < 1e-14
 
 
-def test_sparse_deriv_grid_serves_values_only():
-    sg = combination_project(fn.sinpi_product(2), LevelRule(2, 3, 1))
-    axes = [np.linspace(0, 1, 5)] * 2
-    with pytest.raises(ValueError, match="values only"):
-        sg.deriv_grid(axes, (1, 0))
-    np.testing.assert_array_equal(sg.deriv_grid(axes, (0, 0)),
-                                  sg.deriv_grid(axes))
+def test_sparse_deriv_grid_is_the_finest_level_tensor():
+    # a combination-form function lies in its finest level's tensor space
+    # and serves every derivative through it, bit for bit
+    axes = [np.linspace(0, 1, 5), np.linspace(0, 1, 4)]
+    for p in (1, 2, 3):
+        sg = combination_project(fn.sinpi_exp(), LevelRule(2, 3, p))
+        ct = sg.as_tensor()
+        assert ct.level == (3, 3)
+        for alpha in itertools.product(range(p + 1), repeat=2):
+            np.testing.assert_array_equal(sg.deriv_grid(axes, alpha),
+                                          ct.deriv_grid(axes, alpha))
+        np.testing.assert_array_equal(sg.deriv_grid(axes), ct.deriv_grid(axes))
 
 
 def _golden_sparse_rows():
@@ -164,7 +170,7 @@ def test_long_double_reference_evaluates_u_by_deriv_grid_longdouble():
     # one-slab norm that evaluates u by it
     f = fn.sinpi_product(2)
     u = combination_project(f, LevelRule(2, 5, 2))
-    axes, weights = _norm_axes(u.finest_level, 5)
+    axes, weights = _norm_axes(u.as_tensor().level, 5)
     diff = deriv_grid_longdouble(u, axes)
     np.subtract(eval_grid_longdouble(f, axes), diff, out=diff)
     diff **= 2

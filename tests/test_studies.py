@@ -75,6 +75,18 @@ def test_parse_config_diagnostics(tmp_path):
         parse_config(str(tmp_path / "missing.cfg"))
 
 
+def test_config_file_refuses_a_repeated_key(tmp_path, capsys):
+    # within one file a repeated key is refused, where the last would win
+    # silently; --set still replaces a file's value
+    path = _write(tmp_path, "kind=dimensions\nn=3..4\n# more\nn=3..5\n")
+    assert cli_main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"{path}:4: key 'n' repeats {path}:2" in err
+    path = _write(tmp_path, "kind=dimensions\nn=3..4\nrank_max=3\n")
+    assert parse_config(path, overrides=["n=3", "n=3..5"]).n == (3, 4, 5)
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError, match="below the admissible minimum"):
         run_study(StudyConfig(kind="equivalence", p=(2,), n=(1, 2)))
@@ -302,6 +314,11 @@ def _bad_geometry(tmp_path, name, lines):
     # geometry files with a non-integer key value or a short control point
     ("mapped-convergence", ["geometry={badint}"]),
     ("mapped-convergence", ["geometry={ragged}"]),
+    # geometry files with extra tokens on a key line, or a repeated key line
+    ("mapped-convergence", ["geometry={extradegree}"]),
+    ("mapped-convergence", ["geometry={extrapoints}"]),
+    ("mapped-convergence", ["geometry={twodegree}"]),
+    ("mapped-convergence", ["geometry={twodims}"]),
     # level sets estimated above the memory budget
     ("identities", ["d_max=11", "n_max=17"]),
 ], ids=["unknown-target", "target-dimension", "unknown-geometry",
@@ -315,7 +332,9 @@ def _bad_geometry(tmp_path, name, lines):
         "sparse-pencil-degree-16", "empty-levels", "empty-degrees",
         "empty-orders", "identities-level-below-minimum",
         "identities-no-dimension", "repeated-dimensions", "repeated-degree",
-        "non-integer-dims", "ragged-control-points", "identities-too-large"])
+        "non-integer-dims", "ragged-control-points", "degree-extra-token",
+        "control-points-token", "repeated-degree-line", "repeated-dims-line",
+        "identities-too-large"])
 def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
     geometries = {
         "few": _bad_geometry(tmp_path, "few.geo",
@@ -337,6 +356,21 @@ def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
         "ragged": _bad_geometry(tmp_path, "ragged.geo",
                                 ["degree 1", "dims 2 2", "control_points",
                                  "0 0", "0 1", "1", "1 1"]),
+        "extradegree": _bad_geometry(tmp_path, "extradegree.geo",
+                                     ["degree 1 7", "dims 2 2", "control_points",
+                                      "0 0", "0 1", "1 0", "1 1"]),
+        "extrapoints": _bad_geometry(tmp_path, "extrapoints.geo",
+                                     ["degree 1", "dims 2 2", "control_points 5",
+                                      "0 0", "0 1", "1 0", "1 1"]),
+        # the later lines would override the earlier ones, and the run fail
+        # later on the control extent
+        "twodegree": _bad_geometry(tmp_path, "twodegree.geo",
+                                   ["degree 1", "dims 2 2", "degree 2",
+                                    "control_points", "0 0", "0 1", "1 0",
+                                    "1 1"]),
+        "twodims": _bad_geometry(tmp_path, "twodims.geo",
+                                 ["degree 1", "dims 3 3", "dims 2 2",
+                                  "control_points", "0 0", "0 1", "1 0", "1 1"]),
     }
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"kind={kind}\n")
@@ -369,7 +403,8 @@ def test_cli_rejects_bad_input(tmp_path, capsys, kind, overrides):
                 if len(set(value.split(","))) <= value.count(",")]
     assert not repeated or any(f"'{key}'" in err for key in repeated)
     # and the message refusing a geometry file names the file and the line
-    for name, lineno in (("badint", 2), ("ragged", 6)):
+    for name, lineno in (("badint", 2), ("ragged", 6), ("extradegree", 1),
+                         ("extrapoints", 3), ("twodegree", 3), ("twodims", 3)):
         if f"geometry={{{name}}}" in overrides:
             assert f"{name}.geo:{lineno}: " in err
 

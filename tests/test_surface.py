@@ -190,9 +190,10 @@ def test_call_owner_check_finds_the_enclosing_function():
     ("_levels_with_sum", []),
     # extended precision only in the 1D pieces of the Smolyak-difference norm
     ("longdouble", [("spaces", "_smolyak_pieces")]),
-    # derivatives only of tensor members, by their collocation rows: a
-    # combination-form function serves values only; the rows come from the
-    # local band, so no derivative transfer matrix is left
+    # derivatives only of tensor members, by their collocation rows, which
+    # come from the local band, so no derivative transfer matrix is left; a
+    # combination-form function serves its derivatives as its finest-level
+    # tensor
     ("_derivative_transfer", []),
     # one local evaluator of basis values and derivatives, shared by the
     # collocation rows and the Smolyak-difference pieces
@@ -215,12 +216,18 @@ def test_call_owner_check_finds_the_enclosing_function():
     ("isinstance", [("cli", "_fmt"), ("studies", "validate_config"),
                     ("studies", "validate_config"), ("studies", "num"),
                     ("studies", "num"), ("studies", "_numkey")]),
+    # one way to read a spline: every norm and the sparse-grid evaluator
+    # take ``as_tensor()``, and no duck-typed finest level is left
+    ("as_tensor", [("geometry", "pullback_error_norm"),
+                   ("spaces", "deriv_grid"), ("tensorops", "error_norm")]),
+    ("finest_level", []),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
         "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
         "scipy.linalg.svd", "matrix_rank", "lstsq", "khatri_rao",
         "itertools.combinations", "_levels_with_sum", "longdouble",
         "_derivative_transfer", "_find_spans", "_nonzero_basis", "_count",
-        "_refinement_matrix", "jacobian_grid", "isinstance"])
+        "_refinement_matrix", "jacobian_grid", "isinstance", "as_tensor",
+        "finest_level"])
 def test_each_rule_has_one_owner(name, owners):
     src = sorted((ROOT / "src" / "sgsplines").glob("*.py"))
     sites = [(path.stem, o) for path in src for o in use_owners(path.read_text(), name)]

@@ -17,7 +17,7 @@ from sgsplines.quadrature import (
     gauss_rule,
     projection_matrices,
 )
-from sgsplines.spaces import SparseGridFunction, combination_project
+from sgsplines.spaces import combination_project
 from sgsplines.tensorops import (
     _SLAB_POINTS,
     CoefficientTensor,
@@ -206,13 +206,10 @@ def test_norms_match_all_held_bits(d, p, level, n, sparse):
     for mode in ("semi", "full", "mix"):
         for order in range(p + 1):
             for target in (f, None):
-                # a combination-form function serves values only
-                if sparse and order >= 1:
-                    with pytest.raises(ValueError, match="values only"):
-                        error_norm(target, u, mode, order)
-                    continue
-                assert (error_norm(target, u, mode, order)
-                        == error_norm_all_held(target, u, mode, order))
+                value = error_norm(target, u, mode, order)
+                assert value == error_norm_all_held(target, u, mode, order)
+                # a combination-form function is read as its finest-level sum
+                assert value == error_norm(target, u.as_tensor(), mode, order)
 
 
 # the registry targets of each d besides 'one' and 'sinpi-prod'
@@ -249,11 +246,6 @@ def test_error_norm_matches_all_held_bits_on_random_targets(data):
                                         label="level"), p)
     mode = data.draw(st.sampled_from(["semi", "full", "mix"]), label="mode")
     order = data.draw(st.integers(0, p), label="order")
-    if isinstance(u, SparseGridFunction) and order >= 1:
-        # a combination-form function serves values only
-        with pytest.raises(ValueError, match="values only"):
-            error_norm(f, u, mode, order)
-        order = 0
     assert error_norm(f, u, mode, order) == error_norm_all_held(f, u, mode, order)
 
 
@@ -307,8 +299,9 @@ def _evaluators():
                               ct.spaces(), [ct.coeffs]),
         "CoefficientTensor-vector": (lambda: geom.tensor.deriv_grid(axes, alpha),
                                      geom.tensor.spaces(), [geom.ctrl]),
-        "SparseGridFunction": (lambda: sg.deriv_grid(axes),
-                               [s for _, _, t in sg.terms for s in t.spaces()],
+        "SparseGridFunction": (lambda: sg.deriv_grid(axes, alpha),
+                               [s for _, _, t in sg.terms for s in t.spaces()]
+                               + sg.as_tensor().spaces(),
                                [t.coeffs for _, _, t in sg.terms]),
         "SumOfSeparable": (lambda: f.eval_grid(axes, alpha), [], []),
         "GeometryMap": (lambda: geom.eval_grid(axes),
