@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -248,8 +247,9 @@ def vanishing_subspace(space, q):
     scale = space.h ** np.array(orders, dtype=float)
     rows0, rows1 = (np.array([collocation_matrix(space, [x], m)[0] for m in orders])
                     * scale[:, None] for x in (0.0, 1.0))
-    null_l = scipy.linalg.null_space(rows0[:, :p])
-    null_r = scipy.linalg.null_space(rows1[:, n - p:])
+    from scipy.linalg import null_space
+    null_l = null_space(rows0[:, :p])
+    null_r = null_space(rows1[:, n - p:])
     if not null_l.shape[1] == null_r.shape[1] == p - nc:
         raise RuntimeError("unexpected constraint rank in vanishing subspace")
     B = np.zeros((n, n - 2 * nc))

@@ -4,7 +4,10 @@ Subcommands: ``study run <config> [--set k=v]... [--out path]``,
 ``study list-kinds``, ``study gen-config <kind>``.  Exit status is 0 when
 every row passes, 1 when any check fails, and 2 for usage or config errors.
 Rows are computed one at a time; OpenBLAS's threads are the only
-parallelism.  Importing the package sets OPENBLAS_THREAD_TIMEOUT=4 unless
+parallelism.  scipy, with its own OpenBLAS pool, loads only in a process
+that calls it: the package imports scipy only inside the functions that call
+it, so ``identities``, ``dimensions`` and ``equivalence`` never load it.
+Importing the package sets OPENBLAS_THREAD_TIMEOUT=4 unless
 the environment already sets it, so that the idle workers of numpy's and
 scipy's OpenBLAS sleep after a short spin instead of taking the cores from
 each other; thread counts and printed digits stay the same.  Set the

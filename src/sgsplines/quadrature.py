@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .bspline import _frozen, collocation_matrix
 
@@ -92,6 +91,7 @@ def projection_matrices(space, r):
     no inverse is taken.  The (p + 3)-point rule integrates the degree-2(p - r)
     derivative products exactly, so B_r^T W B_r is the order-r Gram matrix.
     """
+    from scipy.linalg import cho_solve_banded, cholesky_banded, qr, solve_triangular
     nodes, weights = element_grid(space.level, gauss_rule(space.degree + 3))
     if r == 0:
         B = collocation_matrix(space, nodes, 0)
@@ -101,8 +101,8 @@ def projection_matrices(space, r):
         band = np.zeros((p + 1, space.dim))
         for k in range(p + 1):
             band[p - k, k:] = np.diagonal(G, k)
-        cho = scipy.linalg.cholesky_banded(band)
-        M0 = scipy.linalg.cho_solve_banded((cho, False), B.T * weights[None, :])
+        cho = cholesky_banded(band)
+        M0 = cho_solve_banded((cho, False), B.T * weights[None, :])
         return _frozen(nodes, weights, M0, None)
     # Equality-constrained least squares by the null-space method: with
     # Q = [Y Z] [R; 0], the constraint fixes the Y-part of the coefficients and
@@ -110,12 +110,12 @@ def projection_matrices(space, r):
     sw = np.sqrt(weights)
     A = sw[:, None] * collocation_matrix(space, nodes, r)
     PtW = (nodes[:, None] ** np.arange(r)[None, :]).T * weights[None, :]
-    Qf, R = scipy.linalg.qr(collocation_matrix(space, nodes, 0).T @ PtW.T)
+    Qf, R = qr(collocation_matrix(space, nodes, 0).T @ PtW.T)
     Y, Z = Qf[:, :r], Qf[:, r:]
-    Qz, Rz = scipy.linalg.qr(A @ Z, mode="economic")
+    Qz, Rz = qr(A @ Z, mode="economic")
     # coefficients = Y u + Z v with R^T u = P^T W f and Rz v = Qz^T (W^1/2 g - A Y u)
-    U = scipy.linalg.solve_triangular(R[:r], PtW, trans="T")
-    Vz = scipy.linalg.solve_triangular(Rz, Qz.T)
+    U = solve_triangular(R[:r], PtW, trans="T")
+    Vz = solve_triangular(Rz, Qz.T)
     Mr = Z @ (Vz * sw[None, :])
     M0 = (Y - Z @ (Vz @ (A @ Y))) @ U
     return _frozen(nodes, weights, M0, Mr)

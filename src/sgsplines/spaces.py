@@ -81,8 +81,8 @@ the crossover lies near order 300 (up to 600 for p = q = 1 pencils, which
 need the most products); moving the cut would move printed digits, so it
 stays at 512.  Lanczos starts from a fixed vector, because ARPACK's default
 start is random and the digits would then depend on the pencils solved
-before in the process.  Its module is imported on first use, which keeps it
-out of the `study` processes that never build such a pencil.
+before in the process.  As every scipy module, it is imported only by the
+function that calls it (the package's rule, in `sgsplines/__init__.py`).
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-import scipy.linalg
 
 from .bspline import (
     _basis_band,
@@ -210,8 +209,10 @@ SVD_TOL = 1e-8
 def _span(stack, basis=True):
     """Rank of ``stack`` (the singular values above `SVD_TOL` times the
     largest) by one thin SVD and, with ``basis``, an orthonormal basis of
-    its column span.  Every rank decision of the package is made here."""
-    out = scipy.linalg.svd(stack, full_matrices=False, compute_uv=basis)
+    its column span.  Every rank decision of the package is made here, by
+    numpy, so that the certificate kinds, which need nothing else of scipy,
+    never load it."""
+    out = np.linalg.svd(stack, full_matrices=False, compute_uv=basis)
     svals = out[1] if basis else out
     rank = int(np.sum(svals > SVD_TOL * svals[0]))
     return rank, out[0][:, :rank] if basis else None
@@ -378,7 +379,8 @@ def _constrained_chain(p, q, lam, n):
     acc = R @ _constrained_chain(p, q, lam, n - 1)
     Qacc, _ = np.linalg.qr(acc)
     Z = T - Qacc @ (Qacc.T @ T)
-    _, _, piv = scipy.linalg.qr(Z, pivoting=True)
+    from scipy.linalg import qr
+    _, _, piv = qr(Z, pivoting=True)
     V = np.hstack([acc, T[:, np.sort(piv[:increment_dim(p, n, lam)])]])
     if _span(V, basis=False)[0] != V.shape[1]:
         raise RuntimeError(f"constrained increment selection rank-deficient "
@@ -405,11 +407,12 @@ def _orthonormal_grams(basis):
     space_n = make_space(basis.rule.p, basis.rule.n)
     G = [basis.V.T @ gram_matrix(space_n, a) @ basis.V
          for a in range(basis.q + 1)]
-    L = scipy.linalg.cholesky(G[0], lower=True)
+    from scipy.linalg import cholesky, solve_triangular
+    L = cholesky(G[0], lower=True)
     out = []
     for Ga in G:
-        X = scipy.linalg.solve_triangular(L, Ga, lower=True)
-        out.append(scipy.linalg.solve_triangular(L, X.T, lower=True))
+        X = solve_triangular(L, Ga, lower=True)
+        out.append(solve_triangular(L, X.T, lower=True))
     return out
 
 
@@ -486,11 +489,10 @@ def _top_eigenvalue(A, N, B=None):
     positive definite (None: the identity).  A is a matrix, which it may
     overwrite, or, without B, a function X -> A X on (N, K) arrays."""
     if not callable(A) or N <= _DENSE_EIGH_MAX_ORDER:
+        from scipy.linalg import eigh
         A = A(np.eye(N)) if callable(A) else A
-        return scipy.linalg.eigh(A, B, eigvals_only=True, overwrite_a=True,
-                                 subset_by_index=[N - 1, N - 1])[0]
-    # imported here: at module level it costs every `study` process 25 to
-    # 30 ms and 2.3 MB, and most never build a pencil of this order
+        return eigh(A, B, eigvals_only=True, overwrite_a=True,
+                    subset_by_index=[N - 1, N - 1])[0]
     from scipy.sparse.linalg import LinearOperator, eigsh
     # a fixed start: ARPACK's default one is drawn from a generator that
     # every earlier solve in the process has advanced

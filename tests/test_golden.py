@@ -23,8 +23,13 @@ when the check moved from least-squares fits on collocation rows to
 orthogonal projections on level-n coefficient rows, and again, by the
 command above, when it moved from those tensor stacks to 1D certificates
 (`sgsplines.spaces.equivalence_report`): seven of them moved, each by less
-than 4e-15 absolute, and the p=2, n=2 row prints 0 as before.  Its ``dims``
-rows kept their bytes both times.  The norm kinds'
+than 4e-15 absolute, and the p=2, n=2 row prints 0 as before.  It was
+rewritten a third time, by the same command, when the one rank rule
+(`sgsplines.spaces._span`) moved from scipy's thin SVD to numpy's, so that
+the certificate kinds never load scipy: only the p=2, n=5 ``residual`` moved,
+from 4.49411835672e-15 to 4.50499163307e-15 (1.1e-17 absolute), with the
+same bytes at one and at two BLAS threads.  Its ``dims`` rows kept their
+bytes every time.  The norm kinds'
 files differ from it in their last printed digits, and
 ``grid-norms/sparse-d3`` also in its ``bound``, ``ratio`` and ``pass``
 columns, which the benchmark reference wrote before the d=3 ``c10`` constant

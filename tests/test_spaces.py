@@ -275,6 +275,32 @@ def test_dimension_rank_matches_formula():
     assert dimension_rank(LevelRule(2, 3, 1)) == 49
 
 
+def test_span_matches_scipy_svd_on_every_certified_stack(monkeypatch):
+    # `_span` takes numpy's thin SVD; scipy's gives the same rank and the
+    # same column-span projector on every stack the increment and
+    # equivalence certificates hand it
+    import scipy.linalg
+
+    span, stacks = spaces._span, []
+
+    def recorded(stack, basis=True):
+        stacks.append(stack)
+        return span(stack, basis)
+
+    monkeypatch.setattr(spaces, "_span", recorded)
+    for p in (1, 2, 3):
+        for n in range(lambda_eff(p), 7):
+            equivalence_report(LevelRule(2, n, p))
+    assert len(stacks) > 50
+    for stack in stacks:
+        rank, Q = span(stack)
+        U, svals, _ = scipy.linalg.svd(stack, full_matrices=False)
+        assert span(stack, basis=False)[0] == rank
+        assert rank == np.sum(svals > spaces.SVD_TOL * svals[0])
+        Us = U[:, :rank]
+        assert np.abs(Q @ Q.T - Us @ Us.T).max() < 1e-12
+
+
 @pytest.mark.parametrize("d,p,n", [
     (1, 1, 3), (1, 2, 3), (1, 3, 3),
     (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (2, 2, 3), (2, 2, 4),

@@ -179,6 +179,29 @@ def test_equivalence_at_d3_n5_runs_in_seconds(tmp_path):
     assert all(r["pass"] == "true" for r in rows)
 
 
+_SCIPY_PROBE = """
+import sys
+from dataclasses import replace
+import sgsplines.cli
+from sgsplines.studies import default_config, run_study
+print("scipy" in sys.modules)
+for kind in ("identities", "dimensions", "equivalence", "sparse-convergence"):
+    run_study(replace(default_config(kind), timing="off"))
+    print("scipy" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_in_a_study_that_calls_it():
+    # the certificate kinds take their SVDs from numpy; the convergence
+    # kinds' banded Cholesky solve loads scipy
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))), "src"))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "False", "False", "True"]
+
+
 def test_reports_are_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     cfg = StudyConfig(kind="univariate-convergence", d=1, p=(2,), n=(3, 4, 5),

@@ -170,7 +170,15 @@ def test_call_owner_check_finds_the_enclosing_function():
     ("eigsh", [("spaces", "_top_eigenvalue"), ("spaces", "_top_eigenvalue")]),
     ("LinearOperator", [("spaces", "_top_eigenvalue"),
                         ("spaces", "_top_eigenvalue")]),
-    ("eigh", [("spaces", "_top_eigenvalue")]),
+    ("eigh", [("spaces", "_top_eigenvalue"), ("spaces", "_top_eigenvalue")]),
+    # scipy is imported only inside the functions that call it, never at
+    # module level, so a `study` process that calls none of them never
+    # loads it
+    ("scipy", [("bspline", "vanishing_subspace"),
+               ("quadrature", "projection_matrices"),
+               ("spaces", "_constrained_chain"),
+               ("spaces", "_orthonormal_grams"),
+               ("spaces", "_top_eigenvalue"), ("spaces", "_top_eigenvalue")]),
     # the sparse pencil applies its norm matrix on the entry set and never
     # gathers it
     ("ix_", []),
@@ -222,8 +230,8 @@ def test_call_owner_check_finds_the_enclosing_function():
                    ("spaces", "deriv_grid"), ("tensorops", "error_norm")]),
     ("finest_level", []),
 ], ids=["setflags", "tensordot", "ThreadPoolExecutor", "os.environ",
-        "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh", "ix_",
-        "scipy.linalg.svd", "matrix_rank", "lstsq", "khatri_rao",
+        "threading", "eigsh", "LinearOperator", "scipy.linalg.eigh",
+        "scipy", "ix_", "svd", "matrix_rank", "lstsq", "khatri_rao",
         "itertools.combinations", "_levels_with_sum", "longdouble",
         "_derivative_transfer", "_find_spans", "_nonzero_basis", "_count",
         "_refinement_matrix", "jacobian_grid", "isinstance", "as_tensor",
